@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .heuristics import HeuristicKind, decide
-from .service import demand_for_path, slots_required
+from .service import demand_for_path
 from .simulator import (
     ActiveLightpaths,
     LoadPoint,
@@ -32,6 +32,7 @@ from .simulator import (
     SimConfig,
     SimConfigError,
     TrialResult,
+    run_stream,
     sweep,
 )
 from .spectrum import SlotBlock, SpectrumState
@@ -55,6 +56,11 @@ class DefragTrialResult(TrialResult):
     outcomes: tuple[str, ...] | None = None
 
 
+def resource_key(request: ServiceRequest, slots: int, hops: int) -> tuple[int, float, int]:
+    """Rebuild order key: descending slots x hops, then earlier arrival."""
+    return (-slots * hops, request.arrival_time, request.id)
+
+
 def sort_by_resource(
     requests: Sequence[ServiceRequest],
     resource_of: Callable[[ServiceRequest], tuple[int, int]],
@@ -64,54 +70,13 @@ def sort_by_resource(
     ``resource_of`` maps a request to its (slot demand, hop count)
     pair.  Equal products resolve to the earlier arrival.
     """
-
-    def key(r: ServiceRequest):
-        slots, hops = resource_of(r)
-        return (-slots * hops, r.arrival_time, r.id)
-
-    return sorted(requests, key=key)
-
-
-def _resource_of_factory(config: SimConfig) -> Callable[[ServiceRequest], tuple[int, int]]:
-    """Resource footprint of a request, from its rank-0 candidate path.
-
-    The demand of a rate request is path dependent; for sorting we pin
-    it to the modulation of the rank-0 path.  When even that path is
-    beyond every reach, the lowest-order format stands in so the sort
-    key stays defined.
-    """
-    cache: dict[tuple[str, str, float | int | None], tuple[int, int]] = {}
-    table = config.modulation
-
-    def resource_of(request: ServiceRequest) -> tuple[int, int]:
-        ck = (request.src, request.dst, request.slots or request.rate_gbps)
-        got = cache.get(ck)
-        if got is not None:
-            return got
-        path0 = config.topology.candidate_paths(
-            request.src, request.dst, config.k, config.ordering
-        )[0]
-        if request.slots is not None:
-            slots = request.slots + config.guard_slots
-        else:
-            fmt = table.select(path0.length_km) or table.lowest_order
-            slots = (
-                slots_required(
-                    request.rate_gbps, fmt.bits_per_symbol, config.slot_width_ghz, config.overhead
-                )
-                + config.guard_slots
-            )
-        got = (slots, path0.hop_count)
-        cache[ck] = got
-        return got
-
-    return resource_of
+    return sorted(requests, key=lambda r: resource_key(r, *resource_of(r)))
 
 
 def defrag_bound_trial(
     config: SimConfig, seed: int, *, record_outcomes: bool = False
 ) -> DefragTrialResult:
-    """One seeded bound trial; same stream semantics as a plain trial."""
+    """One seeded bound trial: the plain event loop plus a rebuild on every block."""
     if config.heuristic not in INNER_HEURISTICS:
         raise SimConfigError(
             f"bound trials require an inner heuristic in "
@@ -120,67 +85,50 @@ def defrag_bound_trial(
     stream = generate_stream(
         config.traffic, config.total_requests, config.topology.nodes, seed
     )
-    topo = config.topology
-    state = SpectrumState.for_topology(topo)
-    active = ActiveLightpaths(state)
-    paths_of = topo.candidate_paths
-    k, ordering, kind = config.k, config.ordering, config.heuristic
-    resource_of = _resource_of_factory(config)
-    decide_kwargs = dict(
-        slot_width_ghz=config.slot_width_ghz,
-        overhead=config.overhead,
-        guard_slots=config.guard_slots,
-    )
-    warmup = config.warmup_requests
+    table, width = config.modulation, config.slot_width_ghz
+    overhead, guard = config.overhead, config.guard_slots
+    outcomes = [OUTCOME_DIRECT] * len(stream)
 
-    blocked = direct = defrag = 0
-    peak_active = 0
-    outcomes: list[str] | None = [] if record_outcomes else None
+    def sort_key(request: ServiceRequest, candidates) -> tuple:
+        """Rebuild entry: resource key, then the request and its candidates.
 
-    for i, request in enumerate(stream):
-        active.release_due(request.arrival_time)
-        candidates = paths_of(request.src, request.dst, k, ordering)
-        decision = decide(kind, request, candidates, state, config.modulation, **decide_kwargs)
-        measured = i >= warmup
-        if decision is not None:
-            active.add(request, decision)
-            outcome = OUTCOME_DIRECT
-            if measured:
-                direct += 1
-        elif not _ever_feasible(config, request, candidates):
-            # no rebuild can host a request that fails on an empty network
-            outcome = OUTCOME_BLOCKED
-            if measured:
-                blocked += 1
-        else:
-            placements = _rebuild(config, active.active_requests() + [request], resource_of)
-            if placements is None:
-                outcome = OUTCOME_BLOCKED
-                if measured:
-                    blocked += 1
-            else:
-                temp_state, placed = placements
-                new_fibers, new_block = placed.pop(request.id)
-                active.replace_placements(temp_state, placed)
-                active.insert_allocated(request, new_fibers, new_block)
-                outcome = OUTCOME_DEFRAG
-                if measured:
-                    defrag += 1
-        if len(active) > peak_active:
-            peak_active = len(active)
-        if outcomes is not None:
-            outcomes.append(outcome)
+        The footprint comes from the rank-0 candidate.  A rate request's
+        demand is pinned to that path's modulation; when even that path
+        is beyond every reach, the lowest-order format stands in so the
+        key stays defined.
+        """
+        path0 = candidates[0]
+        demand = demand_for_path(request, path0, table, width, overhead, guard)
+        if demand is None:
+            demand = table.demand(request.rate_gbps, table.lowest_order, width, overhead, guard)
+        return (*resource_key(request, demand.slots, path0.hop_count), request, candidates)
 
-    total_measured = config.measured_requests
+    def on_block(i: int, request: ServiceRequest, candidates, active: ActiveLightpaths) -> bool:
+        # no rebuild can host a request that fails on an empty network
+        if _ever_feasible(config, request, candidates):
+            key = sort_key(request, candidates)
+            rebuilt = _rebuild(config, [rec[3] for rec in active.records.values()] + [key])
+            if rebuilt is not None:
+                state, placements = rebuilt
+                fiber_ids, block = placements.pop(request.id)
+                active.replace_placements(state, placements)
+                active.insert_allocated(request, fiber_ids, block, key)
+                outcomes[i] = OUTCOME_DEFRAG
+                return True
+        outcomes[i] = OUTCOME_BLOCKED
+        return False
+
+    result = run_stream(config, stream, on_block=on_block, sort_key=sort_key)
+    measured = outcomes[config.warmup_requests :]
     return DefragTrialResult(
         seed=seed,
-        blocked_count=blocked,
-        total_measured=total_measured,
-        sbp=blocked / total_measured,
-        peak_active=peak_active,
-        direct_count=direct,
-        defrag_count=defrag,
-        outcomes=tuple(outcomes) if outcomes is not None else None,
+        blocked_count=result.blocked_count,
+        total_measured=result.total_measured,
+        sbp=result.sbp,
+        peak_active=result.peak_active,
+        direct_count=measured.count(OUTCOME_DIRECT),
+        defrag_count=measured.count(OUTCOME_DEFRAG),
+        outcomes=tuple(outcomes) if record_outcomes else None,
     )
 
 
@@ -196,29 +144,33 @@ def _ever_feasible(config: SimConfig, request: ServiceRequest, candidates) -> bo
 
 
 def _rebuild(
-    config: SimConfig,
-    requests: list[ServiceRequest],
-    resource_of,
+    config: SimConfig, entries: list[tuple]
 ) -> tuple[SpectrumState, dict[int, tuple[tuple[int, ...], SlotBlock]]] | None:
-    """Re-place every request on an empty network, largest first.
+    """Re-place every request on an empty network, largest footprint first.
 
-    Returns the rebuilt state and per-request placements, or None as
-    soon as any request cannot be hosted.
+    ``entries`` are the requests' sort keys from ``defrag_bound_trial``;
+    ids are unique, so sorting never compares past the id.  Returns the
+    rebuilt state and per-request placements, or None as soon as any
+    request cannot be hosted.
     """
     temp = SpectrumState.for_topology(config.topology)
+    occ = temp.occ
+    kind, table = config.heuristic, config.modulation
+    width, overhead, guard = config.slot_width_ghz, config.overhead, config.guard_slots
     placements: dict[int, tuple[tuple[int, ...], SlotBlock]] = {}
-    for r in sort_by_resource(requests, resource_of):
-        candidates = config.topology.candidate_paths(r.src, r.dst, config.k, config.ordering)
+    entries.sort()
+    for _footprint, _arrival, req_id, request, candidates in entries:
         decision = decide(
-            config.heuristic, r, candidates, temp, config.modulation,
-            slot_width_ghz=config.slot_width_ghz,
-            overhead=config.overhead,
-            guard_slots=config.guard_slots,
+            kind, request, candidates, temp, table,
+            slot_width_ghz=width, overhead=overhead, guard_slots=guard,
         )
         if decision is None:
             return None
-        temp.allocate(decision.path.fiber_ids, decision.block)
-        placements[r.id] = (decision.path.fiber_ids, decision.block)
+        fiber_ids, block = decision.path.fiber_ids, decision.block
+        mask = block.mask
+        for f in fiber_ids:  # decide found the block free on every fiber
+            occ[f] |= mask
+        placements[req_id] = (fiber_ids, block)
     return temp, placements
 
 

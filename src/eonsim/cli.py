@@ -372,6 +372,14 @@ def cmd_rerun(args) -> int:
     return main(argv)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on, honouring its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _add_common_run_flags(sub):
     sub.add_argument("--preset", required=True, choices=sorted(PRESETS))
     sub.add_argument("--topology", required=True,
@@ -396,7 +404,7 @@ def _add_common_run_flags(sub):
                      help="extra guard slots appended to every demand")
     sub.add_argument("--modulation-file", default=None,
                      help="JSON file overriding the default modulation table")
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    sub.add_argument("--jobs", type=int, default=_available_cpus(),
                      help="parallel trial workers (default: available CPUs)")
     sub.add_argument("--out", required=True, help="output directory for artifacts")
 

@@ -38,6 +38,7 @@ from .spectrum import (
     best_fit_run,
     first_fit,
     path_congestion,
+    run_shifts,
 )
 from .topology import CandidatePath
 
@@ -61,7 +62,12 @@ class HeuristicKind(enum.Enum):
             ) from None
 
 
-@dataclass(frozen=True)
+# Looking a member up on an Enum class runs Python-level code; decide uses
+# these module-level aliases instead, since it runs for every request.
+_KSP_FF, _FF_KSP, _KSP_BF, _BF_KSP, _KME_FF, _KCA_FF = HeuristicKind
+
+
+@dataclass(frozen=True, slots=True)
 class Decision:
     path: CandidatePath
     block: SlotBlock
@@ -81,94 +87,61 @@ def decide(
     congestion_metric: Callable[[SpectrumState, Sequence[int]], float] = path_congestion,
 ) -> Decision | None:
     """Apply one policy to a request; None means blocked."""
-    if not candidates:
-        return None
-
-    def demand_of(path):
-        return demand_for_path(request, path, table, slot_width_ghz, overhead, guard_slots)
-
-    if kind is HeuristicKind.KSP_FF:
-        for path in candidates:
-            demand = demand_of(path)
-            if demand is None:
-                continue
-            block = first_fit(state.path_free(path.fiber_ids), demand.slots)
-            if block is not None:
-                return Decision(path, block, demand)
-        return None
-
-    if kind is HeuristicKind.KSP_BF:
-        for path in candidates:
-            demand = demand_of(path)
-            if demand is None:
-                continue
-            fit = best_fit_run(state.path_free(path.fiber_ids), state.n_slots, demand.slots)
-            if fit is not None:
-                return Decision(path, fit[0], demand)
-        return None
-
-    if kind is HeuristicKind.FF_KSP:
-        best: tuple[int, Decision] | None = None
+    if kind is _KSP_FF or kind is _FF_KSP:
+        # First-fit on the packed occupancies, in place: only the winner
+        # becomes a SlotBlock and a Decision.
+        spectrum_first = kind is _FF_KSP
+        occ, full = state.occ, state.full_mask
+        best = None
         for path in candidates:  # rank order, so first strict improvement wins ties
-            demand = demand_of(path)
+            demand = demand_for_path(request, path, table, slot_width_ghz, overhead, guard_slots)
             if demand is None:
                 continue
-            block = first_fit(state.path_free(path.fiber_ids), demand.slots)
-            if block is None:
+            used = 0
+            for f in path.fiber_ids:
+                used |= occ[f]
+            fits = ~used & full
+            for shift in run_shifts(demand.slots):
+                fits &= fits >> shift
+            if not fits:
                 continue
-            if best is None or block.start < best[0]:
-                best = (block.start, Decision(path, block, demand))
-                if block.start == 0:
-                    break
-        return best[1] if best else None
+            start = (fits & -fits).bit_length() - 1
+            if best is None or start < best[0]:
+                best = (start, path, demand)
+            if not spectrum_first or start == 0:
+                break
+        if best is None:
+            return None
+        start, path, demand = best
+        return Decision(path, SlotBlock(start, demand.slots), demand)
 
-    if kind is HeuristicKind.BF_KSP:
-        best_key: tuple[int, int] | None = None
-        best_dec: Decision | None = None
-        for path in candidates:
-            demand = demand_of(path)
-            if demand is None:
-                continue
-            fit = best_fit_run(state.path_free(path.fiber_ids), state.n_slots, demand.slots)
+    # The scan-all policies keep the candidate with the smallest key;
+    # ksp-bf takes the first candidate with any fit.
+    best_key = best_dec = None
+    for path in candidates:
+        demand = demand_for_path(request, path, table, slot_width_ghz, overhead, guard_slots)
+        if demand is None:
+            continue
+        free = state.path_free(path.fiber_ids)
+        if kind is _KSP_BF or kind is _BF_KSP:
+            fit = best_fit_run(free, state.n_slots, demand.slots)
             if fit is None:
                 continue
             block, run_len = fit
+            if kind is _KSP_BF:
+                return Decision(path, block, demand)
             key = (run_len, block.start)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_dec = Decision(path, block, demand)
-        return best_dec
-
-    if kind is HeuristicKind.KME_FF:
-        best_score: float | None = None
-        best_dec = None
-        for path in candidates:
-            demand = demand_of(path)
-            if demand is None:
-                continue
-            block = first_fit(state.path_free(path.fiber_ids), demand.slots)
+        else:
+            block = first_fit(free, demand.slots)
             if block is None:
                 continue
-            score = entropy_after_placement(state, path.fiber_ids, block)
-            if best_score is None or score < best_score:
-                best_score = score
-                best_dec = Decision(path, block, demand)
-        return best_dec
-
-    if kind is HeuristicKind.KCA_FF:
-        best_cong: float | None = None
-        best_dec = None
-        for path in candidates:
-            demand = demand_of(path)
-            if demand is None:
-                continue
-            block = first_fit(state.path_free(path.fiber_ids), demand.slots)
-            if block is None:
-                continue
-            cong = congestion_metric(state, path.fiber_ids)
-            if best_cong is None or cong < best_cong:
-                best_cong = cong
-                best_dec = Decision(path, block, demand)
-        return best_dec
-
-    raise ValueError(f"unhandled heuristic kind {kind}")
+            if kind is _KME_FF:
+                key = entropy_after_placement(state, path.fiber_ids, block)
+            elif kind is _KCA_FF:
+                key = congestion_metric(state, path.fiber_ids)
+            else:
+                raise ValueError(f"unhandled heuristic kind {kind}")
+        if best_key is None or key < best_key:
+            best_key = key
+            best_dec = Decision(path, block, demand)
+    return best_dec

@@ -4,6 +4,11 @@ A request's slot demand depends on the candidate path: the longest
 usable modulation reach determines bits per symbol, which with the
 slot width fixes the per-slot capacity.  Fixed-width request models
 bypass the modulation table entirely and demand a literal slot count.
+
+Demand is a compiled lookup: each path length resolves its format once
+per table, and each (rate, bits per symbol) pair its slot count once
+per slot model, so :func:`demand_for_path` is the only place demand is
+computed and costs a few dictionary lookups per candidate.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from typing import Sequence
 from .spectrum import (
     SlotBlock,
     SpectrumState,
-    best_fit,
+    best_fit_run,
     first_fit,
     fragmentation_entropy,
     path_congestion,
@@ -31,6 +36,20 @@ class ModulationFormat:
     name: str
     bits_per_symbol: int
     max_reach_km: float
+
+
+class _Lookup(dict):
+    """A dictionary that computes, and keeps, each missing entry."""
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self._compute(key)
+        return value
 
 
 class ModulationTable:
@@ -48,6 +67,14 @@ class ModulationTable:
         if any(f.max_reach_km <= 0 for f in rows):
             raise ValueError("reaches must be positive")
         self.formats: tuple[ModulationFormat, ...] = tuple(rows)
+        # compiled lookups: path length -> format, and (rate, bits per symbol,
+        # slot width, overhead, guard slots) -> demand
+        self._by_length = _Lookup(self._resolve)
+        self._demands = _Lookup(self._compile_demand)
+
+    def __reduce__(self):
+        # pickle the formats only; a copy compiles its own lookups
+        return (ModulationTable, (self.formats,))
 
     def select(self, length_km: float) -> ModulationFormat | None:
         """Highest-order format whose reach covers ``length_km`` (inclusive).
@@ -55,12 +82,30 @@ class ModulationTable:
         None when the path exceeds every reach, i.e. the path is
         infeasible at any modulation.
         """
+        return self._by_length[length_km]
+
+    def _resolve(self, length_km: float) -> ModulationFormat | None:
         if length_km <= 0:
             raise ValueError(f"length_km must be positive, got {length_km}")
-        for fmt in self.formats:  # descending bits per symbol
-            if fmt.max_reach_km >= length_km:
-                return fmt
-        return None
+        # formats run in descending bits per symbol
+        return next((f for f in self.formats if f.max_reach_km >= length_km), None)
+
+    def demand(
+        self,
+        rate_gbps: float,
+        fmt: ModulationFormat,
+        slot_width_ghz: float = DEFAULT_SLOT_WIDTH_GHZ,
+        overhead: float = 1.0,
+        guard_slots: int = 0,
+    ) -> SlotDemand:
+        """Demand of a ``rate_gbps`` request carried at ``fmt``, one of this table's formats."""
+        return self._demands[rate_gbps, fmt.bits_per_symbol, slot_width_ghz, overhead, guard_slots]
+
+    def _compile_demand(self, key: tuple) -> SlotDemand:
+        rate_gbps, bits, slot_width_ghz, overhead, guard_slots = key
+        fmt = next(f for f in self.formats if f.bits_per_symbol == bits)
+        n = slots_required(rate_gbps, bits, slot_width_ghz, overhead)
+        return SlotDemand(n + guard_slots, fmt)
 
     @property
     def lowest_order(self) -> ModulationFormat:
@@ -125,6 +170,9 @@ class SlotDemand:
             raise ValueError(f"demand must be >= 1 slot, got {self.slots}")
 
 
+_FIXED_DEMANDS = _Lookup(lambda slots: SlotDemand(slots, None))
+
+
 def demand_for_path(
     request,
     path: CandidatePath,
@@ -138,17 +186,19 @@ def demand_for_path(
     Fixed-width requests (``request.slots`` set) skip the table.  For
     rate requests the path length selects the modulation; paths beyond
     the longest reach are infeasible.  ``guard_slots`` extra slots are
-    added to the allocated block.
+    added to the allocated block.  Demands are shared, immutable objects.
     """
     if request.slots is not None:
-        return SlotDemand(request.slots + guard_slots, None)
+        return _FIXED_DEMANDS[request.slots + guard_slots]
     if table is None:
         raise ValueError("rate-based request requires a modulation table")
-    fmt = table.select(path.length_km)
+    # table.select and table.demand, without the two method calls
+    fmt = table._by_length[path.length_km]
     if fmt is None:
         return None
-    n = slots_required(request.rate_gbps, fmt.bits_per_symbol, slot_width_ghz, overhead)
-    return SlotDemand(n + guard_slots, fmt)
+    return table._demands[
+        request.rate_gbps, fmt.bits_per_symbol, slot_width_ghz, overhead, guard_slots
+    ]
 
 
 @dataclass(frozen=True)
@@ -184,11 +234,11 @@ def evaluate_candidate(
         return CandidateEvaluation(path, None, None, None, None, congestion)
     free = state.path_free(path.fiber_ids)
     ff = first_fit(free, demand.slots)
-    bf = best_fit(free, state.n_slots, demand.slots)
+    bf = best_fit_run(free, state.n_slots, demand.slots)
     entropy = None
     if ff is not None:
         entropy = entropy_after_placement(state, path.fiber_ids, ff)
-    return CandidateEvaluation(path, demand, ff, bf, entropy, congestion)
+    return CandidateEvaluation(path, demand, ff, bf[0] if bf else None, entropy, congestion)
 
 
 def entropy_after_placement(

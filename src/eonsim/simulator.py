@@ -27,7 +27,7 @@ import numpy as np
 from .heuristics import Decision, HeuristicKind, decide
 from .service import DEFAULT_SLOT_WIDTH_GHZ, ModulationTable
 from .spectrum import SlotBlock, SpectrumState
-from .topology import PathOrdering, Topology
+from .topology import CandidatePath, PathOrdering, Topology
 from .traffic import ServiceRequest, TrafficConfig, generate_stream
 
 
@@ -98,22 +98,26 @@ class ActiveLightpaths:
     def __init__(self, state: SpectrumState):
         self._state = state
         self._heap: list[tuple[float, int]] = []
-        # request id -> (request, fiber_ids, block)
-        self.records: dict[int, tuple[ServiceRequest, tuple[int, ...], SlotBlock]] = {}
+        # request id -> (request, fiber_ids, block, sort key or None)
+        self.records: dict[int, tuple[ServiceRequest, tuple[int, ...], SlotBlock, tuple | None]] = {}
         self.occupied_slot_links = 0
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def add(self, request: ServiceRequest, decision: Decision) -> None:
+    def add(self, request: ServiceRequest, decision: Decision, key: tuple | None = None) -> None:
         self._state.allocate(decision.path.fiber_ids, decision.block)
-        self.insert_allocated(request, decision.path.fiber_ids, decision.block)
+        self.insert_allocated(request, decision.path.fiber_ids, decision.block, key)
 
     def insert_allocated(
-        self, request: ServiceRequest, fiber_ids: tuple[int, ...], block: SlotBlock
+        self,
+        request: ServiceRequest,
+        fiber_ids: tuple[int, ...],
+        block: SlotBlock,
+        key: tuple | None = None,
     ) -> None:
         """Record a lightpath whose slots are already held in the state."""
-        self.records[request.id] = (request, fiber_ids, block)
+        self.records[request.id] = (request, fiber_ids, block, key)
         heapq.heappush(self._heap, (request.expiry_time, request.id))
         self.occupied_slot_links += len(fiber_ids) * block.size
 
@@ -123,30 +127,28 @@ class ActiveLightpaths:
         heap = self._heap
         while heap and heap[0][0] < now:
             _expiry, req_id = heapq.heappop(heap)
-            request, fiber_ids, block = self.records.pop(req_id)
+            _request, fiber_ids, block, _key = self.records.pop(req_id)
             self._state.release(fiber_ids, block)
             self.occupied_slot_links -= len(fiber_ids) * block.size
             released += 1
         return released
-
-    def active_requests(self) -> list[ServiceRequest]:
-        return [rec[0] for rec in self.records.values()]
 
     def replace_placements(
         self, state: SpectrumState, placements: dict[int, tuple[tuple[int, ...], SlotBlock]]
     ) -> None:
         """Adopt a rebuilt network state with new placements for the same set.
 
-        Expiry bookkeeping is untouched: the heap references request
-        ids, and the rebuilt placements cover exactly the active ids.
+        Expiry bookkeeping and sort keys are untouched: the heap references
+        request ids, and the rebuilt placements cover exactly the active ids.
         """
-        if set(placements) != set(self.records):
+        records = self.records
+        if placements.keys() != records.keys():
             raise ValueError("rebuilt placements do not cover the active set")
         self._state.occ = state.occ
         total = 0
         for req_id, (fiber_ids, block) in placements.items():
-            request = self.records[req_id][0]
-            self.records[req_id] = (request, fiber_ids, block)
+            request, _fibers, _block, key = records[req_id]
+            records[req_id] = (request, fiber_ids, block, key)
             total += len(fiber_ids) * block.size
         self.occupied_slot_links = total
 
@@ -160,9 +162,17 @@ def run_stream(
     stream: Sequence[ServiceRequest],
     *,
     on_event: Callable[[SpectrumState, ActiveLightpaths], None] | None = None,
+    on_block: Callable[[int, ServiceRequest, Sequence[CandidatePath], ActiveLightpaths], bool]
+    | None = None,
+    sort_key: Callable[[ServiceRequest, Sequence[CandidatePath]], tuple] | None = None,
 ) -> TrialResult:
     """Run the event loop over an explicit request stream.
 
+    ``on_block(index, request, candidates, active)`` is called when the
+    policy blocks a request, and returns True if it admitted the request
+    itself; the defragmentation bound rebuilds the network there.
+    ``sort_key(request, candidates)`` is evaluated once per admitted
+    request and kept on its active record for ``on_block`` to read.
     ``on_event`` is called after each arrival is resolved; tests use it
     to assert conservation invariants at every event.
     """
@@ -172,7 +182,8 @@ def run_stream(
     state = SpectrumState.for_topology(config.topology)
     active = ActiveLightpaths(state)
     paths_of = config.topology.candidate_paths
-    k, ordering, kind = config.k, config.ordering, config.heuristic
+    k, ordering, kind, table = config.k, config.ordering, config.heuristic, config.modulation
+    width, overhead, guard = config.slot_width_ghz, config.overhead, config.guard_slots
     warmup = config.warmup_requests
 
     blocked = 0
@@ -181,22 +192,16 @@ def run_stream(
         active.release_due(request.arrival_time)
         candidates = paths_of(request.src, request.dst, k, ordering)
         decision = decide(
-            kind,
-            request,
-            candidates,
-            state,
-            config.modulation,
-            slot_width_ghz=config.slot_width_ghz,
-            overhead=config.overhead,
-            guard_slots=config.guard_slots,
+            kind, request, candidates, state, table,
+            slot_width_ghz=width, overhead=overhead, guard_slots=guard,
         )
-        if decision is None:
+        if decision is not None:
+            active.add(request, decision, sort_key(request, candidates) if sort_key else None)
+        elif on_block is None or not on_block(i, request, candidates, active):
             if i >= warmup:
                 blocked += 1
-        else:
-            active.add(request, decision)
-            if len(active) > peak_active:
-                peak_active = len(active)
+        if len(active) > peak_active:
+            peak_active = len(active)
         if on_event is not None:
             on_event(state, active)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -17,7 +18,7 @@ class SpectrumAssignmentError(ValueError):
     """Allocation over occupied slots, or release of slots not held."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotBlock:
     """A contiguous run of slots starting at a 0-based index."""
 
@@ -68,15 +69,28 @@ def path_free_bits(grids: Sequence[Sequence[bool | int]]) -> list[bool]:
     return unpack_bits(path_free_mask((pack_bits(g) for g in grids), n), n)
 
 
-def first_fit(free: int, size: int) -> SlotBlock | None:
-    """Lowest-index contiguous free run of at least ``size`` slots."""
+@lru_cache(maxsize=None)
+def run_shifts(size: int) -> tuple[int, ...]:
+    """Shifts that reduce a free mask to the starts of ``size``-slot runs.
+
+    While bit i marks a free run of ``run`` slots, ``free &= free >> s``
+    (s <= run) makes it mark a run of ``run + s``; doubling reaches
+    ``size`` in about log2(size) steps.
+    """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    shifts, run = [], 1
+    while run < size:
+        shifts.append(min(run, size - run))
+        run += shifts[-1]
+    return tuple(shifts)
+
+
+def first_fit(free: int, size: int) -> SlotBlock | None:
+    """Lowest-index contiguous free run of at least ``size`` slots."""
     r = free
-    for _ in range(size - 1):
-        r &= r >> 1
-        if not r:
-            return None
+    for shift in run_shifts(size):
+        r &= r >> shift
     if not r:
         return None
     start = (r & -r).bit_length() - 1
@@ -101,26 +115,12 @@ def free_runs(free: int, n_slots: int) -> list[tuple[int, int]]:
         pos = start + length
 
 
-def best_fit(free: int, n_slots: int, size: int) -> SlotBlock | None:
-    """Start of the smallest maximal free run that fits ``size``.
-
-    Ties between equal-sized runs go to the lowest start index.
-    """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    best_run = None
-    for start, length in free_runs(free, n_slots):
-        if length >= size and (best_run is None or length < best_run[1]):
-            best_run = (start, length)
-            if length == size:
-                break
-    if best_run is None:
-        return None
-    return SlotBlock(best_run[0], size)
-
-
 def best_fit_run(free: int, n_slots: int, size: int) -> tuple[SlotBlock, int] | None:
-    """Best-fit block plus the length of its containing run."""
+    """Best-fit block plus the length of its containing run.
+
+    The block starts the smallest maximal free run that fits ``size``;
+    ties between equal-sized runs go to the lowest start index.
+    """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     best_run = None

@@ -7,6 +7,7 @@ definitions.  None of it shares code with the package internals.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def all_loopless_paths(links, src, dst):
@@ -121,3 +122,134 @@ def random_connected_graph(rng, max_nodes=6):
         seen.add(pair)
         links.append((nodes[int(i)], nodes[int(j)], float(rng.integers(1, 2000))))
     return nodes, links
+
+
+# --- naive RMSA event loop and replay rebuild ------------------------------------
+#
+# Occupancy is one list of booleans per fiber and demand is read straight
+# off a reach table, given as (bits_per_symbol, max_reach_km) pairs with
+# exact rational arithmetic.  Candidate paths come from the package's path
+# layer, which has its own oracle above.
+
+
+def reference_slots(request, path, formats, slot_width_ghz, guard_slots, bits=None):
+    """Slots ``request`` needs on ``path``, or None when beyond every reach.
+
+    ``bits`` forces a format instead of the highest one whose reach covers
+    the path.
+    """
+    if request.slots is not None:
+        return request.slots + guard_slots
+    if bits is None:
+        reachable = [b for b, reach in formats if reach >= path.length_km]
+        if not reachable:
+            return None
+        bits = max(reachable)
+    quotient = Fraction(request.rate_gbps) / (Fraction(slot_width_ghz) * bits)
+    return max(1, math.ceil(quotient)) + guard_slots
+
+
+def reference_first_fit_decision(kind, request, candidates, grids, formats, width, guard):
+    """(path, start, size) chosen by "ksp-ff" or "ff-ksp", or None.
+
+    ksp-ff takes the first candidate with any fit; ff-ksp the lowest
+    first-fit start over all candidates, ties to the earlier candidate.
+    """
+    fits = []
+    for rank, path in enumerate(candidates):
+        size = reference_slots(request, path, formats, width, guard)
+        if size is None:
+            continue
+        occupied = [any(grids[f][i] for f in path.fiber_ids) for i in range(len(grids[0]))]
+        start = first_fit_oracle(occupied, size)
+        if start is None:
+            continue
+        if kind == "ksp-ff":
+            return path, start, size
+        fits.append((start, rank, path, size))
+    if not fits:
+        return None
+    start, _rank, path, size = min(fits, key=lambda fit: fit[:2])
+    return path, start, size
+
+
+def reference_rebuild(kind, requests, candidates_of, n_fibers, n_slots, formats, width, guard):
+    """Replay every request on an empty network, largest slots x hops first.
+
+    Slots and hops are those of the rank-0 candidate; beyond every reach
+    the lowest-order format stands in.  Ties go to the earlier arrival,
+    then the lower id.  Returns (grids, {id: (fiber_ids, start, size)}),
+    or None when some request finds no fit.
+    """
+
+    def footprint(request):
+        path0 = candidates_of(request)[0]
+        slots = reference_slots(request, path0, formats, width, guard)
+        if slots is None:
+            slots = reference_slots(
+                request, path0, formats, width, guard, bits=min(b for b, _ in formats)
+            )
+        return slots * path0.hop_count
+
+    order = sorted(requests, key=lambda r: (-footprint(r), r.arrival_time, r.id))
+    grids = [[False] * n_slots for _ in range(n_fibers)]
+    placed = {}
+    for request in order:
+        choice = reference_first_fit_decision(
+            kind, request, candidates_of(request), grids, formats, width, guard
+        )
+        if choice is None:
+            return None
+        path, start, size = choice
+        for f in path.fiber_ids:
+            for i in range(start, start + size):
+                grids[f][i] = True
+        placed[request.id] = (path.fiber_ids, start, size)
+    return grids, placed
+
+
+def reference_trial(kind, stream, candidates_of, n_fibers, n_slots, formats, width, guard, bound):
+    """Outcome and placements after every arrival of a naive trial.
+
+    Lightpaths expiring strictly before an arrival are released first.
+    A blocked request triggers a replay rebuild when ``bound`` is set and
+    some candidate's demand fits an empty fiber.  Returns one
+    (outcome, grids, {id: (fiber_ids, start, size)}) triple per arrival.
+    """
+    grids = [[False] * n_slots for _ in range(n_fibers)]
+    active = {}  # id -> (request, fiber_ids, start, size)
+    events = []
+    for request in stream:
+        for rid, (held, fiber_ids, start, size) in list(active.items()):
+            if held.arrival_time + held.holding_time < request.arrival_time:
+                for f in fiber_ids:
+                    for i in range(start, start + size):
+                        grids[f][i] = False
+                del active[rid]
+        candidates = candidates_of(request)
+        choice = reference_first_fit_decision(
+            kind, request, candidates, grids, formats, width, guard
+        )
+        if choice is not None:
+            path, start, size = choice
+            for f in path.fiber_ids:
+                for i in range(start, start + size):
+                    grids[f][i] = True
+            active[request.id] = (request, path.fiber_ids, start, size)
+            outcome = "direct"
+        else:
+            outcome = "blocked"
+            hostable = [reference_slots(request, p, formats, width, guard) for p in candidates]
+            if bound and any(s is not None and s <= n_slots for s in hostable):
+                requests = [held for held, *_ in active.values()] + [request]
+                rebuilt = reference_rebuild(
+                    kind, requests, candidates_of, n_fibers, n_slots, formats, width, guard
+                )
+                if rebuilt is not None:
+                    grids, placed = rebuilt
+                    by_id = {r.id: r for r in requests}
+                    active = {rid: (by_id[rid], *placed[rid]) for rid in placed}
+                    outcome = "defrag"
+        placements = {rid: (fiber_ids, start, size) for rid, (_r, fiber_ids, start, size) in active.items()}
+        events.append((outcome, [row[:] for row in grids], placements))
+    return events

@@ -21,7 +21,7 @@ from eonsim.cli import main
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
 from eonsim.simulator import estimate_warmup, run_stream, sweep, warmup_slope
-from eonsim.spectrum import best_fit, first_fit, pack_bits, path_free_mask
+from eonsim.spectrum import best_fit_run, first_fit, pack_bits, path_free_mask
 from eonsim.topology import PathOrdering, Topology, k_shortest_paths
 from eonsim.traffic import TRUNCATED_MEAN_RATIO, generate_stream
 from reference import (
@@ -225,8 +225,8 @@ def test_criterion_7b_fit_oracle_ten_thousand_masks():
         free = path_free_mask([pack_bits(occ)], n)
         ff = first_fit(free, size)
         assert (ff.start if ff else None) == first_fit_oracle(occ, size)
-        bf = best_fit(free, n, size)
-        assert (bf.start if bf else None) == best_fit_oracle(occ, size)
+        bf = best_fit_run(free, n, size)
+        assert (bf[0].start if bf else None) == best_fit_oracle(occ, size)
     report(7, "first/best fit equal brute-force scans on 10,000 masks")
 
 

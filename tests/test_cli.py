@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from eonsim.cli import CliError, main, parse_loads
+from eonsim.cli import CliError, build_parser, main, parse_loads
 from eonsim.presets import PRESETS, get_preset
 
 
@@ -28,6 +29,24 @@ def test_parse_loads_comma_list():
 def test_parse_loads_rejects_malformed(bad):
     with pytest.raises(CliError):
         parse_loads(bad)
+
+
+# --- defaults -----------------------------------------------------------------
+
+@pytest.mark.parametrize("sub", ["sweep", "bound"])
+def test_jobs_default_is_cpus_in_affinity_mask(sub):
+    args = build_parser().parse_args(
+        f"{sub} --preset deeprmsa --topology nsfnet --loads 100 --out x".split()
+    )
+    assert args.jobs == len(os.sched_getaffinity(0))
+
+
+def test_jobs_default_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    args = build_parser().parse_args(
+        "sweep --preset deeprmsa --topology nsfnet --loads 100 --out x".split()
+    )
+    assert args.jobs == (os.cpu_count() or 1)
 
 
 # --- error paths --------------------------------------------------------------

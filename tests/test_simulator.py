@@ -265,6 +265,13 @@ def test_summarize_single_trial_has_nan_std():
 
 
 def test_parallel_sweep_matches_serial():
+    """Pooled sweeps equal serial ones, for plain trials and for the bound.
+
+    The serial sweep runs first, so the parent's compiled demand lookups
+    are warm when the configuration is sent to the workers.
+    """
+    from eonsim.bounds import defrag_bound_trial
+
     cfg = nsfnet_config(320, trials=2, measured_requests=1000, warmup_requests=300)
     import warnings as w
 
@@ -272,7 +279,13 @@ def test_parallel_sweep_matches_serial():
         w.simplefilter("ignore")
         serial = sweep(cfg, [320, 340], trials=2, jobs=1)
         parallel = sweep(cfg, [320, 340], trials=2, jobs=2)
+        bound_serial = sweep(cfg, [320, 340], trials=2, jobs=1, trial_runner=defrag_bound_trial)
+        bound_parallel = sweep(
+            cfg, [320, 340], trials=2, jobs=2, trial_runner=defrag_bound_trial
+        )
     assert serial == parallel
+    assert bound_serial == bound_parallel
+    assert sum(r.defrag_count for p in bound_serial.points for r in p.results) > 0
 
 
 def test_truncation_matches_reduced_load_without():

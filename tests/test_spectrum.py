@@ -7,7 +7,7 @@ from eonsim.spectrum import (
     SlotBlock,
     SpectrumAssignmentError,
     SpectrumState,
-    best_fit,
+    best_fit_run,
     first_fit,
     fragmentation_entropy,
     free_runs,
@@ -71,18 +71,18 @@ def test_first_fit_no_contiguous_pair():
 def test_best_fit_prefers_smallest_run():
     # runs: size 3 at 0, size 2 at 5
     free, n = free_of([0, 0, 0, 1, 1, 0, 0, 1])
-    assert best_fit(free, n, 2) == SlotBlock(5, 2)
+    assert best_fit_run(free, n, 2)[0] == SlotBlock(5, 2)
 
 
 def test_best_fit_tie_goes_to_lowest_start():
     # runs: size 2 at 0, size 2 at 4
     free, n = free_of([0, 0, 1, 1, 0, 0, 1])
-    assert best_fit(free, n, 2) == SlotBlock(0, 2)
+    assert best_fit_run(free, n, 2)[0] == SlotBlock(0, 2)
 
 
 def test_best_fit_cannot_fit():
     free, n = free_of([1, 0, 1, 1])
-    assert best_fit(free, n, 2) is None
+    assert best_fit_run(free, n, 2) is None
 
 
 # --- oracle equivalence ----------------------------------------------------
@@ -96,8 +96,8 @@ def test_fit_functions_match_bruteforce_scan():
         size = int(rng.integers(1, n + 2))
         ff = first_fit(free, size)
         assert (ff.start if ff else None) == first_fit_oracle(occ, size)
-        bf = best_fit(free, n, size)
-        assert (bf.start if bf else None) == best_fit_oracle(occ, size)
+        bf = best_fit_run(free, n, size)
+        assert (bf[0].start if bf else None) == best_fit_oracle(occ, size)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=200), st.integers(1, 16))
@@ -107,8 +107,8 @@ def test_fit_functions_match_oracle_hypothesis(occ, size):
     free = path_free_mask([pack_bits(occ)], n)
     ff = first_fit(free, size)
     assert (ff.start if ff else None) == first_fit_oracle(occ, size)
-    bf = best_fit(free, n, size)
-    assert (bf.start if bf else None) == best_fit_oracle(occ, size)
+    bf = best_fit_run(free, n, size)
+    assert (bf[0].start if bf else None) == best_fit_oracle(occ, size)
 
 
 # --- entropy ----------------------------------------------------------------
