@@ -41,19 +41,19 @@ def main():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        try:
-            result = bound_sweep(
-                cfg, loads, trials=args.trials, jobs=args.jobs, target_sbp=args.target_sbp
-            )
-        except CrossingNotBracketedError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        result = bound_sweep(
+            cfg, loads, trials=args.trials, jobs=args.jobs, target_sbp=args.target_sbp
+        )
 
     print(f"{args.preset}/{args.topology}, {args.heuristic} k={args.k}:")
     for hp, bp in zip(result.heuristic.points, result.bound.points):
         print(f"  load {hp.load_erlangs:6g}: heuristic {hp.mean_sbp:.5f}  "
               f"bound {bp.mean_sbp:.5f}")
-    gain = result.gain
+    try:
+        gain = result.gain
+    except CrossingNotBracketedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     print(
         f"  load at {gain.target_sbp:g} SBP: heuristic {gain.heuristic_load:.1f} E, "
         f"bound {gain.bound_load:.1f} E -> gain {gain.relative_gain:+.1%}"

@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 __all__ = [
     "HeuristicKind",
     "ModulationTable",
-    "PATH_ORDERING_DEFAULT",
     "PRESETS",
     "PathOrdering",
     "SimConfig",
@@ -32,5 +31,3 @@ __all__ = [
     "sweep",
     "__version__",
 ]
-
-PATH_ORDERING_DEFAULT = PathOrdering.HOPS_THEN_KM

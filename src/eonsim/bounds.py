@@ -19,7 +19,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -61,27 +62,19 @@ def resource_key(request: ServiceRequest, slots: int, hops: int) -> tuple[int, f
     return (-slots * hops, request.arrival_time, request.id)
 
 
-def sort_by_resource(
-    requests: Sequence[ServiceRequest],
-    resource_of: Callable[[ServiceRequest], tuple[int, int]],
-) -> list[ServiceRequest]:
-    """Order requests descending by slots x shortest-path hops.
-
-    ``resource_of`` maps a request to its (slot demand, hop count)
-    pair.  Equal products resolve to the earlier arrival.
-    """
-    return sorted(requests, key=lambda r: resource_key(r, *resource_of(r)))
+def _require_inner_heuristic(config: SimConfig) -> None:
+    if config.heuristic not in INNER_HEURISTICS:
+        raise SimConfigError(
+            f"bound trials require an inner heuristic in "
+            f"{[k.value for k in INNER_HEURISTICS]}, got {config.heuristic.value}"
+        )
 
 
 def defrag_bound_trial(
     config: SimConfig, seed: int, *, record_outcomes: bool = False
 ) -> DefragTrialResult:
     """One seeded bound trial: the plain event loop plus a rebuild on every block."""
-    if config.heuristic not in INNER_HEURISTICS:
-        raise SimConfigError(
-            f"bound trials require an inner heuristic in "
-            f"{[k.value for k in INNER_HEURISTICS]}, got {config.heuristic.value}"
-        )
+    _require_inner_heuristic(config)
     stream = generate_stream(
         config.traffic, config.total_requests, config.topology.nodes, seed
     )
@@ -185,13 +178,6 @@ class CapacityGainReport:
         return (self.bound_load - self.heuristic_load) / self.heuristic_load
 
 
-@dataclass(frozen=True)
-class BoundSweepResult:
-    heuristic: LoadSweepResult
-    bound: LoadSweepResult
-    gain: CapacityGainReport
-
-
 def crossing_load(
     points: Sequence[LoadPoint], target_sbp: float, *, label: str = "curve"
 ) -> float:
@@ -227,6 +213,26 @@ def crossing_load(
     return loads[i] + t * (loads[i + 1] - loads[i])
 
 
+@dataclass(frozen=True)
+class BoundSweepResult:
+    heuristic: LoadSweepResult
+    bound: LoadSweepResult
+    target_sbp: float
+
+    @property
+    def gain(self) -> CapacityGainReport:
+        """Extra load the bound supports at the target SBP.
+
+        Raises :class:`CrossingNotBracketedError` when the swept loads do
+        not bracket the target on either curve.
+        """
+        return CapacityGainReport(
+            target_sbp=self.target_sbp,
+            heuristic_load=crossing_load(self.heuristic.points, self.target_sbp, label="heuristic"),
+            bound_load=crossing_load(self.bound.points, self.target_sbp, label="bound"),
+        )
+
+
 def bound_sweep(
     config: SimConfig,
     loads: Sequence[float],
@@ -234,21 +240,20 @@ def bound_sweep(
     *,
     jobs: int = 1,
     target_sbp: float = 1e-3,
+    record_outcomes: bool = False,
 ) -> BoundSweepResult:
     """Paired-seed sweeps of the inner heuristic and the bound estimator.
 
-    Reports the relative extra load the bound supports at the target
-    SBP (default 0.1%).  The swept loads must bracket the crossing for
-    both curves or an explicit diagnostic is raised.
+    The result's ``gain`` reports the relative extra load the bound
+    supports at the target SBP (default 0.1%).  With ``record_outcomes``
+    every bound trial also keeps its per-request outcomes.  A heuristic
+    the bound cannot use is rejected before any trial runs.
     """
+    _require_inner_heuristic(config)
+    bound_trial = partial(defrag_bound_trial, record_outcomes=record_outcomes)
     heuristic_result = sweep(config, loads, trials, jobs=jobs)
-    bound_result = sweep(config, loads, trials, jobs=jobs, trial_runner=defrag_bound_trial)
-    report = CapacityGainReport(
-        target_sbp=target_sbp,
-        heuristic_load=crossing_load(heuristic_result.points, target_sbp, label="heuristic"),
-        bound_load=crossing_load(bound_result.points, target_sbp, label="bound"),
-    )
-    return BoundSweepResult(heuristic_result, bound_result, report)
+    bound_result = sweep(config, loads, trials, jobs=jobs, trial_runner=bound_trial)
+    return BoundSweepResult(heuristic_result, bound_result, target_sbp)
 
 
 def dominance_gap(heuristic_point: LoadPoint, bound_point: LoadPoint) -> tuple[float, float]:
@@ -290,19 +295,18 @@ def write_bound_trials_csv(result: LoadSweepResult, path) -> None:
                 )
 
 
-def write_outcomes_csv(
-    load: float, trial: int, result: DefragTrialResult, path, *, append: bool = False
-) -> None:
-    """Row-per-request outcome dump: outcome in {direct, defrag, blocked}."""
-    if result.outcomes is None:
-        raise ValueError("trial was run without record_outcomes=True")
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
+def write_outcomes_csv(result: LoadSweepResult, path) -> None:
+    """Row-per-request outcome dump of every bound trial: direct, defrag or blocked."""
+    if any(r.outcomes is None for point in result.points for r in point.results):
+        raise ValueError("bound trials were run without record_outcomes=True")
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if not append:
-            writer.writerow(["load_erlangs", "trial", "seed", "request", "outcome"])
-        for req_idx, outcome in enumerate(result.outcomes):
-            writer.writerow([f"{load:.12g}", trial, result.seed, req_idx, outcome])
+        writer.writerow(["load_erlangs", "trial", "seed", "request", "outcome"])
+        for point in result.points:
+            load = f"{point.load_erlangs:.12g}"
+            for trial, r in enumerate(point.results):
+                for req_idx, outcome in enumerate(r.outcomes):
+                    writer.writerow([load, trial, r.seed, req_idx, outcome])
 
 
 def write_gain_report(report: CapacityGainReport, path) -> None:

@@ -11,14 +11,16 @@ Subcommands::
     rerun            replay a saved run manifest
 
 Every data-producing run writes a ``manifest.json`` (resolved
-parameters plus tool version, no timestamps) that ``rerun`` replays
-byte-for-byte; wall-clock metadata goes to ``run_meta.json``.
+parameters, tool version and the SHA-256 of any input file, no
+timestamps) that ``rerun`` replays byte-for-byte, refusing when an
+input file has changed; wall-clock metadata goes to ``run_meta.json``.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -30,10 +32,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    CapacityGainReport,
     CrossingNotBracketedError,
-    crossing_load,
-    defrag_bound_trial,
+    bound_sweep,
     write_bound_trials_csv,
     write_gain_report,
     write_outcomes_csv,
@@ -106,21 +106,33 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _input_hashes(manifest_args: dict) -> dict:
+    """SHA-256 of the contents of each input argument that names a file."""
+    hashes = {}
+    for key in ("topology", "modulation_file"):
+        value = manifest_args.get(key)
+        if value is not None and Path(value).is_file():
+            hashes[key] = hashlib.sha256(Path(value).read_bytes()).hexdigest()
+    return hashes
+
+
 def _write_manifest(out: Path, subcommand: str, manifest_args: dict) -> None:
     doc = {
         "tool": "eonsim",
         "version": __version__,
         "subcommand": subcommand,
         "args": manifest_args,
+        "input_sha256": _input_hashes(manifest_args),
     }
     (out / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_meta(out: Path, started: float) -> None:
+    finished = time.time()
     doc = {
         "started_unix": started,
-        "finished_unix": time.time(),
-        "duration_s": round(time.time() - started, 3),
+        "finished_unix": finished,
+        "duration_s": round(finished - started, 3),
     }
     (out / "run_meta.json").write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -186,41 +198,28 @@ def cmd_bound(args) -> int:
     loads = parse_loads(args.loads)
     config = _sim_config(args, preset, topology, loads[0])
     out = _out_dir(args)
-
-    heur = sweep(config, loads, jobs=args.jobs)
-    bound = sweep(config, loads, jobs=args.jobs, trial_runner=defrag_bound_trial)
-    write_trials_csv(heur, out / "heuristic_trials.csv")
-    write_summary_csv(heur, out / "heuristic_summary.csv")
-    write_bound_trials_csv(bound, out / "bound_trials.csv")
-    write_summary_csv(bound, out / "bound_summary.csv")
-
+    result = bound_sweep(
+        config, loads, jobs=args.jobs, target_sbp=args.target_sbp,
+        record_outcomes=args.record_outcomes,
+    )
+    write_trials_csv(result.heuristic, out / "heuristic_trials.csv")
+    write_summary_csv(result.heuristic, out / "heuristic_summary.csv")
+    write_bound_trials_csv(result.bound, out / "bound_trials.csv")
+    write_summary_csv(result.bound, out / "bound_summary.csv")
     if args.record_outcomes:
-        first = True
-        for point in bound.points:
-            for trial, r in enumerate(point.results):
-                full = defrag_bound_trial(
-                    config.with_load(point.load_erlangs), r.seed, record_outcomes=True
-                )
-                write_outcomes_csv(
-                    point.load_erlangs, trial, full, out / "outcomes.csv", append=not first
-                )
-                first = False
+        write_outcomes_csv(result.bound, out / "outcomes.csv")
 
     keys = _SWEEP_KEYS + ("target_sbp", "record_outcomes")
     _write_manifest(out, "bound", _manifest_args(args, keys))
     _write_meta(out, started)
 
-    for hp, bp in zip(heur.points, bound.points):
+    for hp, bp in zip(result.heuristic.points, result.bound.points):
         print(
             f"load {hp.load_erlangs:g}: heuristic SBP {hp.mean_sbp:.4g}, "
             f"bound SBP {bp.mean_sbp:.4g}"
         )
     try:
-        report = CapacityGainReport(
-            target_sbp=args.target_sbp,
-            heuristic_load=crossing_load(heur.points, args.target_sbp, label="heuristic"),
-            bound_load=crossing_load(bound.points, args.target_sbp, label="bound"),
-        )
+        report = result.gain
     except CrossingNotBracketedError as exc:
         print(f"capacity gain unavailable: {exc}", file=sys.stderr)
         return 3
@@ -352,6 +351,13 @@ def cmd_rerun(args) -> int:
         raise CliError(f"cannot read manifest {args.manifest}: {exc}") from None
     sub = doc.get("subcommand")
     stored = doc.get("args", {})
+    recorded, current = doc.get("input_sha256", {}), _input_hashes(stored)
+    changed = sorted(k for k in recorded.keys() | current.keys() if recorded.get(k) != current.get(k))
+    if changed:
+        raise CliError(
+            "input changed since the recorded run: "
+            + ", ".join(f"--{k.replace('_', '-')} {stored.get(k)}" for k in changed)
+        )
     argv = [sub]
     for key, value in stored.items():
         if value is None or value is False:

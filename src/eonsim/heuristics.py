@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .service import (
     DEFAULT_SLOT_WIDTH_GHZ,
@@ -84,7 +84,6 @@ def decide(
     slot_width_ghz: float = DEFAULT_SLOT_WIDTH_GHZ,
     overhead: float = 1.0,
     guard_slots: int = 0,
-    congestion_metric: Callable[[SpectrumState, Sequence[int]], float] = path_congestion,
 ) -> Decision | None:
     """Apply one policy to a request; None means blocked."""
     if kind is _KSP_FF or kind is _FF_KSP:
@@ -138,7 +137,7 @@ def decide(
             if kind is _KME_FF:
                 key = entropy_after_placement(state, path.fiber_ids, block)
             elif kind is _KCA_FF:
-                key = congestion_metric(state, path.fiber_ids)
+                key = path_congestion(state, path.fiber_ids)
             else:
                 raise ValueError(f"unhandled heuristic kind {kind}")
         if best_key is None or key < best_key:

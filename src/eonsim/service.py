@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .spectrum import (
-    SlotBlock,
-    SpectrumState,
-    best_fit_run,
-    first_fit,
-    fragmentation_entropy,
-    path_congestion,
-)
+from .spectrum import SlotBlock, SpectrumState, fragmentation_entropy
 from .topology import CandidatePath
 
 DEFAULT_SLOT_WIDTH_GHZ = 12.5
@@ -199,46 +192,6 @@ def demand_for_path(
     return table._demands[
         request.rate_gbps, fmt.bits_per_symbol, slot_width_ghz, overhead, guard_slots
     ]
-
-
-@dataclass(frozen=True)
-class CandidateEvaluation:
-    """All per-path quantities the allocation policies score on."""
-
-    path: CandidatePath
-    demand: SlotDemand | None
-    first_fit: SlotBlock | None
-    best_fit: SlotBlock | None
-    entropy_after_first_fit: float | None
-    congestion: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.demand is not None and self.first_fit is not None
-
-
-def evaluate_candidate(
-    path: CandidatePath,
-    request,
-    state: SpectrumState,
-    table: ModulationTable | None,
-    slot_width_ghz: float = DEFAULT_SLOT_WIDTH_GHZ,
-    overhead: float = 1.0,
-    guard_slots: int = 0,
-    congestion_metric=path_congestion,
-) -> CandidateEvaluation:
-    """Pure feasibility record for one candidate path; mutates nothing."""
-    congestion = congestion_metric(state, path.fiber_ids)
-    demand = demand_for_path(request, path, table, slot_width_ghz, overhead, guard_slots)
-    if demand is None:
-        return CandidateEvaluation(path, None, None, None, None, congestion)
-    free = state.path_free(path.fiber_ids)
-    ff = first_fit(free, demand.slots)
-    bf = best_fit_run(free, state.n_slots, demand.slots)
-    entropy = None
-    if ff is not None:
-        entropy = entropy_after_placement(state, path.fiber_ids, ff)
-    return CandidateEvaluation(path, demand, ff, bf[0] if bf else None, entropy, congestion)
 
 
 def entropy_after_placement(

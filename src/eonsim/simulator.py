@@ -152,10 +152,6 @@ class ActiveLightpaths:
             total += len(fiber_ids) * block.size
         self.occupied_slot_links = total
 
-    @property
-    def state(self) -> SpectrumState:
-        return self._state
-
 
 def run_stream(
     config: SimConfig,
@@ -243,12 +239,6 @@ class LoadPoint:
 class LoadSweepResult:
     points: tuple[LoadPoint, ...]
 
-    def point(self, load: float) -> LoadPoint:
-        for p in self.points:
-            if p.load_erlangs == load:
-                return p
-        raise KeyError(f"no point at load {load}")
-
 
 def summarize_trials(load: float, results: Sequence[TrialResult]) -> LoadPoint:
     sbps = [r.sbp for r in results]
@@ -291,7 +281,8 @@ def sweep(
     SBP estimate.
 
     With ``jobs > 1`` trials run in worker processes; ``trial_runner``
-    must then be a module-level function (picklable by reference).
+    must then pickle: a module-level function, or a ``functools.partial``
+    of one.
     """
     if not loads:
         raise SimConfigError("need at least one load")
@@ -421,9 +412,7 @@ def estimate_warmup(
     load_erlangs: float,
     trials: int,
     *,
-    holding_time_mean: float = 10.0,
     seed: int = 0,
-    horizon_factor: float = WARMUP_HORIZON_FACTOR,
 ) -> WarmupEstimate:
     """Distribution of MSER-5 truncation points for one target load.
 
@@ -433,14 +422,12 @@ def estimate_warmup(
     """
     if load_erlangs <= 0:
         raise SimConfigError(f"load must be > 0, got {load_erlangs}")
-    n = max(1000, int(math.ceil(horizon_factor * load_erlangs)))
+    n = max(1000, int(math.ceil(WARMUP_HORIZON_FACTOR * load_erlangs)))
     n += (-n) % 5
     children = np.random.SeedSequence([seed, int(load_erlangs * 1000)]).spawn(trials)
     points = []
     for child in children:
-        series = nonblocking_active_series(
-            load_erlangs, n, np.random.default_rng(child), holding_time_mean
-        )
+        series = nonblocking_active_series(load_erlangs, n, np.random.default_rng(child))
         points.append(mser5_truncation(series))
     arr = np.asarray(points, dtype=float)
     q1, median, q3 = (float(q) for q in np.percentile(arr, [25, 50, 75]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class SpectrumAssignmentError(ValueError):
@@ -32,41 +32,6 @@ class SlotBlock:
     @property
     def mask(self) -> int:
         return ((1 << self.size) - 1) << self.start
-
-
-def pack_bits(bits: Sequence[bool | int]) -> int:
-    """Pack a boolean vector into an integer mask (bit i = element i)."""
-    mask = 0
-    for i, b in enumerate(bits):
-        if b:
-            mask |= 1 << i
-    return mask
-
-
-def unpack_bits(mask: int, n_slots: int) -> list[bool]:
-    return [bool(mask >> i & 1) for i in range(n_slots)]
-
-
-def path_free_mask(occupancies: Iterable[int], n_slots: int) -> int:
-    """Slots free on every fiber of a path (bit set = free on all links)."""
-    occ = 0
-    for o in occupancies:
-        occ |= o
-    return ~occ & ((1 << n_slots) - 1)
-
-
-def path_free_bits(grids: Sequence[Sequence[bool | int]]) -> list[bool]:
-    """Boolean-vector variant of :func:`path_free_mask` for grid dumps.
-
-    ``grids`` holds one occupancy vector per link; slot i is free iff
-    free on every link.  Mismatched grid lengths are rejected.
-    """
-    if not grids:
-        raise ValueError("path has no links")
-    n = len(grids[0])
-    if any(len(g) != n for g in grids):
-        raise ValueError("mismatched grid lengths along path")
-    return unpack_bits(path_free_mask((pack_bits(g) for g in grids), n), n)
 
 
 @lru_cache(maxsize=None)
@@ -167,17 +132,6 @@ class SpectrumState:
     def for_topology(cls, topology) -> "SpectrumState":
         return cls(topology.num_fibers, topology.slots_per_fiber)
 
-    def copy(self) -> "SpectrumState":
-        dup = SpectrumState.__new__(SpectrumState)
-        dup.n_fibers = self.n_fibers
-        dup.n_slots = self.n_slots
-        dup.full_mask = self.full_mask
-        dup.occ = list(self.occ)
-        return dup
-
-    def clear(self) -> None:
-        self.occ = [0] * self.n_fibers
-
     def path_free(self, fiber_ids: Sequence[int]) -> int:
         occ = 0
         for f in fiber_ids:
@@ -214,26 +168,10 @@ class SpectrumState:
     def occupied_slot_count(self) -> int:
         return sum(o.bit_count() for o in self.occ)
 
-    def occupied_fraction(self, fiber_id: int) -> float:
-        return self.occ[fiber_id].bit_count() / self.n_slots
-
-    def occupancy_bits(self, fiber_id: int) -> list[bool]:
-        return unpack_bits(self.occ[fiber_id], self.n_slots)
-
 
 def path_congestion(state: SpectrumState, fiber_ids: Sequence[int]) -> float:
-    """Maximum occupied-slot fraction over the path's fibers.
-
-    This is the default congestion score; heuristics accept any
-    callable with the same signature, e.g. :func:`path_congestion_sum`.
-    """
+    """Maximum occupied-slot fraction over the path's fibers."""
     if not fiber_ids:
         raise ValueError("path has no links")
     return max(state.occ[f].bit_count() for f in fiber_ids) / state.n_slots
 
-
-def path_congestion_sum(state: SpectrumState, fiber_ids: Sequence[int]) -> float:
-    """Alternate congestion score: summed occupied fractions."""
-    if not fiber_ids:
-        raise ValueError("path has no links")
-    return sum(state.occ[f].bit_count() for f in fiber_ids) / state.n_slots

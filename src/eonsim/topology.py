@@ -130,9 +130,6 @@ class Topology:
         forward = self.links[link_index].src == from_node
         return 2 * link_index + (0 if forward else 1)
 
-    def adjacency(self, node: str) -> list[tuple[str, int, float]]:
-        return self._adjacency[node]
-
     def candidate_paths(
         self, src: str, dst: str, k: int, ordering: PathOrdering
     ) -> tuple[CandidatePath, ...]:

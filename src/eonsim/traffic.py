@@ -17,7 +17,6 @@ distribution never perturbs draws from the others.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -40,8 +39,6 @@ class TrafficConfig:
     rate_gbps_range: tuple[int, int] | None = (25, 100)
     fixed_slot_choices: tuple[int, ...] | None = None
     truncate_holding: bool = False
-    ordered_pairs: bool = True
-    seed: int | None = None
 
     def __post_init__(self):
         if self.arrival_rate <= 0:
@@ -106,21 +103,10 @@ def _substreams(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng(c) for c in children)
 
 
-def sample_holding_time(mean: float, truncate: bool, rng: np.random.Generator) -> float:
-    """One exponential holding time, resampled above 2*mean if truncating."""
-    if mean <= 0:
-        raise ValueError(f"mean must be > 0, got {mean}")
-    value = rng.exponential(mean)
-    if truncate:
-        while value > 2.0 * mean:
-            value = rng.exponential(mean)
-    return float(value)
-
-
 def sample_holding_times(
     mean: float, truncate: bool, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """Vectorized equivalent of :func:`sample_holding_time`."""
+    """``n`` exponential holding times, each resampled above 2*mean if truncating."""
     if mean <= 0:
         raise ValueError(f"mean must be > 0, got {mean}")
     values = rng.exponential(mean, n)
@@ -136,17 +122,13 @@ def generate_stream(
     config: TrafficConfig,
     n_requests: int,
     nodes: Sequence[str],
-    seed: int | None = None,
+    seed: int,
 ) -> list[ServiceRequest]:
     """Generate ``n_requests`` requests, fully determined by the seed."""
     if n_requests < 1:
         raise TrafficConfigError(f"n_requests must be >= 1, got {n_requests}")
     if len(nodes) < 2:
         raise TrafficConfigError("need at least 2 nodes to draw src/dst pairs")
-    if seed is None:
-        seed = config.seed
-    if seed is None:
-        raise TrafficConfigError("no seed given (config.seed unset and seed=None)")
 
     arr_rng, hold_rng, demand_rng, pair_rng = _substreams(seed)
     arrivals = np.cumsum(arr_rng.exponential(1.0 / config.arrival_rate, n_requests))
@@ -167,12 +149,6 @@ def generate_stream(
     src_idx = pair_rng.integers(0, n, n_requests)
     other = pair_rng.integers(0, n - 1, n_requests)
     dst_idx = other + (other >= src_idx)
-    if not config.ordered_pairs:
-        # unordered uniform: canonical orientation from lower to higher index
-        src_idx, dst_idx = (
-            np.minimum(src_idx, dst_idx),
-            np.maximum(src_idx, dst_idx),
-        )
 
     out = []
     for i in range(n_requests):
@@ -189,23 +165,3 @@ def generate_stream(
         )
     return out
 
-
-def dump_stream(requests: Sequence[ServiceRequest], path) -> None:
-    """Write a row-per-request CSV table for stream audits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["id", "src", "dst", "arrival_time", "holding_time", "rate_gbps", "slots"]
-        )
-        for r in requests:
-            writer.writerow(
-                [
-                    r.id,
-                    r.src,
-                    r.dst,
-                    f"{r.arrival_time:.12g}",
-                    f"{r.holding_time:.12g}",
-                    "" if r.rate_gbps is None else f"{r.rate_gbps:.12g}",
-                    "" if r.slots is None else r.slots,
-                ]
-            )

@@ -52,6 +52,23 @@ def ksp_oracle(links, src, dst, k, ordering_name):
     return [p[0] for p in paths[:k]]
 
 
+def pack_bits(bits):
+    """Occupancy mask of a boolean vector, bit i set when element i is."""
+    mask = 0
+    for i, b in enumerate(bits):
+        if b:
+            mask |= 1 << i
+    return mask
+
+
+def path_free_mask(occupancies, n_slots):
+    """Mask of the slots free on every one of ``occupancies`` (bit set = free)."""
+    occ = 0
+    for o in occupancies:
+        occ |= o
+    return ~occ & ((1 << n_slots) - 1)
+
+
 def first_fit_oracle(occupied_bits, size):
     """Lowest start of a run of >= size free slots, by scanning all starts."""
     n = len(occupied_bits)
@@ -149,27 +166,52 @@ def reference_slots(request, path, formats, slot_width_ghz, guard_slots, bits=No
     return max(1, math.ceil(quotient)) + guard_slots
 
 
-def reference_first_fit_decision(kind, request, candidates, grids, formats, width, guard):
-    """(path, start, size) chosen by "ksp-ff" or "ff-ksp", or None.
+def reference_decision(kind, request, candidates, grids, formats, width, guard):
+    """(path, start, size) chosen by policy ``kind``, or None, per heuristics.py.
 
-    ksp-ff takes the first candidate with any fit; ff-ksp the lowest
-    first-fit start over all candidates, ties to the earlier candidate.
+    * ksp-ff / ksp-bf: the first candidate with any fit, placed first-fit
+      or best-fit;
+    * ff-ksp: the lowest first-fit start over all candidates;
+    * bf-ksp: the best-fit block in the smallest free run, then the lower
+      start;
+    * kme-ff: the least summed per-link fragmentation entropy after a
+      first-fit placement;
+    * kca-ff: the least congestion (the highest occupied fraction of any
+      path fiber), placed first-fit.
+
+    Ties among the scan-all policies go to the earlier candidate.
     """
-    fits = []
+    n_slots = len(grids[0])
+    scored = []
     for rank, path in enumerate(candidates):
         size = reference_slots(request, path, formats, width, guard)
         if size is None:
             continue
-        occupied = [any(grids[f][i] for f in path.fiber_ids) for i in range(len(grids[0]))]
-        start = first_fit_oracle(occupied, size)
+        occupied = [any(grids[f][i] for f in path.fiber_ids) for i in range(n_slots)]
+        best_fit = kind in ("ksp-bf", "bf-ksp")
+        start = (best_fit_oracle if best_fit else first_fit_oracle)(occupied, size)
         if start is None:
             continue
-        if kind == "ksp-ff":
+        if kind in ("ksp-ff", "ksp-bf"):
             return path, start, size
-        fits.append((start, rank, path, size))
-    if not fits:
+        if kind == "ff-ksp":
+            score = start
+        elif kind == "bf-ksp":
+            score = (dict(maximal_free_runs_oracle(occupied))[start], start)
+        elif kind == "kme-ff":
+            placed = range(start, start + size)
+            score = sum(
+                entropy_oracle([grids[f][i] or i in placed for i in range(n_slots)])
+                for f in path.fiber_ids
+            )
+        elif kind == "kca-ff":
+            score = max(sum(grids[f]) / n_slots for f in path.fiber_ids)
+        else:
+            raise ValueError(kind)
+        scored.append((score, rank, path, start, size))
+    if not scored:
         return None
-    start, _rank, path, size = min(fits, key=lambda fit: fit[:2])
+    _score, _rank, path, start, size = min(scored, key=lambda s: s[:2])
     return path, start, size
 
 
@@ -195,7 +237,7 @@ def reference_rebuild(kind, requests, candidates_of, n_fibers, n_slots, formats,
     grids = [[False] * n_slots for _ in range(n_fibers)]
     placed = {}
     for request in order:
-        choice = reference_first_fit_decision(
+        choice = reference_decision(
             kind, request, candidates_of(request), grids, formats, width, guard
         )
         if choice is None:
@@ -227,9 +269,7 @@ def reference_trial(kind, stream, candidates_of, n_fibers, n_slots, formats, wid
                         grids[f][i] = False
                 del active[rid]
         candidates = candidates_of(request)
-        choice = reference_first_fit_decision(
-            kind, request, candidates, grids, formats, width, guard
-        )
+        choice = reference_decision(kind, request, candidates, grids, formats, width, guard)
         if choice is not None:
             path, start, size = choice
             for f in path.fiber_ids:

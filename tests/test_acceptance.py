@@ -21,13 +21,15 @@ from eonsim.cli import main
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
 from eonsim.simulator import estimate_warmup, run_stream, sweep, warmup_slope
-from eonsim.spectrum import best_fit_run, first_fit, pack_bits, path_free_mask
+from eonsim.spectrum import best_fit_run, first_fit
 from eonsim.topology import PathOrdering, Topology, k_shortest_paths
 from eonsim.traffic import TRUNCATED_MEAN_RATIO, generate_stream
 from reference import (
     best_fit_oracle,
     first_fit_oracle,
     ksp_oracle,
+    pack_bits,
+    path_free_mask,
     random_connected_graph,
 )
 

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import pytest
 
@@ -11,7 +12,7 @@ from eonsim.bounds import (
     crossing_load,
     defrag_bound_trial,
     dominance_gap,
-    sort_by_resource,
+    resource_key,
     write_bound_trials_csv,
     write_gain_report,
     write_outcomes_csv,
@@ -59,25 +60,21 @@ def wire_config(topology, n_measured, **kw):
     return SimConfig(**base)
 
 
-# --- sort_by_resource ---------------------------------------------------------
+# --- rebuild order -----------------------------------------------------------
 
 def test_sort_descending_by_product():
     a = req(0, 0.0)  # 4 slots x 3 hops = 12
     b = req(1, 1.0)  # 2 slots x 2 hops = 4
     resources = {0: (4, 3), 1: (2, 2)}
-    out = sort_by_resource([b, a], lambda r: resources[r.id])
+    out = sorted([b, a], key=lambda r: resource_key(r, *resources[r.id]))
     assert [r.id for r in out] == [0, 1]
 
 
 def test_sort_tie_breaks_on_arrival():
     a = req(0, 5.0)
     b = req(1, 2.0)
-    out = sort_by_resource([a, b], lambda r: (2, 3))
+    out = sorted([a, b], key=lambda r: resource_key(r, 2, 3))
     assert [r.id for r in out] == [1, 0]
-
-
-def test_sort_empty():
-    assert sort_by_resource([], lambda r: (1, 1)) == []
 
 
 # --- defrag trial semantics ------------------------------------------------------
@@ -277,21 +274,30 @@ def test_bound_csv_writers(tmp_path):
                                         fixed_slot_choices=(1, 2, 3)),
     )
     result = sweep(cfg, [4.0], trials=2, min_blocking_events=0,
-                   trial_runner=defrag_bound_trial)
+                   trial_runner=partial(defrag_bound_trial, record_outcomes=True))
     path = tmp_path / "bound_trials.csv"
     write_bound_trials_csv(result, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "load_erlangs,trial,seed,blocked,total,sbp,direct,defrag"
     assert len(lines) == 3
 
-    full = defrag_bound_trial(cfg, seed=0, record_outcomes=True)
     opath = tmp_path / "outcomes.csv"
-    write_outcomes_csv(4.0, 0, full, opath)
+    write_outcomes_csv(result, opath)
     olines = opath.read_text().strip().splitlines()
     assert olines[0] == "load_erlangs,trial,seed,request,outcome"
-    assert len(olines) == 201
+    assert len(olines) == 1 + 2 * 200
+    assert olines[1] == "4,0,0,0,direct"
+    assert olines[-1].startswith("4,1,1,199,")
     outcomes = {line.split(",")[-1] for line in olines[1:]}
     assert outcomes <= {OUTCOME_DIRECT, OUTCOME_DEFRAG, OUTCOME_BLOCKED}
+
+
+def test_outcomes_csv_needs_recorded_outcomes(tmp_path):
+    cfg = wire_config(wire(8), n_measured=20)
+    result = sweep(cfg, [1.0], trials=1, min_blocking_events=0,
+                   trial_runner=defrag_bound_trial)
+    with pytest.raises(ValueError, match="record_outcomes"):
+        write_outcomes_csv(result, tmp_path / "outcomes.csv")
 
 
 def test_bound_sweep_end_to_end_tiny():
@@ -312,3 +318,26 @@ def test_bound_sweep_end_to_end_tiny():
     assert result.gain.relative_gain >= 0.0
     for hp, bp in zip(result.heuristic.points, result.bound.points):
         assert bp.mean_sbp <= hp.mean_sbp + 1e-12
+
+
+def test_bound_sweep_keeps_sweeps_when_crossing_not_bracketed():
+    cfg = wire_config(wire(8), n_measured=200, trials=2)
+    with pytest.warns(UserWarning, match="noisy"):
+        result = bound_sweep(cfg, [0.5, 1.0], target_sbp=0.1)
+    assert [p.trials for p in result.bound.points] == [2, 2]
+    assert [p.load_erlangs for p in result.heuristic.points] == [0.5, 1.0]
+    with pytest.raises(CrossingNotBracketedError, match="heuristic"):
+        result.gain
+
+
+def test_bound_sweep_rejects_scan_all_policy_before_any_trial(monkeypatch):
+    from eonsim import bounds
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(bounds, "sweep", no_trials)
+    monkeypatch.setattr(bounds, "defrag_bound_trial", no_trials)
+    cfg = wire_config(wire(4), n_measured=1, heuristic=HeuristicKind.KME_FF)
+    with pytest.raises(SimConfigError, match="inner heuristic"):
+        bound_sweep(cfg, [1.0, 2.0])

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import os
+from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
+from eonsim import bounds, cli, simulator
 from eonsim.cli import CliError, build_parser, main, parse_loads
 from eonsim.presets import PRESETS, get_preset
 
@@ -206,6 +210,32 @@ def test_sweep_custom_modulation_and_guard(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["args"]["guard_slots"] == 1
     assert manifest["args"]["modulation_file"] == str(mods)
+    assert manifest["input_sha256"] == {
+        "modulation_file": hashlib.sha256(mods.read_bytes()).hexdigest()
+    }
+
+
+def test_rerun_refuses_changed_topology_file(tmp_path, capsys):
+    topo = tmp_path / "net.json"
+    topo.write_bytes((resources.files("eonsim") / "data" / "nsfnet.json").read_bytes())
+    out = tmp_path / "run"
+    args = (
+        f"sweep --preset deeprmsa --topology {topo} --k 2 --loads 300 --trials 1 "
+        f"--warmup 50 --measured 200 --jobs 1 --out {out}"
+    )
+    assert run(args.split()) == 0
+    manifest = out / "manifest.json"
+    recorded = json.loads(manifest.read_text())["input_sha256"]
+    assert recorded == {"topology": hashlib.sha256(topo.read_bytes()).hexdigest()}
+    assert run(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "same")]) == 0
+
+    doc = json.loads(topo.read_text())
+    doc["links"][0]["length_km"] += 1
+    topo.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "edited")]) == 2
+    assert f"--topology {topo}" in capsys.readouterr().err
+    assert not (tmp_path / "edited").exists()
 
 
 # --- paths audit ------------------------------------------------------------------------
@@ -240,7 +270,15 @@ def test_warmup_subcommand(tmp_path, capsys):
 
 # --- bound ------------------------------------------------------------------------------
 
-def test_bound_subcommand_writes_gain(tmp_path, capsys):
+def test_bound_subcommand_writes_gain(tmp_path, capsys, monkeypatch):
+    calls = []
+    real_trial = bounds.defrag_bound_trial
+
+    def counted_trial(*args, **kwargs):
+        calls.append(kwargs)
+        return real_trial(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "defrag_bound_trial", counted_trial)
     out = tmp_path / "bound"
     code = run(
         "bound --preset ptrnet-40 --topology nsfnet --heuristic ksp-ff --k 3 "
@@ -259,6 +297,8 @@ def test_bound_subcommand_writes_gain(tmp_path, capsys):
     outcomes = (out / "outcomes.csv").read_text().strip().splitlines()
     assert outcomes[0] == "load_erlangs,trial,seed,request,outcome"
     assert len(outcomes) == 1 + 3 * 2 * 1100  # loads x trials x requests
+    # the outcomes come from the bound sweep itself: one run per (load, trial)
+    assert calls == [{"record_outcomes": True}] * (3 * 2)
 
 
 def test_bound_subcommand_unbracketed_exits_3(tmp_path, capsys):
@@ -272,3 +312,28 @@ def test_bound_subcommand_unbracketed_exits_3(tmp_path, capsys):
     assert "bracket" in capsys.readouterr().err
     # curves are still written for inspection
     assert (out / "heuristic_summary.csv").is_file()
+
+
+def test_bound_with_scan_all_policy_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simulator, "run_stream", no_trials)
+    monkeypatch.setattr(bounds, "run_stream", no_trials)
+    code = run(
+        "bound --preset ptrnet-80 --topology usnet --heuristic kme-ff --k 10 "
+        f"--ordering km --loads 160,200 --trials 2 --jobs 1 --out {tmp_path}".split()
+    )
+    assert code == 2
+    assert "inner heuristic" in capsys.readouterr().err
+
+
+# --- run metadata -----------------------------------------------------------------------
+
+def test_run_meta_reads_the_clock_once(tmp_path, monkeypatch):
+    ticks = iter([100.0, 101.25, 102.5])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: next(ticks)))
+    cli._write_meta(tmp_path, 99.0)
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["finished_unix"] == 100.0
+    assert meta["duration_s"] == round(meta["finished_unix"] - meta["started_unix"], 3)

@@ -1,4 +1,4 @@
-"""Differential check of first-fit decisions and the defragmentation bound.
+"""Differential check of every policy and the defragmentation bound.
 
 The package's event loop and replay rebuild run side by side with the
 naive reference in ``reference.py`` on small random networks, and must
@@ -16,17 +16,19 @@ from eonsim.bounds import defrag_bound_trial
 from eonsim.heuristics import HeuristicKind
 from eonsim.service import ModulationFormat, ModulationTable
 from eonsim.simulator import SimConfig, run_stream
-from eonsim.spectrum import pack_bits
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import TrafficConfig, generate_stream
-from reference import random_connected_graph, reference_trial
+from reference import pack_bits, random_connected_graph, reference_trial
 
 #: (bits per symbol, reach in km) of the default table, scaled per example
 BASE_FORMATS = ((1, 10_000.0), (2, 2_500.0), (3, 1_250.0), (4, 625.0))
 
+FIRST_FIT_KINDS = [HeuristicKind.KSP_FF, HeuristicKind.FF_KSP]
+SCAN_ALL_KINDS = [HeuristicKind.KSP_BF, HeuristicKind.BF_KSP, HeuristicKind.KME_FF, HeuristicKind.KCA_FF]
+
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, kinds):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nodes, links = random_connected_graph(rng, max_nodes=5)
     topology = Topology(
@@ -49,7 +51,7 @@ def scenarios(draw):
     warmup = draw(st.integers(0, 10))
     config = SimConfig(
         topology=topology,
-        heuristic=draw(st.sampled_from([HeuristicKind.KSP_FF, HeuristicKind.FF_KSP])),
+        heuristic=draw(st.sampled_from(kinds)),
         k=draw(st.integers(1, 4)),
         ordering=draw(st.sampled_from(list(PathOrdering))),
         traffic=traffic,
@@ -96,10 +98,7 @@ def package_events(config, stream, bound):
     return list(result.outcomes), occupancies, placements
 
 
-@given(scenarios(), st.booleans())
-@settings(max_examples=300, deadline=None)
-def test_first_fit_loop_and_rebuild_match_reference(scenario, bound):
-    config, formats, stream = scenario
+def assert_matches_reference(config, formats, stream, bound):
     topology = config.topology
 
     def candidates_of(request):
@@ -115,3 +114,15 @@ def test_first_fit_loop_and_rebuild_match_reference(scenario, bound):
         assert outcomes[i] == outcome, i
         assert placements[i] == placed, i
         assert occupancies[i] == [pack_bits(g) for g in grids], i
+
+
+@given(scenarios(FIRST_FIT_KINDS), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_first_fit_loop_and_rebuild_match_reference(scenario, bound):
+    assert_matches_reference(*scenario, bound)
+
+
+@given(scenarios(SCAN_ALL_KINDS))
+@settings(max_examples=200, deadline=None)
+def test_scan_all_loop_matches_reference(scenario):
+    assert_matches_reference(*scenario, bound=False)

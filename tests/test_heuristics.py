@@ -3,7 +3,7 @@ import pytest
 
 from eonsim.heuristics import HeuristicKind, decide
 from eonsim.service import ModulationTable
-from eonsim.spectrum import SlotBlock, SpectrumState, path_congestion_sum
+from eonsim.spectrum import SlotBlock, SpectrumState
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import ServiceRequest
 
@@ -142,17 +142,6 @@ def test_kca_ff_picks_least_congested_path(two_route_topo):
     assert decision.block == SlotBlock(2, 2)  # first fit on the chosen path
 
 
-def test_kca_ff_accepts_pluggable_metric(two_route_topo):
-    topo = two_route_topo
-    state = SpectrumState.for_topology(topo)
-    cands = candidates_of(topo)
-    decision = decide(
-        HeuristicKind.KCA_FF, request(slots=1), cands, state,
-        congestion_metric=path_congestion_sum,
-    )
-    assert decision is not None
-
-
 def test_modulation_infeasible_paths_skipped():
     # direct route is too long for any modulation; detour works
     topo = Topology(
@@ -251,7 +240,9 @@ def test_decisions_always_allocatable():
         for kind in HeuristicKind:
             decision = decide(kind, req, cands, state, TABLE)
             if decision is not None:
-                state.copy().allocate(decision.path.fiber_ids, decision.block)
+                trial = SpectrumState.for_topology(topo)
+                trial.occ = list(state.occ)
+                trial.allocate(decision.path.fiber_ids, decision.block)
 
 
 def test_heuristic_names_roundtrip():

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eonsim.heuristics import HeuristicKind, decide
 from eonsim.service import (
     ModulationFormat,
     ModulationTable,
     SlotDemand,
     demand_for_path,
-    evaluate_candidate,
+    entropy_after_placement,
     slots_required,
 )
-from eonsim.spectrum import SlotBlock, SpectrumState
+from eonsim.spectrum import SlotBlock, SpectrumState, best_fit_run, first_fit, path_congestion
 from eonsim.topology import PathOrdering
 from eonsim.traffic import ServiceRequest
 
@@ -148,16 +149,19 @@ def test_demand_infeasible_beyond_reach():
 
 
 # --- candidate evaluation -------------------------------------------------------
+#
+# What the policies score a candidate on: its demand, first- and best-fit
+# blocks, congestion and the fragmentation entropy after a placement.
 
 def test_evaluate_empty_network(diamond):
     state = SpectrumState.for_topology(diamond)
     path = paths_for(diamond)[0]
-    ev = evaluate_candidate(path, request(rate=100), state, TABLE)
-    assert ev.feasible
-    assert ev.first_fit == SlotBlock(0, ev.demand.slots)
-    assert ev.best_fit == SlotBlock(0, ev.demand.slots)
-    assert ev.congestion == 0.0
-    assert ev.entropy_after_first_fit > 0.0
+    slots = demand_for_path(request(rate=100), path, TABLE).slots
+    free = state.path_free(path.fiber_ids)
+    assert first_fit(free, slots) == SlotBlock(0, slots)
+    assert best_fit_run(free, state.n_slots, slots)[0] == SlotBlock(0, slots)
+    assert path_congestion(state, path.fiber_ids) == 0.0
+    assert entropy_after_placement(state, path.fiber_ids, SlotBlock(0, slots)) > 0.0
 
 
 def test_evaluate_infeasible_path_is_marked():
@@ -165,26 +169,30 @@ def test_evaluate_infeasible_path_is_marked():
 
     topo = Topology("long", ["A", "D"], [("A", "D", 11_000)], 8)
     state = SpectrumState.for_topology(topo)
-    path = topo.candidate_paths("A", "D", 1, PathOrdering.KM_THEN_HOPS)[0]
-    ev = evaluate_candidate(path, request(rate=50), state, TABLE)
-    assert not ev.feasible
-    assert ev.demand is None and ev.first_fit is None
+    cands = topo.candidate_paths("A", "D", 1, PathOrdering.KM_THEN_HOPS)
+    for kind in HeuristicKind:
+        assert decide(kind, request(rate=50), cands, state, TABLE) is None, kind
 
 
 def test_evaluate_fixed_width_demand_exceeds_free_run(single_link):
     state = SpectrumState.for_topology(single_link)
-    path = single_link.candidate_paths("A", "B", 1, PathOrdering.KM_THEN_HOPS)[0]
+    cands = single_link.candidate_paths("A", "B", 1, PathOrdering.KM_THEN_HOPS)
+    path = cands[0]
     # leave only a 2-slot free run
     state.allocate(path.fiber_ids, SlotBlock(0, 4))
     state.allocate(path.fiber_ids, SlotBlock(6, 4))
-    ev = evaluate_candidate(path, request(slots=3), state, None)
-    assert ev.demand.slots == 3
-    assert ev.first_fit is None
-    assert not ev.feasible
+    assert demand_for_path(request(slots=3), path, None).slots == 3
+    assert first_fit(state.path_free(path.fiber_ids), 3) is None
+    for kind in HeuristicKind:
+        assert decide(kind, request(slots=3), cands, state) is None, kind
 
 
 def test_evaluate_is_pure(diamond):
     state = SpectrumState.for_topology(diamond)
+    state.allocate(paths_for(diamond)[1].fiber_ids, SlotBlock(2, 3))
     before = list(state.occ)
-    evaluate_candidate(paths_for(diamond)[0], request(rate=80), state, TABLE)
+    for path in paths_for(diamond):
+        state.path_free(path.fiber_ids)
+        path_congestion(state, path.fiber_ids)
+        entropy_after_placement(state, path.fiber_ids, SlotBlock(0, 2))
     assert state.occ == before

@@ -8,9 +8,7 @@ from eonsim.traffic import (
     ServiceRequest,
     TrafficConfig,
     TrafficConfigError,
-    dump_stream,
     generate_stream,
-    sample_holding_time,
     sample_holding_times,
 )
 from reference import TRUNCATED_MEAN_ANALYTIC
@@ -72,13 +70,6 @@ def test_untruncated_sample_mean():
     rng = np.random.default_rng(43)
     samples = sample_holding_times(1.0, False, rng, 1_000_000)
     assert samples.mean() == pytest.approx(1.0, abs=0.003)
-
-
-def test_scalar_sampler_truncates():
-    rng = np.random.default_rng(44)
-    values = [sample_holding_time(5.0, True, rng) for _ in range(2000)]
-    assert max(values) <= 10.0
-    assert min(values) > 0.0
 
 
 def test_truncation_scales_with_mean():
@@ -161,12 +152,6 @@ def test_endpoints_uniform_over_ordered_pairs():
     assert abs(freqs - 1 / 20).max() < 0.003
 
 
-def test_unordered_pairs_mode():
-    cfg = config(ordered_pairs=False)
-    stream = generate_stream(cfg, 5000, NODES[:5], seed=8)
-    assert all(r.src < r.dst for r in stream)
-
-
 def test_substream_isolation():
     # changing the demand model must not perturb arrivals or holdings
     a = generate_stream(config(), 300, NODES, seed=11)
@@ -184,17 +169,8 @@ def test_rejects_tiny_node_set():
 
 
 def test_rejects_missing_seed():
-    with pytest.raises(TrafficConfigError, match="seed"):
+    with pytest.raises(TypeError, match="seed"):
         generate_stream(config(), 10, NODES)
-
-
-def test_dump_stream_roundtrip(tmp_path):
-    stream = generate_stream(config(), 50, NODES, seed=12)
-    out = tmp_path / "stream.csv"
-    dump_stream(stream, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "id,src,dst,arrival_time,holding_time,rate_gbps,slots"
-    assert len(lines) == 51
 
 
 def test_expiry_time_property():
