@@ -62,7 +62,7 @@ def resource_key(request: ServiceRequest, slots: int, hops: int) -> tuple[int, f
     return (-slots * hops, request.arrival_time, request.id)
 
 
-def _require_inner_heuristic(config: SimConfig) -> None:
+def require_inner_heuristic(config: SimConfig) -> None:
     if config.heuristic not in INNER_HEURISTICS:
         raise SimConfigError(
             f"bound trials require an inner heuristic in "
@@ -74,7 +74,7 @@ def defrag_bound_trial(
     config: SimConfig, seed: int, *, record_outcomes: bool = False
 ) -> DefragTrialResult:
     """One seeded bound trial: the plain event loop plus a rebuild on every block."""
-    _require_inner_heuristic(config)
+    require_inner_heuristic(config)
     stream = generate_stream(
         config.traffic, config.total_requests, config.topology.nodes, seed
     )
@@ -249,7 +249,7 @@ def bound_sweep(
     every bound trial also keeps its per-request outcomes.  A heuristic
     the bound cannot use is rejected before any trial runs.
     """
-    _require_inner_heuristic(config)
+    require_inner_heuristic(config)
     bound_trial = partial(defrag_bound_trial, record_outcomes=record_outcomes)
     heuristic_result = sweep(config, loads, trials, jobs=jobs)
     bound_result = sweep(config, loads, trials, jobs=jobs, trial_runner=bound_trial)

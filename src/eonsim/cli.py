@@ -34,6 +34,7 @@ from . import __version__
 from .bounds import (
     CrossingNotBracketedError,
     bound_sweep,
+    require_inner_heuristic,
     write_bound_trials_csv,
     write_gain_report,
     write_outcomes_csv,
@@ -42,6 +43,7 @@ from .heuristics import HeuristicKind
 from .presets import PRESETS, PresetError, get_preset
 from .simulator import (
     SimConfigError,
+    check_loads,
     estimate_warmup,
     sweep,
     warmup_slope,
@@ -170,12 +172,18 @@ _SWEEP_KEYS = (
 )
 
 
-def cmd_sweep(args) -> int:
-    started = time.time()
+def _run_config(args):
+    """Validated config and loads of a run, before its output directory exists."""
     preset = get_preset(args.preset)
     topology = _resolve_topology(args, preset)
     loads = parse_loads(args.loads)
-    config = _sim_config(args, preset, topology, loads[0])
+    check_loads(loads)
+    return _sim_config(args, preset, topology, loads[0]), loads
+
+
+def cmd_sweep(args) -> int:
+    started = time.time()
+    config, loads = _run_config(args)
     out = _out_dir(args)
     result = sweep(config, loads, jobs=args.jobs)
     write_trials_csv(result, out / "trials.csv")
@@ -193,10 +201,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_bound(args) -> int:
     started = time.time()
-    preset = get_preset(args.preset)
-    topology = _resolve_topology(args, preset)
-    loads = parse_loads(args.loads)
-    config = _sim_config(args, preset, topology, loads[0])
+    config, loads = _run_config(args)
+    require_inner_heuristic(config)
     out = _out_dir(args)
     result = bound_sweep(
         config, loads, jobs=args.jobs, target_sbp=args.target_sbp,

@@ -69,15 +69,12 @@ class ModulationTable:
         # pickle the formats only; a copy compiles its own lookups
         return (ModulationTable, (self.formats,))
 
-    def select(self, length_km: float) -> ModulationFormat | None:
+    def _resolve(self, length_km: float) -> ModulationFormat | None:
         """Highest-order format whose reach covers ``length_km`` (inclusive).
 
         None when the path exceeds every reach, i.e. the path is
         infeasible at any modulation.
         """
-        return self._by_length[length_km]
-
-    def _resolve(self, length_km: float) -> ModulationFormat | None:
         if length_km <= 0:
             raise ValueError(f"length_km must be positive, got {length_km}")
         # formats run in descending bits per symbol
@@ -185,7 +182,7 @@ def demand_for_path(
         return _FIXED_DEMANDS[request.slots + guard_slots]
     if table is None:
         raise ValueError("rate-based request requires a modulation table")
-    # table.select and table.demand, without the two method calls
+    # the compiled lookups behind table.demand, without the method call
     fmt = table._by_length[path.length_km]
     if fmt is None:
         return None

@@ -263,6 +263,14 @@ def _sweep_task(args: tuple[float, int]) -> tuple[float, int, TrialResult]:
     return load, seed, _WORKER_RUNNER(cfg, seed)
 
 
+def check_loads(loads: Sequence[float]) -> None:
+    """Reject a load list ``sweep`` cannot run: empty or not strictly increasing."""
+    if not loads:
+        raise SimConfigError("need at least one load")
+    if any(b <= a for a, b in zip(loads, loads[1:])):
+        raise SimConfigError(f"loads must be strictly increasing, got {list(loads)}")
+
+
 def sweep(
     config: SimConfig,
     loads: Sequence[float],
@@ -284,10 +292,7 @@ def sweep(
     must then pickle: a module-level function, or a ``functools.partial``
     of one.
     """
-    if not loads:
-        raise SimConfigError("need at least one load")
-    if any(b <= a for a, b in zip(loads, loads[1:])):
-        raise SimConfigError(f"loads must be strictly increasing, got {list(loads)}")
+    check_loads(loads)
     n_trials = trials if trials is not None else config.trials
     seeds = [config.base_seed + t for t in range(n_trials)]
 
@@ -364,12 +369,10 @@ WARMUP_HORIZON_FACTOR = 16.0
 
 
 def nonblocking_active_series(
-    load_erlangs: float,
-    n_requests: int,
-    rng: np.random.Generator,
-    holding_time_mean: float = 10.0,
+    load_erlangs: float, n_requests: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Active-connection count after each arrival when nothing blocks."""
+    holding_time_mean = 10.0  # the count series depends on the load only
     lam = load_erlangs / holding_time_mean
     arrivals = np.cumsum(rng.exponential(1.0 / lam, n_requests))
     expiries = arrivals + rng.exponential(holding_time_mean, n_requests)
@@ -377,13 +380,14 @@ def nonblocking_active_series(
     return np.arange(1, n_requests + 1) - departed
 
 
-def mser5_truncation(series: Sequence[float], batch: int = 5) -> int:
-    """MSER truncation point, in observations, on batch-of-``batch`` means.
+def mser5_truncation(series: Sequence[float]) -> int:
+    """MSER truncation point, in observations, on batch-of-5 means.
 
     Minimizes sse(d) / (m - d)^2 over truncation points d in the first
     half of the batch series (the standard guard against the statistic
     degenerating in the tail); ties resolve to the smallest d.
     """
+    batch = 5
     x = np.asarray(series, dtype=float)
     m = len(x) // batch
     if m < 2:

@@ -10,12 +10,20 @@ k, ordering) and cached on the topology.  Two orderings are supported:
 ascending km length with hop-count tiebreak, or ascending hop count
 with km tiebreak.  Remaining ties are broken by the lexicographic node
 sequence so results are deterministic across runs and platforms.
+
+They come from Yen's algorithm with Lawler's refinement.  A prefix map
+from each found path's prefixes to the next nodes taken after them
+gives a spur node its banned edges in one lookup, and an accepted path
+spurs only from its deviation index, the node where it left the path it
+was spurred from: an earlier spur would see the same banned edges as
+the last spur from that root and rediscover a path already queued.
 """
 from __future__ import annotations
 
 import enum
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -111,12 +119,15 @@ class Topology:
         self.links: tuple[Link, ...] = tuple(link_records)
 
         adjacency: dict[str, list[tuple[str, int, float]]] = {n: [] for n in nodes}
+        edges: dict[tuple[str, str], tuple[int, float]] = {}
         for link in self.links:
             adjacency[link.src].append((link.dst, link.index, link.length_km))
             adjacency[link.dst].append((link.src, link.index, link.length_km))
+            edges[link.src, link.dst] = edges[link.dst, link.src] = (link.index, link.length_km)
         for lst in adjacency.values():
             lst.sort()
         self._adjacency = adjacency
+        self._edges = edges
         self._path_cache: dict[tuple[str, str, int, PathOrdering], tuple[CandidatePath, ...]] = {}
 
     @property
@@ -232,28 +243,30 @@ def _dijkstra(
     dst: str,
     hop_weighted: bool,
     banned_nodes: set[str],
-    banned_edges: set[tuple[str, str]],
-) -> tuple[float, float, list[str]] | None:
-    """Cheapest path avoiding banned nodes/edges.
+    banned_edges: dict[str, set[str]],
+) -> tuple[float, float, tuple[str, ...]] | None:
+    """Cheapest path avoiding banned nodes and banned ``node -> next`` edges.
 
     Returns (primary_cost, km_length, node_path) or None.  Heap entries
     carry the node sequence so equal-cost expansions stay deterministic.
     """
+    inf = math.inf
     best: dict[str, float] = {src: 0.0}
     heap: list[tuple[float, float, tuple[str, ...]]] = [(0.0, 0.0, (src,))]
     while heap:
         cost, km, path = heapq.heappop(heap)
         node = path[-1]
         if node == dst:
-            return cost, km, list(path)
-        if cost > best.get(node, float("inf")):
+            return cost, km, path
+        if cost > best.get(node, inf):
             continue
+        banned_next = banned_edges.get(node, ())
         for nbr, _link, length in adjacency[node]:
-            if nbr in banned_nodes or (node, nbr) in banned_edges:
+            if nbr in banned_nodes or nbr in banned_next:
                 continue
             step = 1.0 if hop_weighted else length
             ncost = cost + step
-            if ncost < best.get(nbr, float("inf")):
+            if ncost < best.get(nbr, inf):
                 best[nbr] = ncost
                 heapq.heappush(heap, (ncost, km + length, path + (nbr,)))
     return None
@@ -263,66 +276,46 @@ def _yen_paths(topology: Topology, src: str, dst: str, ordering: PathOrdering):
     """Yield loopless node paths in non-decreasing primary cost.
 
     Yen's algorithm over the primary criterion of the ordering (hop
-    count or km length).  Ties are yielded in a deterministic but not
-    fully sorted order; callers re-sort with the complete key.
+    count or km length), with Lawler's refinement.  Ties are yielded in
+    a deterministic but not fully sorted order; callers re-sort with the
+    complete key.
     """
     adjacency = topology._adjacency
+    edges = topology._edges
     hop_weighted = ordering is PathOrdering.HOPS_THEN_KM
-    first = _dijkstra(adjacency, src, dst, hop_weighted, set(), set())
+    first = _dijkstra(adjacency, src, dst, hop_weighted, set(), {})
     if first is None:
         return
-    cost0, km0, path0 = first
-    found: list[list[str]] = [path0]
-    yield cost0, km0, path0
-
-    # candidate heap entries: (primary, km, node_seq) with node_seq doubling
-    # as deterministic tiebreak and payload
-    candidates: list[tuple[float, float, tuple[str, ...]]] = []
-    seen: set[tuple[str, ...]] = {tuple(path0)}
+    cost, km, path = first
+    deviation = 0
+    # next nodes the found paths take after each of their prefixes
+    next_after: dict[tuple[str, ...], set[str]] = {}
+    # candidate heap entries: (primary, km, node_seq, deviation index) with
+    # node_seq, unique among candidates, as deterministic tiebreak and payload
+    candidates: list[tuple[float, float, tuple[str, ...], int]] = []
+    seen: set[tuple[str, ...]] = {path}
 
     while True:
-        prev = found[-1]
-        for i in range(len(prev) - 1):
-            spur = prev[i]
-            root = prev[: i + 1]
-            root_km = sum(
-                _edge_length(topology, root[j], root[j + 1]) for j in range(len(root) - 1)
-            )
-            banned_edges: set[tuple[str, str]] = set()
-            for p in found:
-                if len(p) > i and p[: i + 1] == root:
-                    banned_edges.add((p[i], p[i + 1]))
-                    banned_edges.add((p[i + 1], p[i]))
-            banned_nodes = set(root[:-1])
-            res = _dijkstra(adjacency, spur, dst, hop_weighted, banned_nodes, banned_edges)
-            if res is None:
-                continue
-            spur_cost, spur_km, spur_path = res
-            total = tuple(root[:-1] + spur_path)
-            if total in seen:
-                continue
-            seen.add(total)
-            root_cost = float(i) if hop_weighted else root_km
-            heapq.heappush(candidates, (root_cost + spur_cost, root_km + spur_km, total))
+        yield cost, km, path
+        # prefixes before the deviation index, and the next nodes taken
+        # after them, are those of the path this one was spurred from
+        root_km = sum(edges[path[j], path[j + 1]][1] for j in range(deviation))
+        for i in range(deviation, len(path) - 1):
+            spur = path[i]
+            banned = next_after.setdefault(path[: i + 1], set())
+            banned.add(path[i + 1])
+            res = _dijkstra(adjacency, spur, dst, hop_weighted, set(path[:i]), {spur: banned})
+            if res is not None:
+                spur_cost, spur_km, spur_path = res
+                total = path[:i] + spur_path
+                if total not in seen:
+                    seen.add(total)
+                    root_cost = float(i) if hop_weighted else root_km
+                    heapq.heappush(candidates, (root_cost + spur_cost, root_km + spur_km, total, i))
+            root_km += edges[spur, path[i + 1]][1]
         if not candidates:
             return
-        cost, km, best_path = heapq.heappop(candidates)
-        found.append(list(best_path))
-        yield cost, km, list(best_path)
-
-
-def _edge_length(topology: Topology, u: str, v: str) -> float:
-    for nbr, _link, length in topology._adjacency[u]:
-        if nbr == v:
-            return length
-    raise TopologyError(f"no edge between {u} and {v}")
-
-
-def _edge_link_index(topology: Topology, u: str, v: str) -> int:
-    for nbr, link, _length in topology._adjacency[u]:
-        if nbr == v:
-            return link
-    raise TopologyError(f"no edge between {u} and {v}")
+        cost, km, path, deviation = heapq.heappop(candidates)
 
 
 def k_shortest_paths(
@@ -342,25 +335,23 @@ def k_shortest_paths(
     if k < 1:
         raise TopologyError(f"k must be >= 1, got {k}")
 
-    hop_weighted = ordering is PathOrdering.HOPS_THEN_KM
     enumerated: list[tuple[int, float, tuple[str, ...]]] = []
     kth_primary: float | None = None
     for cost, km, node_path in _yen_paths(topology, src, dst, ordering):
         primary = cost
         if kth_primary is not None and primary > kth_primary:
             break
-        enumerated.append((len(node_path) - 1, km, tuple(node_path)))
+        enumerated.append((len(node_path) - 1, km, node_path))
         if len(enumerated) == k:
             kth_primary = primary
     if not enumerated:
         return []
 
     enumerated.sort(key=_sort_key(ordering))
+    edges = topology._edges
     out: list[CandidatePath] = []
     for rank, (hops, km, node_seq) in enumerate(enumerated[:k]):
-        link_ids = tuple(
-            _edge_link_index(topology, node_seq[j], node_seq[j + 1]) for j in range(hops)
-        )
+        link_ids = tuple(edges[node_seq[j], node_seq[j + 1]][0] for j in range(hops))
         fiber_ids = tuple(
             topology.fiber_id(link_ids[j], node_seq[j]) for j in range(hops)
         )

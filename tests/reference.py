@@ -1,13 +1,17 @@
 """Independent brute-force oracles the fast implementations are checked against.
 
 Everything here is written for obviousness, not speed: exhaustive DFS
-path enumeration, linear block-scan searches, and direct evaluation of
-definitions.  None of it shares code with the package internals.
+path enumeration, the unoptimized Yen KSP, linear block-scan searches,
+and direct evaluation of definitions.  None of it shares code with the
+package internals; only the path layer's data types are imported.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
+
+from eonsim.topology import CandidatePath, PathOrdering, TopologyError
 
 
 def all_loopless_paths(links, src, dst):
@@ -51,6 +55,146 @@ def ksp_oracle(links, src, dst, k, ordering_name):
         raise ValueError(ordering_name)
     return [p[0] for p in paths[:k]]
 
+
+
+# --- Yen KSP as first written -------------------------------------------------------
+#
+# The path layer's original Yen implementation, kept as a differential oracle
+# for the optimized one: every found path is rescanned for banned edges and
+# every root length is re-summed at every spur node.  The adjacency is
+# rebuilt from the public link list the way ``Topology`` builds its own.
+
+
+def _reference_adjacency(topology):
+    adjacency = {n: [] for n in topology.nodes}
+    for link in topology.links:
+        adjacency[link.src].append((link.dst, link.index, link.length_km))
+        adjacency[link.dst].append((link.src, link.index, link.length_km))
+    for lst in adjacency.values():
+        lst.sort()
+    return adjacency
+
+
+def _reference_sort_key(ordering):
+    if ordering is PathOrdering.HOPS_THEN_KM:
+        return lambda p: (p[0], p[1], p[2])  # (hops, km, node_seq)
+    return lambda p: (p[1], p[0], p[2])  # (km, hops, node_seq)
+
+
+def _reference_dijkstra(adjacency, src, dst, hop_weighted, banned_nodes, banned_edges):
+    best = {src: 0.0}
+    heap = [(0.0, 0.0, (src,))]
+    while heap:
+        cost, km, path = heapq.heappop(heap)
+        node = path[-1]
+        if node == dst:
+            return cost, km, list(path)
+        if cost > best.get(node, float("inf")):
+            continue
+        for nbr, _link, length in adjacency[node]:
+            if nbr in banned_nodes or (node, nbr) in banned_edges:
+                continue
+            step = 1.0 if hop_weighted else length
+            ncost = cost + step
+            if ncost < best.get(nbr, float("inf")):
+                best[nbr] = ncost
+                heapq.heappush(heap, (ncost, km + length, path + (nbr,)))
+    return None
+
+
+def _reference_edge(adjacency, u, v):
+    for nbr, link, length in adjacency[u]:
+        if nbr == v:
+            return link, length
+    raise TopologyError(f"no edge between {u} and {v}")
+
+
+def _reference_yen_paths(adjacency, src, dst, ordering):
+    hop_weighted = ordering is PathOrdering.HOPS_THEN_KM
+    first = _reference_dijkstra(adjacency, src, dst, hop_weighted, set(), set())
+    if first is None:
+        return
+    cost0, km0, path0 = first
+    found = [path0]
+    yield cost0, km0, path0
+
+    candidates = []
+    seen = {tuple(path0)}
+
+    while True:
+        prev = found[-1]
+        for i in range(len(prev) - 1):
+            spur = prev[i]
+            root = prev[: i + 1]
+            root_km = sum(
+                _reference_edge(adjacency, root[j], root[j + 1])[1] for j in range(len(root) - 1)
+            )
+            banned_edges = set()
+            for p in found:
+                if len(p) > i and p[: i + 1] == root:
+                    banned_edges.add((p[i], p[i + 1]))
+                    banned_edges.add((p[i + 1], p[i]))
+            banned_nodes = set(root[:-1])
+            res = _reference_dijkstra(adjacency, spur, dst, hop_weighted, banned_nodes, banned_edges)
+            if res is None:
+                continue
+            spur_cost, spur_km, spur_path = res
+            total = tuple(root[:-1] + spur_path)
+            if total in seen:
+                continue
+            seen.add(total)
+            root_cost = float(i) if hop_weighted else root_km
+            heapq.heappush(candidates, (root_cost + spur_cost, root_km + spur_km, total))
+        if not candidates:
+            return
+        cost, km, best_path = heapq.heappop(candidates)
+        found.append(list(best_path))
+        yield cost, km, list(best_path)
+
+
+def reference_k_shortest_paths(topology, src, dst, k, ordering):
+    """``k_shortest_paths`` as first written: the same contract, unoptimized."""
+    if src == dst:
+        raise TopologyError("src and dst must differ")
+    adjacency = _reference_adjacency(topology)
+    if src not in adjacency or dst not in adjacency:
+        raise TopologyError(f"unknown node in pair ({src}, {dst})")
+    if k < 1:
+        raise TopologyError(f"k must be >= 1, got {k}")
+
+    enumerated = []
+    kth_primary = None
+    for cost, km, node_path in _reference_yen_paths(adjacency, src, dst, ordering):
+        primary = cost
+        if kth_primary is not None and primary > kth_primary:
+            break
+        enumerated.append((len(node_path) - 1, km, tuple(node_path)))
+        if len(enumerated) == k:
+            kth_primary = primary
+    if not enumerated:
+        return []
+
+    enumerated.sort(key=_reference_sort_key(ordering))
+    out = []
+    for rank, (hops, km, node_seq) in enumerate(enumerated[:k]):
+        link_ids = tuple(
+            _reference_edge(adjacency, node_seq[j], node_seq[j + 1])[0] for j in range(hops)
+        )
+        fiber_ids = tuple(
+            topology.fiber_id(link_ids[j], node_seq[j]) for j in range(hops)
+        )
+        length = sum(topology.links[l].length_km for l in link_ids)
+        out.append(
+            CandidatePath(
+                node_seq=node_seq,
+                link_ids=link_ids,
+                hop_count=hops,
+                length_km=length,
+                rank=rank,
+                fiber_ids=fiber_ids,
+            )
+        )
+    return out
 
 def pack_bits(bits):
     """Occupancy mask of a boolean vector, bit i set when element i is."""

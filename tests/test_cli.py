@@ -254,6 +254,33 @@ def test_paths_subcommand(tmp_path, capsys):
     assert len(lines) == 1 + 14 * 13
 
 
+# SHA-256 of ``paths --k 5 --out`` for every bundled topology and ordering,
+# recorded with the unoptimized Yen implementation that
+# ``reference.reference_k_shortest_paths`` keeps.
+PATHS_CSV_SHA256 = {
+    ("cost239", "hops"): "4740ecc770f46be6fe345e57ec0c145237f6f19ee6156e2d7c4ed2225dae68ff",
+    ("cost239", "km"): "8a861f616fb172a6a4f4a0a75a6488a8625df254872f963000902bb70b8a0a03",
+    ("cost239-ptrnet", "hops"): "83e9198025b39dfcaf92bd22d5054553f09311f52d2adef85a711d8c22029fc8",
+    ("cost239-ptrnet", "km"): "8b6e8b103fd6d0b74b6f4bbdfc20879fc08ff2537161ab1e4c17a1fccc68ee55",
+    ("jpn48", "hops"): "673ce17f01ae71d5e7e8965eebe74e98d793cb631acad815b8143e47be7a4fce",
+    ("jpn48", "km"): "034051d65350edc3a39c1dc775aa01845a7650abe587e9a2493853e19db6ea8b",
+    ("nsfnet", "hops"): "9a9189c615ea47b2d12c35c6ca06d3384b2fc95ae148c1b27c1e9e5733d6c001",
+    ("nsfnet", "km"): "650cd64e6ea5508c60f818ec3c14a4dfe501cff41e59097c1e232f797c510b6a",
+    ("usnet", "hops"): "4d0a0981e788a49b8fc119065aa245d6879502c71c451facb390aa5449e4acc7",
+    ("usnet", "km"): "126b12288f7e69e7ae2cced11a307deccfab60188d456c80dba33bc84165f6a8",
+    ("usnet-ptrnet", "hops"): "1d884f23bbe0090cbf69dad343c1ad63aa75a17ccb6de34fbb8a58e4660168ca",
+    ("usnet-ptrnet", "km"): "78c4840fcc85f36678abeddae42905c59dd7a4625639529954002f7c464c3258",
+}
+
+
+@pytest.mark.parametrize("topology,ordering", sorted(PATHS_CSV_SHA256))
+def test_paths_csv_is_pinned(tmp_path, topology, ordering):
+    out = tmp_path / "paths"
+    assert run(f"paths --topology {topology} --k 5 --ordering {ordering} --out {out}".split()) == 0
+    digest = hashlib.sha256((out / "paths.csv").read_bytes()).hexdigest()
+    assert digest == PATHS_CSV_SHA256[topology, ordering]
+
+
 # --- warmup -----------------------------------------------------------------------------
 
 def test_warmup_subcommand(tmp_path, capsys):
@@ -327,6 +354,20 @@ def test_bound_with_scan_all_policy_exits_2_before_any_trial(tmp_path, capsys, m
     assert code == 2
     assert "inner heuristic" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bound --preset ptrnet-80 --topology usnet --heuristic kme-ff --k 10 --ordering km "
+        "--loads 160,200 --trials 2 --jobs 1",
+        "sweep --preset deeprmsa --topology nsfnet --loads 300,200 --trials 1 --jobs 1",
+    ],
+)
+def test_rejected_run_leaves_no_output_dir(tmp_path, argv):
+    out = tmp_path / "never"
+    assert run(f"{argv} --out {out}".split()) == 2
+    assert not out.exists()
 
 # --- run metadata -----------------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from eonsim.topology import (
     load_topology,
     ordering_overlap,
 )
-from reference import ksp_oracle, random_connected_graph
+from reference import ksp_oracle, random_connected_graph, reference_k_shortest_paths
 
 
 BUNDLED_COUNTS = {
@@ -176,6 +176,51 @@ def test_prefix_stability(ordering):
         shorter = [p.node_seq for p in k_shortest_paths(topo, src, dst, 3, ordering)]
         longer = [p.node_seq for p in k_shortest_paths(topo, src, dst, 4, ordering)]
         assert longer[: len(shorter)] == shorter
+
+
+def _all_pairs_equal_reference(topo, k, ordering):
+    for src in topo.nodes:
+        for dst in topo.nodes:
+            if src != dst:
+                got = k_shortest_paths(topo, src, dst, k, ordering)
+                assert got == reference_k_shortest_paths(topo, src, dst, k, ordering), (src, dst)
+
+
+@pytest.mark.parametrize(
+    "name,k,ordering",
+    [
+        ("nsfnet", 50, PathOrdering.HOPS_THEN_KM),
+        ("nsfnet", 50, PathOrdering.KM_THEN_HOPS),
+        ("cost239", 50, PathOrdering.HOPS_THEN_KM),
+        ("cost239", 50, PathOrdering.KM_THEN_HOPS),
+        ("usnet", 10, PathOrdering.KM_THEN_HOPS),
+    ],
+)
+def test_ksp_matches_unoptimized_yen_on_bundled(name, k, ordering):
+    _all_pairs_equal_reference(load_bundled(name), k, ordering)
+
+
+def fractional_graph(rng):
+    """Random graph on 5-8 nodes with non-integer lengths, whose km sums depend
+    on the order they are added in; half of them draw from a few short
+    lengths so that paths tie, or nearly tie, in km."""
+    nodes = [chr(ord("A") + i) for i in range(int(rng.integers(5, 9)))]
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :] if rng.random() < 0.6]
+    if rng.random() < 0.5:
+        lengths = rng.choice([0.1, 0.2, 0.3, 0.7, 1.1], len(pairs))
+    else:
+        lengths = rng.uniform(0.001, 5000.0, len(pairs))
+    return Topology("frac", nodes, [(a, b, float(x)) for (a, b), x in zip(pairs, lengths)], 8)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(1, 10),
+    st.sampled_from(list(PathOrdering)),
+)
+@settings(max_examples=200, deadline=None)
+def test_ksp_matches_unoptimized_yen_with_fractional_lengths(seed, k, ordering):
+    _all_pairs_equal_reference(fractional_graph(np.random.default_rng(seed)), k, ordering)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
