@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-import numpy as np
-
 from .heuristics import HeuristicKind, decide
 from .service import demand_for_path
 from .simulator import (
@@ -254,22 +252,6 @@ def bound_sweep(
     heuristic_result = sweep(config, loads, trials, jobs=jobs)
     bound_result = sweep(config, loads, trials, jobs=jobs, trial_runner=bound_trial)
     return BoundSweepResult(heuristic_result, bound_result, target_sbp)
-
-
-def dominance_gap(heuristic_point: LoadPoint, bound_point: LoadPoint) -> tuple[float, float]:
-    """Mean and standard error of paired per-seed SBP differences.
-
-    Positive mean says the bound blocked more than the heuristic; the
-    bound property requires mean <= 2 standard errors (and <= 0 when
-    the paired differences are all identical).
-    """
-    heur = {r.seed: r.sbp for r in heuristic_point.results}
-    bound = {r.seed: r.sbp for r in bound_point.results}
-    if set(heur) != set(bound):
-        raise ValueError("dominance check requires paired seeds")
-    diffs = np.array([bound[s] - heur[s] for s in sorted(heur)])
-    se = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs))) if len(diffs) >= 2 else 0.0
-    return float(diffs.mean()), se
 
 
 def write_bound_trials_csv(result: LoadSweepResult, path) -> None:

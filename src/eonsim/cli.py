@@ -191,9 +191,10 @@ def cmd_sweep(args) -> int:
     _write_manifest(out, "sweep", _manifest_args(args, _SWEEP_KEYS))
     _write_meta(out, started)
     for p in result.points:
+        std = "n/a" if math.isnan(p.std_sbp) else f"{p.std_sbp:.2g}"  # one trial: undefined
         print(
             f"load {p.load_erlangs:g}: mean SBP {p.mean_sbp:.4g} "
-            f"(std {p.std_sbp:.2g}, {p.blocked_total} blocks over {p.trials} trials)"
+            f"(std {std}, {p.blocked_total} blocks over {p.trials} trials)"
         )
     print(f"wrote {out / 'trials.csv'} and {out / 'summary.csv'}")
     return 0
@@ -392,6 +393,13 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common_run_flags(sub):
     sub.add_argument("--preset", required=True, choices=sorted(PRESETS))
     sub.add_argument("--topology", required=True,
@@ -416,7 +424,7 @@ def _add_common_run_flags(sub):
                      help="extra guard slots appended to every demand")
     sub.add_argument("--modulation-file", default=None,
                      help="JSON file overriding the default modulation table")
-    sub.add_argument("--jobs", type=int, default=_available_cpus(),
+    sub.add_argument("--jobs", type=_positive_int, default=_available_cpus(),
                      help="parallel trial workers (default: available CPUs)")
     sub.add_argument("--out", required=True, help="output directory for artifacts")
 

@@ -30,12 +30,12 @@ from .service import (
     ModulationTable,
     SlotDemand,
     demand_for_path,
-    entropy_after_placement,
 )
 from .spectrum import (
     SlotBlock,
     SpectrumState,
     best_fit_run,
+    entropy_after_placement,
     first_fit,
     path_congestion,
     run_shifts,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .spectrum import SlotBlock, SpectrumState, fragmentation_entropy
 from .topology import CandidatePath
 
 DEFAULT_SLOT_WIDTH_GHZ = 12.5
@@ -190,15 +189,3 @@ def demand_for_path(
         request.rate_gbps, fmt.bits_per_symbol, slot_width_ghz, overhead, guard_slots
     ]
 
-
-def entropy_after_placement(
-    state: SpectrumState, fiber_ids: Sequence[int], block: SlotBlock
-) -> float:
-    """Summed per-link fragmentation entropy after a hypothetical placement."""
-    mask = block.mask
-    n = state.n_slots
-    full = state.full_mask
-    total = 0.0
-    for f in fiber_ids:
-        total += fragmentation_entropy(~(state.occ[f] | mask) & full, n)
-    return total

@@ -344,6 +344,7 @@ def write_trials_csv(result: LoadSweepResult, path) -> None:
 
 
 def write_summary_csv(result: LoadSweepResult, path) -> None:
+    """One row per load; ``std_sbp`` is empty when one trial leaves it undefined."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["load_erlangs", "trials", "mean_sbp", "std_sbp", "blocked_total"])
@@ -353,7 +354,7 @@ def write_summary_csv(result: LoadSweepResult, path) -> None:
                     f"{p.load_erlangs:.12g}",
                     p.trials,
                     f"{p.mean_sbp:.12g}",
-                    f"{p.std_sbp:.12g}",
+                    "" if math.isnan(p.std_sbp) else f"{p.std_sbp:.12g}",
                     p.blocked_total,
                 ]
             )

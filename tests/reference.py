@@ -11,6 +11,8 @@ import heapq
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from eonsim.topology import CandidatePath, PathOrdering, TopologyError
 
 
@@ -250,6 +252,32 @@ def entropy_oracle(occupied_bits):
     for _start, length in maximal_free_runs_oracle(occupied_bits):
         h -= (length / d) * math.log(length / d)
     return h
+
+
+def fragmentation_entropy(free, n_slots):
+    """entropy_oracle of a packed free mask (bit i set: slot i free)."""
+    return entropy_oracle([not free >> i & 1 for i in range(n_slots)])
+
+
+def occupied_slot_count(state):
+    """Occupied (fiber, slot) pairs over every fiber of a spectrum state."""
+    return sum(o.bit_count() for o in state.occ)
+
+
+def dominance_gap(heuristic_point, bound_point):
+    """Mean and standard error of paired per-seed SBP differences.
+
+    Positive mean says the bound blocked more than the heuristic; the
+    bound property requires mean <= 2 standard errors (and <= 0 when
+    the paired differences are all identical).
+    """
+    heur = {r.seed: r.sbp for r in heuristic_point.results}
+    bound = {r.seed: r.sbp for r in bound_point.results}
+    if set(heur) != set(bound):
+        raise ValueError("dominance check requires paired seeds")
+    diffs = np.array([bound[s] - heur[s] for s in sorted(heur)])
+    se = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs))) if len(diffs) >= 2 else 0.0
+    return float(diffs.mean()), se
 
 
 TRUNCATED_MEAN_ANALYTIC = (1.0 - 3.0 * math.exp(-2.0)) / (1.0 - math.exp(-2.0))

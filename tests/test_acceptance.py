@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eonsim.bounds import crossing_load, defrag_bound_trial, dominance_gap
+from eonsim.bounds import crossing_load, defrag_bound_trial
 from eonsim.cli import main
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
@@ -26,8 +26,10 @@ from eonsim.topology import PathOrdering, Topology, k_shortest_paths
 from eonsim.traffic import TRUNCATED_MEAN_RATIO, generate_stream
 from reference import (
     best_fit_oracle,
+    dominance_gap,
     first_fit_oracle,
     ksp_oracle,
+    occupied_slot_count,
     pack_bits,
     path_free_mask,
     random_connected_graph,
@@ -244,7 +246,7 @@ def test_criterion_7c_conservation_fuzz_100k():
 
     def check(state, active):
         nonlocal events
-        assert state.occupied_slot_count() == active.occupied_slot_links
+        assert occupied_slot_count(state) == active.occupied_slot_links
         events += 1
 
     result = run_stream(cfg, stream, on_event=check)

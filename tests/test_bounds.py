@@ -11,7 +11,6 @@ from eonsim.bounds import (
     bound_sweep,
     crossing_load,
     defrag_bound_trial,
-    dominance_gap,
     resource_key,
     write_bound_trials_csv,
     write_gain_report,
@@ -29,6 +28,7 @@ from eonsim.simulator import (
 )
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import ServiceRequest, TrafficConfig
+from reference import dominance_gap
 
 ORDER = PathOrdering.HOPS_THEN_KM
 

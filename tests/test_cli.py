@@ -369,6 +369,34 @@ def test_rejected_run_leaves_no_output_dir(tmp_path, argv):
     assert run(f"{argv} --out {out}".split()) == 2
     assert not out.exists()
 
+@pytest.mark.parametrize("sub", ["sweep", "bound"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_non_positive_jobs_is_a_usage_error(tmp_path, capsys, sub, jobs):
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc:
+        run(
+            f"{sub} --preset deeprmsa --topology nsfnet --k 2 --loads 100 --trials 1 "
+            f"--warmup 10 --measured 50 --jobs {jobs} --out {out}".split()
+        )
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_trial_sweep_writes_no_nan(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run(
+        "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 100,300 --trials 1 "
+        f"--warmup 10 --measured 50 --jobs 1 --out {out}".split()
+    )
+    assert code == 0
+    summary = (out / "summary.csv").read_text()
+    assert "nan" not in summary.lower()
+    assert [row.split(",")[3] for row in summary.splitlines()[1:]] == ["", ""]
+    printed = capsys.readouterr().out
+    assert "std n/a" in printed and "nan" not in printed.lower()
+
+
 # --- run metadata -----------------------------------------------------------------------
 
 def test_run_meta_reads_the_clock_once(tmp_path, monkeypatch):

@@ -10,10 +10,16 @@ from eonsim.service import (
     ModulationTable,
     SlotDemand,
     demand_for_path,
-    entropy_after_placement,
     slots_required,
 )
-from eonsim.spectrum import SlotBlock, SpectrumState, best_fit_run, first_fit, path_congestion
+from eonsim.spectrum import (
+    SlotBlock,
+    SpectrumState,
+    best_fit_run,
+    entropy_after_placement,
+    first_fit,
+    path_congestion,
+)
 from eonsim.topology import PathOrdering
 from eonsim.traffic import ServiceRequest
 

@@ -8,12 +8,21 @@ from eonsim.spectrum import (
     SpectrumAssignmentError,
     SpectrumState,
     best_fit_run,
+    entropy_after_placement,
     first_fit,
-    fragmentation_entropy,
     free_runs,
     path_congestion,
 )
-from reference import best_fit_oracle, entropy_oracle, first_fit_oracle, pack_bits, path_free_mask
+from reference import (
+    best_fit_oracle,
+    entropy_oracle,
+    first_fit_oracle,
+    fragmentation_entropy,
+    maximal_free_runs_oracle,
+    occupied_slot_count,
+    pack_bits,
+    path_free_mask,
+)
 
 
 def free_of(occupied_bits):
@@ -159,7 +168,7 @@ def test_allocate_release_roundtrip():
     state = SpectrumState(2, 8)
     block = SlotBlock(2, 3)
     state.allocate([0, 1], block)
-    assert state.occupied_slot_count() == 6
+    assert occupied_slot_count(state) == 6
     state.release([0, 1], block)
     assert state.occ == [0, 0]
 
@@ -212,6 +221,82 @@ def test_allocate_release_identity(occ_mask, start, size):
         state.allocate([0], block)
         state.release([0], block)
         assert state.occ[0] == occ_mask
+
+
+# --- entropy after placement (per-fiber run cache) --------------------------
+
+def grid_of(state, f):
+    return [bool(state.occ[f] >> i & 1) for i in range(state.n_slots)]
+
+
+def placed_entropy_oracle(state, fiber_ids, block):
+    """Summed entropy_oracle of each fiber's grid with ``block`` occupied."""
+    placed = range(block.start, block.start + block.size)
+    total = 0.0
+    for f in fiber_ids:
+        total += entropy_oracle([b or i in placed for i, b in enumerate(grid_of(state, f))])
+    return total
+
+
+@given(st.sampled_from([1, 63, 64, 65, 320]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_entropy_after_placement_tracks_every_occupancy_change(n_slots, data):
+    n_fibers = 3
+    state = SpectrumState(n_fibers, n_slots)
+    fibers = st.lists(st.integers(0, n_fibers - 1), min_size=1, max_size=n_fibers, unique=True)
+    held = []  # (fiber_ids, block) placed through allocate and not yet released
+    for _step in range(data.draw(st.integers(1, 10))):
+        op = data.draw(st.sampled_from(["allocate", "release", "write", "swap"]))
+        if op == "allocate":
+            size = data.draw(st.integers(1, n_slots))
+            block = SlotBlock(data.draw(st.integers(0, n_slots - size)), size)
+            path = data.draw(fibers)
+            if not any(state.occ[f] & block.mask for f in path):
+                state.allocate(path, block)
+                held.append((path, block))
+        elif op == "release" and held:
+            state.release(*held.pop(data.draw(st.integers(0, len(held) - 1))))
+        elif op == "write":
+            f = data.draw(st.integers(0, n_fibers - 1))
+            state.occ[f] = data.draw(st.integers(0, state.full_mask))
+            held = [(path, block) for path, block in held if f not in path]
+        elif op == "swap":  # a new occupancy list, as a defragmentation rebuild installs
+            state.occ = [data.draw(st.integers(0, state.full_mask)) for _ in range(n_fibers)]
+            held = []
+        for _check in range(3):
+            path = data.draw(fibers)
+            size = data.draw(st.integers(1, n_slots))
+            occupied = grid_of(state, path[0])
+            for f in path[1:]:
+                occupied = [a or b for a, b in zip(occupied, grid_of(state, f))]
+            starts = [
+                s
+                for run_start, length in maximal_free_runs_oracle(occupied)
+                for s in range(run_start, run_start + length - size + 1)
+            ]
+            if not starts:
+                continue
+            block = SlotBlock(data.draw(st.sampled_from(starts)), size)
+            expected = placed_entropy_oracle(state, path, block)
+            assert entropy_after_placement(state, path, block) == expected
+
+
+def test_entropy_after_placement_rejects_block_over_occupied_slots():
+    state = SpectrumState(3, 8)
+    state.allocate([1], SlotBlock(3, 1))
+    state.occ[2] = state.full_mask
+    ok = SlotBlock(2, 3)
+    assert entropy_after_placement(state, [0], ok) == placed_entropy_oracle(state, [0], ok)
+    for fiber_ids, block in [
+        ([0, 1], ok),  # slot 3 held on fiber 1
+        ([0], SlotBlock(6, 3)),  # past the grid's end
+        ([2], SlotBlock(0, 1)),  # fully occupied fiber
+    ]:
+        with pytest.raises(SpectrumAssignmentError):
+            entropy_after_placement(state, fiber_ids, block)
+    # a rejected block is rejected again after the rejecting fiber's record is cached
+    with pytest.raises(SpectrumAssignmentError):
+        entropy_after_placement(state, [1], SlotBlock(3, 1))
 
 
 # --- congestion -------------------------------------------------------------
