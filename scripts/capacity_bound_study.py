@@ -41,9 +41,7 @@ def main():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = bound_sweep(
-            cfg, loads, trials=args.trials, jobs=args.jobs, target_sbp=args.target_sbp
-        )
+        result = bound_sweep(cfg, loads, jobs=args.jobs, target_sbp=args.target_sbp)
 
     print(f"{args.preset}/{args.topology}, {args.heuristic} k={args.k}:")
     for hp, bp in zip(result.heuristic.points, result.bound.points):

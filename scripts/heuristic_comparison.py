@@ -28,7 +28,7 @@ def run_point(preset, topo, kind, k, load, trials, seed, jobs):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return sweep(cfg, [load], trials=trials, jobs=jobs).points[0]
+        return sweep(cfg, [load], jobs=jobs).points[0]
 
 
 def main():

@@ -67,7 +67,7 @@ def main():
             )
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                p = sweep(cfg, [args.load], trials=args.trials, jobs=args.jobs).points[0]
+                p = sweep(cfg, [args.load], jobs=args.jobs).points[0]
             print(f"  5-sp-ff {ordering.value:4s} @ {args.load:g} E: "
                   f"SBP {p.mean_sbp:.5f} ± {p.std_sbp:.5f}")
     return 0

@@ -23,7 +23,7 @@ from functools import partial
 from typing import Sequence
 
 from .heuristics import HeuristicKind, decide
-from .service import demand_for_path
+from .service import demand_for_path, slots_required
 from .simulator import (
     ActiveLightpaths,
     LoadPoint,
@@ -76,8 +76,7 @@ def defrag_bound_trial(
     stream = generate_stream(
         config.traffic, config.total_requests, config.topology.nodes, seed
     )
-    table, width = config.modulation, config.slot_width_ghz
-    overhead, guard = config.overhead, config.guard_slots
+    table, guard = config.modulation, config.guard_slots
     outcomes = [OUTCOME_DIRECT] * len(stream)
 
     def sort_key(request: ServiceRequest, candidates) -> tuple:
@@ -89,10 +88,10 @@ def defrag_bound_trial(
         key stays defined.
         """
         path0 = candidates[0]
-        demand = demand_for_path(request, path0, table, width, overhead, guard)
-        if demand is None:
-            demand = table.demand(request.rate_gbps, table.lowest_order, width, overhead, guard)
-        return (*resource_key(request, demand.slots, path0.hop_count), request, candidates)
+        slots = demand_for_path(request, path0, table, guard)
+        if slots is None:
+            slots = slots_required(request.rate_gbps, table.formats[-1].bits_per_symbol) + guard
+        return (*resource_key(request, slots, path0.hop_count), request, candidates)
 
     def on_block(i: int, request: ServiceRequest, candidates, active: ActiveLightpaths) -> bool:
         # no rebuild can host a request that fails on an empty network
@@ -116,7 +115,6 @@ def defrag_bound_trial(
         blocked_count=result.blocked_count,
         total_measured=result.total_measured,
         sbp=result.sbp,
-        peak_active=result.peak_active,
         direct_count=measured.count(OUTCOME_DIRECT),
         defrag_count=measured.count(OUTCOME_DEFRAG),
         outcomes=tuple(outcomes) if record_outcomes else None,
@@ -125,11 +123,8 @@ def defrag_bound_trial(
 
 def _ever_feasible(config: SimConfig, request: ServiceRequest, candidates) -> bool:
     for path in candidates:
-        demand = demand_for_path(
-            request, path, config.modulation, config.slot_width_ghz,
-            config.overhead, config.guard_slots,
-        )
-        if demand is not None and demand.slots <= config.topology.slots_per_fiber:
+        slots = demand_for_path(request, path, config.modulation, config.guard_slots)
+        if slots is not None and slots <= config.topology.slots_per_fiber:
             return True
     return False
 
@@ -146,15 +141,11 @@ def _rebuild(
     """
     temp = SpectrumState.for_topology(config.topology)
     occ = temp.occ
-    kind, table = config.heuristic, config.modulation
-    width, overhead, guard = config.slot_width_ghz, config.overhead, config.guard_slots
+    kind, table, guard = config.heuristic, config.modulation, config.guard_slots
     placements: dict[int, tuple[tuple[int, ...], SlotBlock]] = {}
     entries.sort()
     for _footprint, _arrival, req_id, request, candidates in entries:
-        decision = decide(
-            kind, request, candidates, temp, table,
-            slot_width_ghz=width, overhead=overhead, guard_slots=guard,
-        )
+        decision = decide(kind, request, candidates, temp, table, guard)
         if decision is None:
             return None
         fiber_ids, block = decision.path.fiber_ids, decision.block
@@ -234,7 +225,6 @@ class BoundSweepResult:
 def bound_sweep(
     config: SimConfig,
     loads: Sequence[float],
-    trials: int | None = None,
     *,
     jobs: int = 1,
     target_sbp: float = 1e-3,
@@ -249,8 +239,8 @@ def bound_sweep(
     """
     require_inner_heuristic(config)
     bound_trial = partial(defrag_bound_trial, record_outcomes=record_outcomes)
-    heuristic_result = sweep(config, loads, trials, jobs=jobs)
-    bound_result = sweep(config, loads, trials, jobs=jobs, trial_runner=bound_trial)
+    heuristic_result = sweep(config, loads, jobs=jobs)
+    bound_result = sweep(config, loads, jobs=jobs, trial_runner=bound_trial)
     return BoundSweepResult(heuristic_result, bound_result, target_sbp)
 
 

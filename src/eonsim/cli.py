@@ -241,6 +241,8 @@ def cmd_bound(args) -> int:
 def cmd_warmup(args) -> int:
     started = time.time()
     loads = parse_loads(args.loads)
+    if args.trials < 1 or min(loads) <= 0:
+        raise CliError(f"warmup needs --trials >= 1 and loads > 0, got {args.trials} and {loads}")
     out = _out_dir(args)
     estimates = [
         estimate_warmup(load, args.trials, seed=args.seed) for load in loads

@@ -25,12 +25,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .service import (
-    DEFAULT_SLOT_WIDTH_GHZ,
-    ModulationTable,
-    SlotDemand,
-    demand_for_path,
-)
+from .service import ModulationTable, demand_for_path
 from .spectrum import (
     SlotBlock,
     SpectrumState,
@@ -69,9 +64,10 @@ _KSP_FF, _FF_KSP, _KSP_BF, _BF_KSP, _KME_FF, _KCA_FF = HeuristicKind
 
 @dataclass(frozen=True, slots=True)
 class Decision:
+    """The chosen path and slot block; ``block.size`` is the demand."""
+
     path: CandidatePath
     block: SlotBlock
-    demand: SlotDemand
 
 
 def decide(
@@ -80,9 +76,6 @@ def decide(
     candidates: Sequence[CandidatePath],
     state: SpectrumState,
     table: ModulationTable | None = None,
-    *,
-    slot_width_ghz: float = DEFAULT_SLOT_WIDTH_GHZ,
-    overhead: float = 1.0,
     guard_slots: int = 0,
 ) -> Decision | None:
     """Apply one policy to a request; None means blocked."""
@@ -93,14 +86,14 @@ def decide(
         occ, full = state.occ, state.full_mask
         best = None
         for path in candidates:  # rank order, so first strict improvement wins ties
-            demand = demand_for_path(request, path, table, slot_width_ghz, overhead, guard_slots)
+            demand = demand_for_path(request, path, table, guard_slots)
             if demand is None:
                 continue
             used = 0
             for f in path.fiber_ids:
                 used |= occ[f]
             fits = ~used & full
-            for shift in run_shifts(demand.slots):
+            for shift in run_shifts(demand):
                 fits &= fits >> shift
             if not fits:
                 continue
@@ -112,26 +105,26 @@ def decide(
         if best is None:
             return None
         start, path, demand = best
-        return Decision(path, SlotBlock(start, demand.slots), demand)
+        return Decision(path, SlotBlock(start, demand))
 
     # The scan-all policies keep the candidate with the smallest key;
     # ksp-bf takes the first candidate with any fit.
     best_key = best_dec = None
     for path in candidates:
-        demand = demand_for_path(request, path, table, slot_width_ghz, overhead, guard_slots)
+        demand = demand_for_path(request, path, table, guard_slots)
         if demand is None:
             continue
         free = state.path_free(path.fiber_ids)
         if kind is _KSP_BF or kind is _BF_KSP:
-            fit = best_fit_run(free, state.n_slots, demand.slots)
+            fit = best_fit_run(free, state.n_slots, demand)
             if fit is None:
                 continue
             block, run_len = fit
             if kind is _KSP_BF:
-                return Decision(path, block, demand)
+                return Decision(path, block)
             key = (run_len, block.start)
         else:
-            block = first_fit(free, demand.slots)
+            block = first_fit(free, demand)
             if block is None:
                 continue
             if kind is _KME_FF:
@@ -142,5 +135,5 @@ def decide(
                 raise ValueError(f"unhandled heuristic kind {kind}")
         if best_key is None or key < best_key:
             best_key = key
-            best_dec = Decision(path, block, demand)
+            best_dec = Decision(path, block)
     return best_dec

@@ -63,8 +63,8 @@ class ExperimentPreset:
     ) -> Topology:
         return load_bundled(
             self.resolve_topology_name(name),
-            slots_per_fiber=slots_per_fiber or self.slots_per_fiber,
-            fiber_mode=fiber_mode or self.fiber_mode,
+            slots_per_fiber=self.slots_per_fiber if slots_per_fiber is None else slots_per_fiber,
+            fiber_mode=self.fiber_mode if fiber_mode is None else fiber_mode,
         )
 
     def traffic_config(self, load_erlangs: float) -> TrafficConfig:

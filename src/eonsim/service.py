@@ -1,14 +1,15 @@
 """Distance-adaptive modulation and slot-demand computation.
 
-A request's slot demand depends on the candidate path: the longest
-usable modulation reach determines bits per symbol, which with the
-slot width fixes the per-slot capacity.  Fixed-width request models
-bypass the modulation table entirely and demand a literal slot count.
+A request's demand is an int: the number of contiguous 12.5 GHz slots
+it occupies on the candidate path.  For a rate request the longest
+usable modulation reach determines bits per symbol, and a slot carries
+12.5 Gbps per bit per symbol.  Fixed-width request models bypass the
+modulation table entirely and demand their stated slot count.
 
 Demand is a compiled lookup: each path length resolves its format once
-per table, and each (rate, bits per symbol) pair its slot count once
-per slot model, so :func:`demand_for_path` is the only place demand is
-computed and costs a few dictionary lookups per candidate.
+per table, and each (rate, bits per symbol, guard slots) triple its
+slot count once, so :func:`demand_for_path` is the only place demand
+is computed and costs a few dictionary lookups per candidate.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Sequence
 
 from .topology import CandidatePath
 
-DEFAULT_SLOT_WIDTH_GHZ = 12.5
+SLOT_WIDTH_GHZ = 12.5
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,10 @@ class ModulationTable:
         if any(f.max_reach_km <= 0 for f in rows):
             raise ValueError("reaches must be positive")
         self.formats: tuple[ModulationFormat, ...] = tuple(rows)
-        # compiled lookups: path length -> format, and (rate, bits per symbol,
-        # slot width, overhead, guard slots) -> demand
+        # compiled lookups: path length -> format, and
+        # (rate, bits per symbol, guard slots) -> slots
         self._by_length = _Lookup(self._resolve)
-        self._demands = _Lookup(self._compile_demand)
+        self._slots = _Lookup(lambda key: slots_required(key[0], key[1]) + key[2])
 
     def __reduce__(self):
         # pickle the formats only; a copy compiles its own lookups
@@ -78,27 +79,6 @@ class ModulationTable:
             raise ValueError(f"length_km must be positive, got {length_km}")
         # formats run in descending bits per symbol
         return next((f for f in self.formats if f.max_reach_km >= length_km), None)
-
-    def demand(
-        self,
-        rate_gbps: float,
-        fmt: ModulationFormat,
-        slot_width_ghz: float = DEFAULT_SLOT_WIDTH_GHZ,
-        overhead: float = 1.0,
-        guard_slots: int = 0,
-    ) -> SlotDemand:
-        """Demand of a ``rate_gbps`` request carried at ``fmt``, one of this table's formats."""
-        return self._demands[rate_gbps, fmt.bits_per_symbol, slot_width_ghz, overhead, guard_slots]
-
-    def _compile_demand(self, key: tuple) -> SlotDemand:
-        rate_gbps, bits, slot_width_ghz, overhead, guard_slots = key
-        fmt = next(f for f in self.formats if f.bits_per_symbol == bits)
-        n = slots_required(rate_gbps, bits, slot_width_ghz, overhead)
-        return SlotDemand(n + guard_slots, fmt)
-
-    @property
-    def lowest_order(self) -> ModulationFormat:
-        return self.formats[-1]
 
     @classmethod
     def default(cls) -> "ModulationTable":
@@ -122,70 +102,39 @@ class ModulationTable:
         )
 
 
-def slots_required(
-    rate_gbps: float,
-    bits_per_symbol: int,
-    slot_width_ghz: float = DEFAULT_SLOT_WIDTH_GHZ,
-    overhead: float = 1.0,
-) -> int:
+def slots_required(rate_gbps: float, bits_per_symbol: int) -> int:
     """Slot count for a data rate under the Nyquist convention.
 
-    One slot of width w GHz at m bits per symbol carries w*m Gbps, so
-    the demand is ceil(rate * overhead / (w * m)).  ``overhead`` > 1
-    models framing or FEC surcharges; the default carries payload only.
+    One 12.5 GHz slot at m bits per symbol carries 12.5*m Gbps, so the
+    demand is ceil(rate / (12.5 * m)), and never below one slot.
     """
-    if rate_gbps <= 0 or slot_width_ghz <= 0 or overhead <= 0 or bits_per_symbol < 1:
-        raise ValueError("rate, slot width, overhead and bits per symbol must be positive")
-    quotient = rate_gbps * overhead / (slot_width_ghz * bits_per_symbol)
+    if rate_gbps <= 0 or bits_per_symbol < 1:
+        raise ValueError("rate and bits per symbol must be positive")
+    quotient = rate_gbps / (SLOT_WIDTH_GHZ * bits_per_symbol)
     nearest = round(quotient)
     if nearest >= 1 and abs(quotient - nearest) < 1e-9:
         return nearest
     return max(1, math.ceil(quotient))
 
 
-@dataclass(frozen=True)
-class SlotDemand:
-    """Resolved demand: contiguous slots to allocate, and how they arose.
-
-    ``modulation`` is None in fixed-width mode, where the request
-    already states its slot count and no reach check applies.
-    """
-
-    slots: int
-    modulation: ModulationFormat | None
-
-    def __post_init__(self):
-        if self.slots < 1:
-            raise ValueError(f"demand must be >= 1 slot, got {self.slots}")
-
-
-_FIXED_DEMANDS = _Lookup(lambda slots: SlotDemand(slots, None))
-
-
 def demand_for_path(
     request,
     path: CandidatePath,
     table: ModulationTable | None,
-    slot_width_ghz: float = DEFAULT_SLOT_WIDTH_GHZ,
-    overhead: float = 1.0,
     guard_slots: int = 0,
-) -> SlotDemand | None:
-    """Demand of ``request`` on ``path``, or None when infeasible.
+) -> int | None:
+    """Slots ``request`` occupies on ``path``, or None when infeasible.
 
     Fixed-width requests (``request.slots`` set) skip the table.  For
     rate requests the path length selects the modulation; paths beyond
     the longest reach are infeasible.  ``guard_slots`` extra slots are
-    added to the allocated block.  Demands are shared, immutable objects.
+    added to the allocated block.
     """
     if request.slots is not None:
-        return _FIXED_DEMANDS[request.slots + guard_slots]
+        return request.slots + guard_slots
     if table is None:
         raise ValueError("rate-based request requires a modulation table")
-    # the compiled lookups behind table.demand, without the method call
     fmt = table._by_length[path.length_km]
     if fmt is None:
         return None
-    return table._demands[
-        request.rate_gbps, fmt.bits_per_symbol, slot_width_ghz, overhead, guard_slots
-    ]
-
+    return table._slots[request.rate_gbps, fmt.bits_per_symbol, guard_slots]

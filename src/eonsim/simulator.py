@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .heuristics import Decision, HeuristicKind, decide
-from .service import DEFAULT_SLOT_WIDTH_GHZ, ModulationTable
+from .service import ModulationTable
 from .spectrum import SlotBlock, SpectrumState
 from .topology import CandidatePath, PathOrdering, Topology
 from .traffic import ServiceRequest, TrafficConfig, generate_stream
@@ -47,8 +47,6 @@ class SimConfig:
     trials: int = 10
     base_seed: int = 0
     modulation: ModulationTable | None = None
-    slot_width_ghz: float = DEFAULT_SLOT_WIDTH_GHZ
-    overhead: float = 1.0
     guard_slots: int = 0
 
     def __post_init__(self):
@@ -81,7 +79,6 @@ class TrialResult:
     blocked_count: int
     total_measured: int
     sbp: float
-    peak_active: int
 
     def __post_init__(self):
         if not 0 <= self.blocked_count <= self.total_measured:
@@ -93,14 +90,13 @@ class TrialResult:
 class ActiveLightpaths:
     """Expiry-ordered set of admitted lightpaths plus their placements."""
 
-    __slots__ = ("_state", "_heap", "records", "occupied_slot_links")
+    __slots__ = ("_state", "_heap", "records")
 
     def __init__(self, state: SpectrumState):
         self._state = state
         self._heap: list[tuple[float, int]] = []
         # request id -> (request, fiber_ids, block, sort key or None)
         self.records: dict[int, tuple[ServiceRequest, tuple[int, ...], SlotBlock, tuple | None]] = {}
-        self.occupied_slot_links = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -119,7 +115,6 @@ class ActiveLightpaths:
         """Record a lightpath whose slots are already held in the state."""
         self.records[request.id] = (request, fiber_ids, block, key)
         heapq.heappush(self._heap, (request.expiry_time, request.id))
-        self.occupied_slot_links += len(fiber_ids) * block.size
 
     def release_due(self, now: float) -> int:
         """Release every lightpath with expiry strictly before ``now``."""
@@ -129,7 +124,6 @@ class ActiveLightpaths:
             _expiry, req_id = heapq.heappop(heap)
             _request, fiber_ids, block, _key = self.records.pop(req_id)
             self._state.release(fiber_ids, block)
-            self.occupied_slot_links -= len(fiber_ids) * block.size
             released += 1
         return released
 
@@ -145,12 +139,9 @@ class ActiveLightpaths:
         if placements.keys() != records.keys():
             raise ValueError("rebuilt placements do not cover the active set")
         self._state.occ = state.occ
-        total = 0
         for req_id, (fiber_ids, block) in placements.items():
             request, _fibers, _block, key = records[req_id]
             records[req_id] = (request, fiber_ids, block, key)
-            total += len(fiber_ids) * block.size
-        self.occupied_slot_links = total
 
 
 def run_stream(
@@ -179,25 +170,18 @@ def run_stream(
     active = ActiveLightpaths(state)
     paths_of = config.topology.candidate_paths
     k, ordering, kind, table = config.k, config.ordering, config.heuristic, config.modulation
-    width, overhead, guard = config.slot_width_ghz, config.overhead, config.guard_slots
-    warmup = config.warmup_requests
+    guard, warmup = config.guard_slots, config.warmup_requests
 
     blocked = 0
-    peak_active = 0
     for i, request in enumerate(stream):
         active.release_due(request.arrival_time)
         candidates = paths_of(request.src, request.dst, k, ordering)
-        decision = decide(
-            kind, request, candidates, state, table,
-            slot_width_ghz=width, overhead=overhead, guard_slots=guard,
-        )
+        decision = decide(kind, request, candidates, state, table, guard)
         if decision is not None:
             active.add(request, decision, sort_key(request, candidates) if sort_key else None)
         elif on_block is None or not on_block(i, request, candidates, active):
             if i >= warmup:
                 blocked += 1
-        if len(active) > peak_active:
-            peak_active = len(active)
         if on_event is not None:
             on_event(state, active)
 
@@ -206,7 +190,6 @@ def run_stream(
         blocked_count=blocked,
         total_measured=measured,
         sbp=blocked / measured,
-        peak_active=peak_active,
     )
 
 
@@ -274,7 +257,6 @@ def check_loads(loads: Sequence[float]) -> None:
 def sweep(
     config: SimConfig,
     loads: Sequence[float],
-    trials: int | None = None,
     *,
     jobs: int = 1,
     min_blocking_events: int = 100,
@@ -282,7 +264,8 @@ def sweep(
 ) -> LoadSweepResult:
     """Paired-seed trials across traffic loads.
 
-    Every load runs the same seed set (base_seed + trial index), so
+    Every load runs ``config.trials`` trials on the same seed set
+    (base_seed + trial index), so
     curves at different loads or k values are directly comparable.
     Loads must be strictly increasing.  A warning is emitted for any
     load whose pooled blocking-event count is too small for a stable
@@ -293,8 +276,7 @@ def sweep(
     of one.
     """
     check_loads(loads)
-    n_trials = trials if trials is not None else config.trials
-    seeds = [config.base_seed + t for t in range(n_trials)]
+    seeds = [config.base_seed + t for t in range(config.trials)]
 
     by_load: dict[float, list[TrialResult]] = {load: [] for load in loads}
     if jobs > 1:
@@ -427,6 +409,8 @@ def estimate_warmup(
     """
     if load_erlangs <= 0:
         raise SimConfigError(f"load must be > 0, got {load_erlangs}")
+    if trials < 1:
+        raise SimConfigError(f"trials must be >= 1, got {trials}")
     n = max(1000, int(math.ceil(WARMUP_HORIZON_FACTOR * load_erlangs)))
     n += (-n) % 5
     children = np.random.SeedSequence([seed, int(load_erlangs * 1000)]).spawn(trials)

@@ -71,7 +71,10 @@ def first_fit(free: int, size: int) -> SlotBlock | None:
 
 
 def free_runs(free: int, n_slots: int) -> list[tuple[int, int]]:
-    """Maximal free runs as (start, length), ascending by start."""
+    """Maximal free runs as (start, length), ascending by start.
+
+    Bits of ``free`` at or above ``n_slots`` are ignored.
+    """
     runs = []
     occ_beyond = ~free  # bits >= n_slots read as occupied
     pos = 0
@@ -80,6 +83,8 @@ def free_runs(free: int, n_slots: int) -> list[tuple[int, int]]:
         if not rest:
             return runs
         start = pos + ((rest & -rest).bit_length() - 1)
+        if start >= n_slots:
+            return runs
         after = occ_beyond >> start
         length = (after & -after).bit_length() - 1
         if start + length > n_slots:

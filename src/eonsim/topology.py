@@ -202,8 +202,8 @@ def topology_from_dict(
             name=doc.get("name", "unnamed"),
             nodes=doc["nodes"],
             links=links,
-            slots_per_fiber=slots_per_fiber or doc["slots_per_fiber"],
-            fiber_mode=fiber_mode or doc["fiber_mode"],
+            slots_per_fiber=doc["slots_per_fiber"] if slots_per_fiber is None else slots_per_fiber,
+            fiber_mode=doc["fiber_mode"] if fiber_mode is None else fiber_mode,
         )
     except KeyError as exc:
         raise TopologyError(f"topology document missing field {exc}") from exc

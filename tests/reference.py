@@ -264,6 +264,11 @@ def occupied_slot_count(state):
     return sum(o.bit_count() for o in state.occ)
 
 
+def active_slot_links(active):
+    """(fiber, slot) pairs the active lightpaths hold: fibers x block size each."""
+    return sum(len(fibers) * block.size for _req, fibers, block, _key in active.records.values())
+
+
 def dominance_gap(heuristic_point, bound_point):
     """Mean and standard error of paired per-seed SBP differences.
 

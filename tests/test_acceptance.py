@@ -25,6 +25,7 @@ from eonsim.spectrum import best_fit_run, first_fit
 from eonsim.topology import PathOrdering, Topology, k_shortest_paths
 from eonsim.traffic import TRUNCATED_MEAN_RATIO, generate_stream
 from reference import (
+    active_slot_links,
     best_fit_oracle,
     dominance_gap,
     first_fit_oracle,
@@ -54,8 +55,8 @@ def _paired_curves(preset_name, topology_name, loads, trials, heuristic, k=50):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        heur = sweep(cfg, loads, trials=trials, jobs=2)
-        bound = sweep(cfg, loads, trials=trials, jobs=2, trial_runner=defrag_bound_trial)
+        heur = sweep(cfg, loads, jobs=2)
+        bound = sweep(cfg, loads, jobs=2, trial_runner=defrag_bound_trial)
     return heur, bound
 
 
@@ -122,7 +123,7 @@ def test_criterion_3_k_monotonicity():
         cfg = preset.sim_config(
             topo, HeuristicKind.KSP_FF, k, HOPS, 300.0, trials=10, base_seed=500
         )
-        result = sweep(cfg, [300.0], trials=10, jobs=2)
+        result = sweep(cfg, [300.0], jobs=2)
         means[k] = result.points[0].mean_sbp
     ks = [2, 5, 10, 20, 50]
     assert 1e-3 < means[5] < 1e-1, "calibrated load should sit near 1e-2 SBP"
@@ -144,7 +145,7 @@ def test_criterion_4_ordering_effect():
         cfg = preset.sim_config(
             topo, HeuristicKind.KSP_FF, 5, ordering, 240.0, trials=10, base_seed=500
         )
-        result = sweep(cfg, [240.0], trials=10, jobs=2)
+        result = sweep(cfg, [240.0], jobs=2)
         means[ordering] = result.points[0].mean_sbp
     assert 3e-3 < means[KM] < 3e-2, "calibrated load should give km-ordering SBP near 1e-2"
     assert means[HOPS] <= 0.7 * means[KM], (
@@ -246,7 +247,7 @@ def test_criterion_7c_conservation_fuzz_100k():
 
     def check(state, active):
         nonlocal events
-        assert occupied_slot_count(state) == active.occupied_slot_links
+        assert occupied_slot_count(state) == active_slot_links(active)
         events += 1
 
     result = run_stream(cfg, stream, on_event=check)
@@ -288,7 +289,7 @@ def test_criterion_8_published_curves():
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            point = sweep(cfg, [load], trials=10, jobs=2).points[0]
+            point = sweep(cfg, [load], jobs=2).points[0]
         published = float(row["sbp"])
         spread = 2 * point.std_sbp
         assert abs(point.mean_sbp - published) <= spread, (

@@ -1,8 +1,10 @@
 import math
 from functools import partial
+from unittest import mock
 
 import pytest
 
+from eonsim import bounds
 from eonsim.bounds import (
     CrossingNotBracketedError,
     OUTCOME_BLOCKED,
@@ -27,7 +29,7 @@ from eonsim.simulator import (
     sweep,
 )
 from eonsim.topology import PathOrdering, Topology
-from eonsim.traffic import ServiceRequest, TrafficConfig
+from eonsim.traffic import ServiceRequest, TrafficConfig, generate_stream
 from reference import dominance_gap
 
 ORDER = PathOrdering.HOPS_THEN_KM
@@ -60,6 +62,30 @@ def wire_config(topology, n_measured, **kw):
     return SimConfig(**base)
 
 
+def active_counts(trial, cfg, stream):
+    """A trial's result on ``stream`` and the lightpath count after each arrival.
+
+    ``trial`` is ``run_stream`` or ``defrag_bound_trial``; the bound's
+    event loop is wrapped to record the same counts.
+    """
+    counts = []
+
+    def record(state, active):
+        counts.append(len(active))
+
+    if trial is run_stream:
+        return run_stream(cfg, stream, on_event=record), counts
+    real_run_stream = bounds.run_stream
+
+    def run_recorded(config, requests, **hooks):
+        return real_run_stream(config, requests, on_event=record, **hooks)
+
+    with mock.patch("eonsim.bounds.generate_stream", return_value=stream), mock.patch(
+        "eonsim.bounds.run_stream", run_recorded
+    ):
+        return defrag_bound_trial(cfg, seed=0), counts
+
+
 # --- rebuild order -----------------------------------------------------------
 
 def test_sort_descending_by_product():
@@ -88,8 +114,6 @@ def test_hand_traced_defrag_on_four_slots():
         req(1, arrival=2.0, holding=50.0, slots=1),  # takes slot 1, long lived
         req(2, arrival=3.0, holding=50.0, slots=3),  # needs 3 contiguous
     ]
-    from unittest import mock
-
     with mock.patch("eonsim.bounds.generate_stream", return_value=stream):
         result = defrag_bound_trial(cfg, seed=0, record_outcomes=True)
     assert result.outcomes == (OUTCOME_DIRECT, OUTCOME_DIRECT, OUTCOME_DEFRAG)
@@ -106,16 +130,13 @@ def test_defrag_rebuild_actually_repacks():
         req(1, arrival=2.0, holding=50.0, slots=1),
         req(2, arrival=3.0, holding=50.0, slots=3),
     ]
-    from unittest import mock
-
     # replicate by running the plain loop first: direct allocation must fail
     plain = run_stream(cfg, stream)
     assert plain.blocked_count == 1  # without defrag the 3-slot request blocks
 
-    with mock.patch("eonsim.bounds.generate_stream", return_value=stream):
-        result = defrag_bound_trial(cfg, seed=0)
+    result, counts = active_counts(defrag_bound_trial, cfg, stream)
     assert result.blocked_count == 0
-    assert result.peak_active == 2
+    assert max(counts) == 2
 
 
 def test_pigeonhole_block_survives_defrag():
@@ -127,8 +148,6 @@ def test_pigeonhole_block_survives_defrag():
         req(1, arrival=2.0, holding=50.0, slots=2),
         req(2, arrival=3.0, holding=50.0, slots=2),  # 6 slots total > 4
     ]
-    from unittest import mock
-
     with mock.patch("eonsim.bounds.generate_stream", return_value=stream):
         result = defrag_bound_trial(cfg, seed=0, record_outcomes=True)
     assert result.outcomes == (OUTCOME_DIRECT, OUTCOME_DIRECT, OUTCOME_BLOCKED)
@@ -138,8 +157,6 @@ def test_pigeonhole_block_survives_defrag():
 def test_first_request_on_empty_network_is_direct():
     topo = wire(4)
     cfg = wire_config(topo, n_measured=1)
-    from unittest import mock
-
     with mock.patch("eonsim.bounds.generate_stream", return_value=[req(0, 1.0)]):
         result = defrag_bound_trial(cfg, seed=0, record_outcomes=True)
     assert result.outcomes == (OUTCOME_DIRECT,)
@@ -151,8 +168,6 @@ def test_oversized_request_blocks_without_rebuild():
     topo = wire(4)
     cfg = wire_config(topo, n_measured=2)
     stream = [req(0, 1.0, slots=1), req(1, 2.0, slots=5)]
-    from unittest import mock
-
     with mock.patch("eonsim.bounds.generate_stream", return_value=stream):
         result = defrag_bound_trial(cfg, seed=0, record_outcomes=True)
     assert result.outcomes == (OUTCOME_DIRECT, OUTCOME_BLOCKED)
@@ -184,12 +199,12 @@ def test_no_blocking_means_bound_equals_heuristic():
         topo, HeuristicKind.KSP_FF, 5, ORDER, 120.0,
         warmup_requests=200, measured_requests=1500,
     )
-    heur = sweep(cfg, [120.0], trials=2, min_blocking_events=0)
-    bound = sweep(cfg, [120.0], trials=2, min_blocking_events=0,
-                  trial_runner=defrag_bound_trial)
-    for h, b in zip(heur.points[0].results, bound.points[0].results):
+    for seed in (0, 1):
+        stream = generate_stream(cfg.traffic, cfg.total_requests, topo.nodes, seed)
+        h, h_counts = active_counts(run_stream, cfg, stream)
+        b, b_counts = active_counts(defrag_bound_trial, cfg, stream)
         assert h.blocked_count == b.blocked_count == 0
-        assert h.peak_active == b.peak_active
+        assert max(h_counts) == max(b_counts)
         assert h.sbp == b.sbp
 
 
@@ -198,10 +213,10 @@ def test_bound_dominates_heuristic_small_scale():
     topo = preset.load_topology("nsfnet")
     cfg = preset.sim_config(
         topo, HeuristicKind.KSP_FF, 5, ORDER, 380.0,
-        warmup_requests=500, measured_requests=2500,
+        warmup_requests=500, measured_requests=2500, trials=3,
     )
-    heur = sweep(cfg, [380.0], trials=3, min_blocking_events=0)
-    bound = sweep(cfg, [380.0], trials=3, min_blocking_events=0,
+    heur = sweep(cfg, [380.0], min_blocking_events=0)
+    bound = sweep(cfg, [380.0], min_blocking_events=0,
                   trial_runner=defrag_bound_trial)
     mean_diff, se = dominance_gap(heur.points[0], bound.points[0])
     assert mean_diff <= max(2 * se, 0.0) + 1e-12
@@ -213,7 +228,7 @@ def test_bound_dominates_heuristic_small_scale():
 def point(load, sbp, trials=4, measured=10_000):
     results = tuple(
         TrialResult(seed=s, blocked_count=int(round(sbp * measured)),
-                    total_measured=measured, sbp=sbp, peak_active=1)
+                    total_measured=measured, sbp=sbp)
         for s in range(trials)
     )
     return LoadPoint(load_erlangs=load, mean_sbp=sbp, std_sbp=0.0, results=results)
@@ -272,8 +287,9 @@ def test_bound_csv_writers(tmp_path):
         topo, n_measured=200,
         traffic=TrafficConfig.from_load(4.0, rate_gbps_range=None,
                                         fixed_slot_choices=(1, 2, 3)),
+        trials=2,
     )
-    result = sweep(cfg, [4.0], trials=2, min_blocking_events=0,
+    result = sweep(cfg, [4.0], min_blocking_events=0,
                    trial_runner=partial(defrag_bound_trial, record_outcomes=True))
     path = tmp_path / "bound_trials.csv"
     write_bound_trials_csv(result, path)
@@ -293,8 +309,8 @@ def test_bound_csv_writers(tmp_path):
 
 
 def test_outcomes_csv_needs_recorded_outcomes(tmp_path):
-    cfg = wire_config(wire(8), n_measured=20)
-    result = sweep(cfg, [1.0], trials=1, min_blocking_events=0,
+    cfg = wire_config(wire(8), n_measured=20, trials=1)
+    result = sweep(cfg, [1.0], min_blocking_events=0,
                    trial_runner=defrag_bound_trial)
     with pytest.raises(ValueError, match="record_outcomes"):
         write_outcomes_csv(result, tmp_path / "outcomes.csv")
@@ -313,7 +329,7 @@ def test_bound_sweep_end_to_end_tiny():
 
     with w.catch_warnings():
         w.simplefilter("ignore")
-        result = bound_sweep(cfg, [1.0, 1.5, 2.0], trials=3, target_sbp=0.1)
+        result = bound_sweep(cfg, [1.0, 1.5, 2.0], target_sbp=0.1)
     assert result.gain.bound_load >= result.gain.heuristic_load
     assert result.gain.relative_gain >= 0.0
     for hp, bp in zip(result.heuristic.points, result.bound.points):
@@ -331,8 +347,6 @@ def test_bound_sweep_keeps_sweeps_when_crossing_not_bracketed():
 
 
 def test_bound_sweep_rejects_scan_all_policy_before_any_trial(monkeypatch):
-    from eonsim import bounds
-
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran")
 

@@ -362,6 +362,11 @@ def test_bound_with_scan_all_policy_exits_2_before_any_trial(tmp_path, capsys, m
         "bound --preset ptrnet-80 --topology usnet --heuristic kme-ff --k 10 --ordering km "
         "--loads 160,200 --trials 2 --jobs 1",
         "sweep --preset deeprmsa --topology nsfnet --loads 300,200 --trials 1 --jobs 1",
+        # a zero override is an error, not a fall-back to the preset's grid
+        "sweep --preset deeprmsa --topology nsfnet --loads 100 --trials 1 --warmup 10 "
+        "--measured 50 --jobs 1 --slots 0",
+        "warmup --loads 100 --trials 0",
+        "warmup --loads 0",
     ],
 )
 def test_rejected_run_leaves_no_output_dir(tmp_path, argv):

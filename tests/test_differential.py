@@ -58,7 +58,6 @@ def scenarios(draw, kinds):
         warmup_requests=warmup,
         measured_requests=draw(st.integers(20, 60)),
         modulation=table,
-        slot_width_ghz=draw(st.sampled_from([12.5, 25.0])),
         guard_slots=draw(st.integers(0, 2)),
     )
     stream = generate_stream(traffic, config.total_requests, nodes, draw(st.integers(0, 999)))
@@ -106,7 +105,7 @@ def assert_matches_reference(config, formats, stream, bound):
 
     expected = reference_trial(
         config.heuristic.value, stream, candidates_of, topology.num_fibers,
-        topology.slots_per_fiber, formats, config.slot_width_ghz, config.guard_slots, bound,
+        topology.slots_per_fiber, formats, 12.5, config.guard_slots, bound,
     )
     outcomes, occupancies, placements = package_events(config, stream, bound)
     assert len(outcomes) == len(expected) == len(stream)

@@ -155,7 +155,10 @@ def test_modulation_infeasible_paths_skipped():
     state = SpectrumState.for_topology(topo)
     decision = decide(HeuristicKind.KSP_FF, request(rate=50), cands, state, TABLE)
     assert decision.path.hop_count == 2
-    assert decision.demand.modulation.name == "8QAM"  # 800 km detour
+    # the 800 km detour runs at 8QAM: 75 Gbps takes 2 slots there, 3 at QPSK
+    decision = decide(HeuristicKind.KSP_FF, request(rate=75), cands, state, TABLE)
+    assert decision.path.hop_count == 2
+    assert decision.block.size == 2
 
 
 def test_ksp_ff_k1_equals_shortest_path_first_fit(diamond):

@@ -1,4 +1,4 @@
-"""The study scripts still import and parse against the package's API."""
+"""The study scripts still import, parse and run against the package's API."""
 import os
 import subprocess
 import sys
@@ -7,19 +7,51 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ["capacity_bound_study", "heuristic_comparison", "ordering_study"]
 
 
-@pytest.mark.parametrize(
-    "name", ["capacity_bound_study", "heuristic_comparison", "ordering_study"]
-)
-def test_script_help(name):
+def run_script(name, *argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / f"{name}.py"), "--help"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / f"{name}.py"), *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_help(name):
+    proc = run_script(name, "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+# One trial at one or two loads each: enough to drive every library call
+# a script makes, end to end.
+@pytest.mark.parametrize(
+    "name, argv, expected",
+    [
+        (
+            "capacity_bound_study",
+            ["--k", "5", "--loads", "200,400", "--trials", "1", "--jobs", "1"],
+            "-> gain",
+        ),
+        (
+            "heuristic_comparison",
+            ["by-k", "--heuristics", "ksp-ff", "--k-values", "2,3", "--trials", "1",
+             "--jobs", "1"],
+            "ksp-ff   k=  3 load=300: SBP",
+        ),
+        (
+            "ordering_study",
+            ["--topologies", "nsfnet", "--trials", "1", "--jobs", "1"],
+            "5-sp-ff hops @ 260 E: SBP",
+        ),
+    ],
+)
+def test_script_runs_end_to_end(name, argv, expected):
+    proc = run_script(name, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert expected in proc.stdout

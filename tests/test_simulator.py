@@ -21,7 +21,7 @@ from eonsim.simulator import (
 )
 from eonsim.topology import PathOrdering
 from eonsim.traffic import ServiceRequest, TrafficConfig
-from reference import occupied_slot_count
+from reference import active_slot_links, occupied_slot_count
 
 ORDER = PathOrdering.HOPS_THEN_KM
 
@@ -56,6 +56,17 @@ def nsfnet_config(load, **kw):
     return preset.sim_config(topo, HeuristicKind.KSP_FF, 5, ORDER, load, **defaults)
 
 
+def run_with_peak(cfg, stream):
+    """run_stream's result and the most lightpaths active after any arrival."""
+    peak = 0
+
+    def record(state, active):
+        nonlocal peak
+        peak = max(peak, len(active))
+
+    return run_stream(cfg, stream, on_event=record), peak
+
+
 # --- config validation -------------------------------------------------------
 
 def test_zero_measured_requests_rejected(single_link):
@@ -78,11 +89,11 @@ def test_capacity_exhaustion_single_link(single_link):
         for i in range(11)
     ]
     cfg = small_config(single_link, measured_requests=11)
-    result = run_stream(cfg, stream)
+    result, peak = run_with_peak(cfg, stream)
     assert result.blocked_count == 1
     assert result.total_measured == 11
     assert result.sbp == pytest.approx(1 / 11)
-    assert result.peak_active == 10
+    assert peak == 10
 
 
 def test_expiry_strictly_before_arrival(single_link):
@@ -101,10 +112,10 @@ def test_blocked_requests_consume_nothing(single_link):
     mk = lambda i, t, slots: ServiceRequest(i, "A", "B", arrival_time=t,
                                             holding_time=100.0, slots=slots)
     stream = [mk(0, 1.0, 9), mk(1, 2.0, 2), mk(2, 3.0, 1)]
-    result = run_stream(cfg, stream)
+    result, peak = run_with_peak(cfg, stream)
     # the 2-slot request blocks; the later 1-slot request still fits
     assert result.blocked_count == 1
-    assert result.peak_active == 2
+    assert peak == 2
 
 
 def test_trial_determinism():
@@ -154,7 +165,7 @@ def test_conservation_invariant_fuzz(diamond):
 
     def check(state, active):
         nonlocal checked
-        assert occupied_slot_count(state) == active.occupied_slot_links
+        assert occupied_slot_count(state) == active_slot_links(active)
         checked += 1
 
     from eonsim.traffic import generate_stream
@@ -198,7 +209,7 @@ def test_all_slots_free_after_all_expiries(diamond):
 
 def test_sbp_increases_with_load():
     cfg = nsfnet_config(250)
-    result = sweep(cfg, [250, 300, 350], trials=3)
+    result = sweep(cfg, [250, 300, 350])
     means = [p.mean_sbp for p in result.points]
     assert means[0] < means[1] < means[2]
 
@@ -209,8 +220,8 @@ def test_higher_k_never_hurts_paired_seeds():
     import dataclasses
 
     cfg50 = dataclasses.replace(cfg50, k=50)
-    r5 = sweep(cfg5, [300], trials=3)
-    r50 = sweep(cfg50, [300], trials=3)
+    r5 = sweep(cfg5, [300])
+    r50 = sweep(cfg50, [300])
     assert r50.points[0].mean_sbp <= r5.points[0].mean_sbp
     # paired seeds used for both runs
     assert [t.seed for t in r5.points[0].results] == [t.seed for t in r50.points[0].results]
@@ -229,8 +240,8 @@ def test_higher_k_never_hurts_other_topologies(topology_name, load):
         topo, HeuristicKind.KSP_FF, 2, ORDER, load,
         warmup_requests=500, measured_requests=2000, trials=3, base_seed=1,
     )
-    lo = sweep(cfg, [load], trials=3, min_blocking_events=0)
-    hi = sweep(dataclasses.replace(cfg, k=8), [load], trials=3, min_blocking_events=0)
+    lo = sweep(cfg, [load], min_blocking_events=0)
+    hi = sweep(dataclasses.replace(cfg, k=8), [load], min_blocking_events=0)
     assert hi.points[0].mean_sbp <= lo.points[0].mean_sbp
 
 
@@ -245,12 +256,12 @@ def test_sweep_validates_loads(single_link):
 def test_sweep_warns_on_few_blocking_events():
     cfg = nsfnet_config(100, trials=2, measured_requests=500, warmup_requests=200)
     with pytest.warns(UserWarning, match="blocking events"):
-        sweep(cfg, [100], trials=2)
+        sweep(cfg, [100])
 
 
 def test_sweep_single_load_statistics():
     cfg = nsfnet_config(320, trials=4, measured_requests=1500, warmup_requests=500)
-    result = sweep(cfg, [320], trials=4)
+    result = sweep(cfg, [320])
     point = result.points[0]
     assert point.trials == 4
     assert len(point.results) == 4
@@ -278,11 +289,11 @@ def test_parallel_sweep_matches_serial():
 
     with w.catch_warnings():
         w.simplefilter("ignore")
-        serial = sweep(cfg, [320, 340], trials=2, jobs=1)
-        parallel = sweep(cfg, [320, 340], trials=2, jobs=2)
-        bound_serial = sweep(cfg, [320, 340], trials=2, jobs=1, trial_runner=defrag_bound_trial)
+        serial = sweep(cfg, [320, 340], jobs=1)
+        parallel = sweep(cfg, [320, 340], jobs=2)
+        bound_serial = sweep(cfg, [320, 340], jobs=1, trial_runner=defrag_bound_trial)
         bound_parallel = sweep(
-            cfg, [320, 340], trials=2, jobs=2, trial_runner=defrag_bound_trial
+            cfg, [320, 340], jobs=2, trial_runner=defrag_bound_trial
         )
     assert serial == parallel
     assert bound_serial == bound_parallel
@@ -385,7 +396,7 @@ def test_csv_writers(tmp_path):
 
     with w.catch_warnings():
         w.simplefilter("ignore")
-        result = sweep(cfg, [320, 340], trials=2)
+        result = sweep(cfg, [320, 340])
     trials_csv = tmp_path / "trials.csv"
     summary_csv = tmp_path / "summary.csv"
     write_trials_csv(result, trials_csv)

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,26 @@ def test_entropy_matches_oracle_and_zero_iff_whole_or_empty(occ):
         assert len(runs) == 0 or (len(runs) == 1 and runs[0][1] == len(occ))
     if len(runs) >= 2:
         assert h > 0.0
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError("free_runs did not return")
+
+
+def test_free_runs_ignores_bits_past_the_grid():
+    """Free bits at or above n_slots end the scan instead of stalling it.
+
+    A CPU-time alarm turns a scan that never returns into a failure.
+    """
+    previous = signal.signal(signal.SIGVTALRM, _out_of_time)
+    signal.setitimer(signal.ITIMER_VIRTUAL, 1.0)
+    try:
+        assert free_runs(0b110000, 4) == []
+        assert free_runs(0b111100, 4) == [(2, 2)]
+        assert free_runs(0b1011 | 1 << 70, 4) == [(0, 2), (3, 1)]
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
 
 
 # --- allocate / release -----------------------------------------------------

@@ -256,6 +256,17 @@ def test_constructor_validation():
         Topology("bad", ["A", "A"], [], 8)
 
 
+def test_zero_overrides_are_rejected_not_ignored():
+    from eonsim.presets import get_preset
+
+    with pytest.raises(TopologyError, match="slots"):
+        load_bundled("nsfnet", slots_per_fiber=0)
+    with pytest.raises(TopologyError, match="slots"):
+        get_preset("deeprmsa").load_topology("nsfnet", slots_per_fiber=0)
+    with pytest.raises(TopologyError, match="fiber_mode"):
+        load_bundled("nsfnet", fiber_mode="")
+
+
 def test_dual_fiber_count_doubles():
     dual = load_bundled("nsfnet")
     single = load_bundled("nsfnet", fiber_mode="single")
