@@ -13,13 +13,19 @@ state physically realizable (continuity and contiguity still hold),
 and gives the estimator strictly more freedom than any online policy,
 so its SBP lower-bounds theirs.  The reallocation heuristic must be a
 strong one for the bound to be tight; ksp-ff and ff-ksp are accepted.
+
+A rebuild re-places hundreds of requests, and most land first-fit on
+their rank-0 candidate.  Each request's rebuild entry, made once when it
+is admitted, therefore carries that candidate's fibers, demand and
+first-fit shifts; the rebuild tries that placement inline and calls the
+inner heuristic's ``decide`` only for the requests it cannot settle.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 from .heuristics import HeuristicKind, decide
@@ -34,7 +40,7 @@ from .simulator import (
     run_stream,
     sweep,
 )
-from .spectrum import SlotBlock, SpectrumState
+from .spectrum import SlotBlock, SpectrumState, run_shifts
 from .traffic import ServiceRequest, generate_stream
 
 INNER_HEURISTICS = (HeuristicKind.KSP_FF, HeuristicKind.FF_KSP)
@@ -42,6 +48,10 @@ INNER_HEURISTICS = (HeuristicKind.KSP_FF, HeuristicKind.FF_KSP)
 OUTCOME_DIRECT = "direct"
 OUTCOME_DEFRAG = "defrag"
 OUTCOME_BLOCKED = "blocked"
+
+# Slot blocks are immutable, so every rebuild shares one per (start, size)
+# instead of making one per re-placed request.
+_slot_block = lru_cache(maxsize=None)(SlotBlock)
 
 
 class CrossingNotBracketedError(RuntimeError):
@@ -80,18 +90,24 @@ def defrag_bound_trial(
     outcomes = [OUTCOME_DIRECT] * len(stream)
 
     def sort_key(request: ServiceRequest, candidates) -> tuple:
-        """Rebuild entry: resource key, then the request and its candidates.
+        """Rebuild entry: resource key, the request, its candidates, its rank-0 placement.
 
         The footprint comes from the rank-0 candidate.  A rate request's
         demand is pinned to that path's modulation; when even that path
         is beyond every reach, the lowest-order format stands in so the
-        key stays defined.
+        key stays defined, and the rank-0 placement is None: the request
+        cannot use that path.  Otherwise the placement is the path's
+        fiber ids, the demand, ``run_shifts(demand)`` and the demand's
+        unshifted slot mask, for ``_rebuild``'s inline first fit.
         """
         path0 = candidates[0]
         slots = demand_for_path(request, path0, table, guard)
         if slots is None:
             slots = slots_required(request.rate_gbps, table.formats[-1].bits_per_symbol) + guard
-        return (*resource_key(request, slots, path0.hop_count), request, candidates)
+            rank0 = None
+        else:
+            rank0 = (path0.fiber_ids, slots, run_shifts(slots), (1 << slots) - 1)
+        return (*resource_key(request, slots, path0.hop_count), request, candidates, rank0)
 
     def on_block(i: int, request: ServiceRequest, candidates, active: ActiveLightpaths) -> bool:
         # no rebuild can host a request that fails on an empty network
@@ -138,13 +154,38 @@ def _rebuild(
     ids are unique, so sorting never compares past the id.  Returns the
     rebuilt state and per-request placements, or None as soon as any
     request cannot be hosted.
+
+    Each request first tries the first fit on its rank-0 candidate,
+    inline, from the entry's precompiled placement.  Under ksp-ff any
+    fit there is the decision; under ff-ksp only a fit at slot 0 is,
+    since a later candidate may start lower.  Every other request gets
+    the inner heuristic's ``decide``, so both paths place exactly as
+    ``decide`` does.
     """
     temp = SpectrumState.for_topology(config.topology)
-    occ = temp.occ
+    occ, full = temp.occ, temp.full_mask
     kind, table, guard = config.heuristic, config.modulation, config.guard_slots
+    start_zero_only = kind is HeuristicKind.FF_KSP
     placements: dict[int, tuple[tuple[int, ...], SlotBlock]] = {}
     entries.sort()
-    for _footprint, _arrival, req_id, request, candidates in entries:
+    for _footprint, _arrival, req_id, request, candidates, rank0 in entries:
+        if rank0 is not None:
+            fiber_ids, demand, shifts, low_mask = rank0
+            used = 0
+            for f in fiber_ids:
+                used |= occ[f]
+            fits = ~used & full
+            for shift in shifts:
+                fits &= fits >> shift
+            if start_zero_only:
+                fits &= 1
+            if fits:
+                start = (fits & -fits).bit_length() - 1
+                mask = low_mask << start
+                for f in fiber_ids:
+                    occ[f] |= mask
+                placements[req_id] = (fiber_ids, _slot_block(start, demand))
+                continue
         decision = decide(kind, request, candidates, temp, table, guard)
         if decision is None:
             return None

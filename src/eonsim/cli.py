@@ -402,6 +402,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common_run_flags(sub):
     sub.add_argument("--preset", required=True, choices=sorted(PRESETS))
     sub.add_argument("--topology", required=True,
@@ -413,7 +420,7 @@ def _add_common_run_flags(sub):
     sub.add_argument("--loads", required=True,
                      help="start:stop:step (inclusive) or comma-separated list")
     sub.add_argument("--trials", type=int, default=10)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_non_negative_int, default=0)
     sub.add_argument("--warmup", type=int, default=3000,
                      help="warm-up requests before the measured window")
     sub.add_argument("--measured", type=int, default=10000,
@@ -453,13 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("warmup", help="MSER-5 warm-up length distribution")
     s.add_argument("--loads", required=True)
     s.add_argument("--trials", type=int, default=100)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_warmup)
 
     s = subs.add_parser("truncation-demo", help="holding-time truncation statistics")
-    s.add_argument("--samples", type=int, default=1_000_000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--samples", type=_positive_int, default=1_000_000)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.set_defaults(func=cmd_truncation_demo)
 
     s = subs.add_parser("paths", help="candidate-path audit")

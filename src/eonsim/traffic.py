@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -138,30 +139,31 @@ def generate_stream(
 
     if config.rate_gbps_range is not None:
         lo, hi = config.rate_gbps_range
-        rates = demand_rng.integers(lo, hi + 1, n_requests)
-        slot_counts = None
+        drawn = demand_rng.integers(lo, hi + 1, n_requests).astype(float)
+        shared: dict[float, float] = {}  # equal rates share one float object
+        rates = (shared.setdefault(r, r) for r in memoryview(drawn))
+        slot_counts = repeat(None)
     else:
         choices = np.asarray(config.fixed_slot_choices)
-        slot_counts = choices[demand_rng.integers(0, len(choices), n_requests)]
-        rates = None
+        slot_counts = memoryview(choices[demand_rng.integers(0, len(choices), n_requests)])
+        rates = repeat(None)
 
     n = len(nodes)
     src_idx = pair_rng.integers(0, n, n_requests)
     other = pair_rng.integers(0, n - 1, n_requests)
     dst_idx = other + (other >= src_idx)
 
-    out = []
-    for i in range(n_requests):
-        out.append(
-            ServiceRequest(
-                id=i,
-                src=nodes[src_idx[i]],
-                dst=nodes[dst_idx[i]],
-                arrival_time=float(arrivals[i]),
-                holding_time=float(holdings[i]),
-                rate_gbps=float(rates[i]) if rates is not None else None,
-                slots=int(slot_counts[i]) if slot_counts is not None else None,
-            )
+    # Iterating a memoryview of a draw yields plain floats and ints one at
+    # a time: no numpy scalar per field, and no list per column.
+    return list(
+        map(
+            ServiceRequest,
+            range(n_requests),
+            map(nodes.__getitem__, memoryview(src_idx)),
+            map(nodes.__getitem__, memoryview(dst_idx)),
+            memoryview(arrivals),
+            memoryview(holdings),
+            rates,
+            slot_counts,
         )
-    return out
-
+    )

@@ -3,7 +3,8 @@
 Everything here is written for obviousness, not speed: exhaustive DFS
 path enumeration, the unoptimized Yen KSP, linear block-scan searches,
 and direct evaluation of definitions.  None of it shares code with the
-package internals; only the path layer's data types are imported.
+package internals; only the path layer's data types and the request
+record are imported.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from eonsim.topology import CandidatePath, PathOrdering, TopologyError
+from eonsim.traffic import ServiceRequest
 
 
 def all_loopless_paths(links, src, dst):
@@ -286,6 +288,48 @@ def dominance_gap(heuristic_point, bound_point):
 
 
 TRUNCATED_MEAN_ANALYTIC = (1.0 - 3.0 * math.exp(-2.0)) / (1.0 - math.exp(-2.0))
+
+
+def reference_stream(config, n_requests, nodes, seed):
+    """The seeded request stream, drawn as documented and built one request at a time.
+
+    The seed spawns four generators, in order: arrivals, holding times,
+    demands, endpoints.  Holding times above twice the mean are redrawn
+    while truncating; the destination index skips the source's.  Every
+    field is read off the numpy arrays element by element.
+    """
+    arr_rng, hold_rng, demand_rng, pair_rng = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(4)
+    )
+    arrivals = np.cumsum(arr_rng.exponential(1.0 / config.arrival_rate, n_requests))
+    mean = config.holding_time_mean
+    holdings = hold_rng.exponential(mean, n_requests)
+    while config.truncate_holding and (holdings > 2.0 * mean).any():
+        long = holdings > 2.0 * mean
+        holdings[long] = hold_rng.exponential(mean, int(long.sum()))
+    if config.rate_gbps_range is not None:
+        lo, hi = config.rate_gbps_range
+        rates, slots = demand_rng.integers(lo, hi + 1, n_requests), None
+    else:
+        choices = np.asarray(config.fixed_slot_choices)
+        rates, slots = None, choices[demand_rng.integers(0, len(choices), n_requests)]
+    src = pair_rng.integers(0, len(nodes), n_requests)
+    other = pair_rng.integers(0, len(nodes) - 1, n_requests)
+    stream = []
+    for i in range(n_requests):
+        dst = other[i] + 1 if other[i] >= src[i] else other[i]
+        stream.append(
+            ServiceRequest(
+                id=i,
+                src=nodes[src[i]],
+                dst=nodes[dst],
+                arrival_time=float(arrivals[i]),
+                holding_time=float(holdings[i]),
+                rate_gbps=None if rates is None else float(rates[i]),
+                slots=None if slots is None else int(slots[i]),
+            )
+        )
+    return stream
 
 
 def random_connected_graph(rng, max_nodes=6):

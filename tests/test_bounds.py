@@ -20,6 +20,7 @@ from eonsim.bounds import (
 )
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
+from eonsim.service import ModulationFormat, ModulationTable
 from eonsim.simulator import (
     LoadPoint,
     SimConfig,
@@ -30,7 +31,7 @@ from eonsim.simulator import (
 )
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import ServiceRequest, TrafficConfig, generate_stream
-from reference import dominance_gap
+from reference import dominance_gap, pack_bits, reference_rebuild
 
 ORDER = PathOrdering.HOPS_THEN_KM
 
@@ -152,6 +153,97 @@ def test_pigeonhole_block_survives_defrag():
         result = defrag_bound_trial(cfg, seed=0, record_outcomes=True)
     assert result.outcomes == (OUTCOME_DIRECT, OUTCOME_DIRECT, OUTCOME_BLOCKED)
     assert result.blocked_count == 1
+
+
+def rebuilds_checked_against_reference(cfg, stream, formats):
+    """Run a bound trial on ``stream``, checking every rebuild against the reference.
+
+    Returns the trial result and each rebuild's placements as
+    {id: (fiber_ids, start, size)}.
+    """
+    topo = cfg.topology
+    real_rebuild = bounds._rebuild
+    rebuilds = []
+
+    def candidates_of(request):
+        return topo.candidate_paths(request.src, request.dst, cfg.k, cfg.ordering)
+
+    def checked_rebuild(config, entries):
+        requests = [entry[3] for entry in entries]
+        rebuilt = real_rebuild(config, entries)
+        expected = reference_rebuild(
+            cfg.heuristic.value, requests, candidates_of, topo.num_fibers,
+            topo.slots_per_fiber, formats, 12.5, cfg.guard_slots,
+        )
+        assert (rebuilt is None) == (expected is None)
+        if rebuilt is not None:
+            state, placements = rebuilt
+            grids, placed = expected
+            got = {rid: (f, b.start, b.size) for rid, (f, b) in placements.items()}
+            assert got == placed
+            assert state.occ == [pack_bits(g) for g in grids]
+            rebuilds.append(got)
+        return rebuilt
+
+    with mock.patch("eonsim.bounds.generate_stream", return_value=stream), mock.patch(
+        "eonsim.bounds._rebuild", checked_rebuild
+    ):
+        result = defrag_bound_trial(cfg, seed=0, record_outcomes=True)
+    return result, rebuilds
+
+
+def test_rebuild_skips_rank0_beyond_every_reach():
+    """A stand-in demand orders the rebuild but is never placed on rank 0.
+
+    A->D's one-hop rank-0 path is beyond every reach, so its requests
+    use A-B-D; B->D's rank-0 path is in reach and takes the inline fit.
+    """
+    topo = Topology("tri", ["A", "B", "D"], [("A", "D", 5000), ("A", "B", 100), ("B", "D", 100)],
+                    slots_per_fiber=8, fiber_mode="single")
+    formats = [(1, 1000.0), (2, 500.0)]
+    table = ModulationTable([ModulationFormat(f"m{b}", b, r) for b, r in formats])
+    cfg = wire_config(topo, n_measured=4, k=2, modulation=table,
+                      traffic=TrafficConfig.from_load(1.0, rate_gbps_range=(25, 100)))
+
+    def rate_req(rid, arrival, holding, rate, src="A"):
+        return ServiceRequest(id=rid, src=src, dst="D", arrival_time=arrival,
+                              holding_time=holding, rate_gbps=rate)
+
+    stream = [
+        rate_req(0, 1.0, 3.5, 50.0),  # A-B-D [0, 2), gone before request 3
+        rate_req(1, 2.0, 50.0, 50.0, src="B"),  # B-D [2, 4)
+        rate_req(2, 3.0, 50.0, 50.0),  # A-B-D [4, 6)
+        rate_req(3, 5.0, 50.0, 100.0),  # 4 slots: free {0, 1, 6, 7} is fragmented
+    ]
+    result, rebuilds = rebuilds_checked_against_reference(cfg, stream, formats)
+    assert result.outcomes == (OUTCOME_DIRECT,) * 3 + (OUTCOME_DEFRAG,)
+    a_b_d = topo.candidate_paths("A", "D", 2, ORDER)[1].fiber_ids
+    b_d = topo.candidate_paths("B", "D", 2, ORDER)[0].fiber_ids
+    # stand-in footprints 8 and 4 put requests 3 and 2 ahead of request 1's 2
+    assert rebuilds == [{3: (a_b_d, 0, 4), 2: (a_b_d, 4, 2), 1: (b_d, 6, 2)}]
+
+
+def test_ff_ksp_rebuild_prefers_a_later_rank_at_slot_zero():
+    """Under ff-ksp a rank-0 fit past slot 0 loses to a later rank's fit at slot 0."""
+    topo = Topology("tri", ["A", "B", "D"], [("A", "D", 100), ("A", "B", 100), ("B", "D", 100)],
+                    slots_per_fiber=4, fiber_mode="single")
+    cfg = wire_config(topo, n_measured=7, k=2, heuristic=HeuristicKind.FF_KSP)
+    stream = [
+        req(0, 1.0, holding=50.0, dst="D"),  # A-D slot 0
+        req(1, 2.0, holding=50.0, dst="D"),  # A-B-D slot 0
+        req(2, 3.0, holding=0.5, dst="D"),  # A-D slot 1, gone before request 6
+        req(3, 3.1, holding=0.4, dst="D"),  # A-B-D slot 1, gone before request 6
+        req(4, 3.2, holding=50.0, dst="D"),  # A-D slot 2
+        req(5, 3.3, holding=50.0, dst="D"),  # A-B-D slot 2
+        req(6, 4.0, holding=50.0, slots=2, dst="D"),  # both paths free only {1, 3}
+    ]
+    result, rebuilds = rebuilds_checked_against_reference(cfg, stream, [])
+    assert result.outcomes == (OUTCOME_DIRECT,) * 6 + (OUTCOME_DEFRAG,)
+    a_d, a_b_d = (p.fiber_ids for p in topo.candidate_paths("A", "D", 2, ORDER))
+    # request 6 takes A-D [0, 2); request 0 then fits A-D only at slot 2
+    assert rebuilds == [
+        {6: (a_d, 0, 2), 0: (a_b_d, 0, 1), 1: (a_b_d, 1, 1), 4: (a_d, 2, 1), 5: (a_b_d, 2, 1)}
+    ]
 
 
 def test_first_request_on_empty_network_is_direct():

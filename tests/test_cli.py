@@ -388,6 +388,34 @@ def test_non_positive_jobs_is_a_usage_error(tmp_path, capsys, sub, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 100 --trials 1 "
+        "--warmup 10 --measured 50 --jobs 1",
+        "warmup --loads 100 --trials 2",
+    ],
+    ids=["sweep", "warmup"],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc:
+        run(f"{argv} --seed -1 --out {out}".split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_truncation_demo_zero_samples_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["truncation-demo", "--samples", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--samples" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_one_trial_sweep_writes_no_nan(tmp_path, capsys):
     out = tmp_path / "run"
     code = run(

@@ -11,7 +11,7 @@ from eonsim.traffic import (
     generate_stream,
     sample_holding_times,
 )
-from reference import TRUNCATED_MEAN_ANALYTIC
+from reference import TRUNCATED_MEAN_ANALYTIC, reference_stream
 
 NODES = [str(i) for i in range(1, 15)]
 
@@ -87,6 +87,24 @@ def test_stream_deterministic_by_seed():
     assert a == b
     c = generate_stream(cfg, 500, NODES, seed=10)
     assert a != c
+
+
+@pytest.mark.parametrize(
+    "demands",
+    [
+        dict(rate_gbps_range=(25, 100), truncate_holding=True),
+        dict(rate_gbps_range=None, fixed_slot_choices=(1, 2, 4)),
+    ],
+    ids=["rate", "fixed-slots"],
+)
+def test_stream_equals_per_element_reference(demands):
+    cfg = config(**demands)
+    stream = generate_stream(cfg, 2000, NODES, seed=11)
+    expected = reference_stream(cfg, 2000, NODES, seed=11)
+    assert stream == expected
+    for got, want in zip(stream, expected):
+        for field in ("id", "src", "dst", "arrival_time", "holding_time", "rate_gbps", "slots"):
+            assert type(getattr(got, field)) is type(getattr(want, field)), field
 
 
 def test_arrivals_strictly_increasing_and_ids_monotone():
