@@ -17,8 +17,9 @@ strong one for the bound to be tight; ksp-ff and ff-ksp are accepted.
 A rebuild re-places hundreds of requests, and most land first-fit on
 their rank-0 candidate.  Each request's rebuild entry, made once when it
 is admitted, therefore carries that candidate's fibers, demand and
-first-fit shifts; the rebuild tries that placement inline and calls the
-inner heuristic's ``decide`` only for the requests it cannot settle.
+``run_shifts``; the rebuild runs ``spectrum.first_fit`` on it, the same
+routine ``decide`` uses, and calls the inner heuristic's ``decide``
+only for the requests that placement cannot settle.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .simulator import (
     run_stream,
     sweep,
 )
-from .spectrum import SlotBlock, SpectrumState, run_shifts
+from .spectrum import SlotBlock, SpectrumState, first_fit, run_shifts
 from .traffic import ServiceRequest, generate_stream
 
 INNER_HEURISTICS = (HeuristicKind.KSP_FF, HeuristicKind.FF_KSP)
@@ -98,7 +99,7 @@ def defrag_bound_trial(
         key stays defined, and the rank-0 placement is None: the request
         cannot use that path.  Otherwise the placement is the path's
         fiber ids, the demand, ``run_shifts(demand)`` and the demand's
-        unshifted slot mask, for ``_rebuild``'s inline first fit.
+        unshifted slot mask, for ``_rebuild``'s rank-0 first fit.
         """
         path0 = candidates[0]
         slots = demand_for_path(request, path0, table, guard)
@@ -155,12 +156,12 @@ def _rebuild(
     rebuilt state and per-request placements, or None as soon as any
     request cannot be hosted.
 
-    Each request first tries the first fit on its rank-0 candidate,
-    inline, from the entry's precompiled placement.  Under ksp-ff any
-    fit there is the decision; under ff-ksp only a fit at slot 0 is,
-    since a later candidate may start lower.  Every other request gets
-    the inner heuristic's ``decide``, so both paths place exactly as
-    ``decide`` does.
+    Each request first runs ``first_fit`` on its rank-0 candidate with
+    the entry's precompiled fibers and shifts.  Under ksp-ff any fit
+    there is the decision; under ff-ksp only a fit at slot 0 is, since a
+    later candidate may start lower.  Every other request gets the inner
+    heuristic's ``decide``, so both paths place exactly as ``decide``
+    does.
     """
     temp = SpectrumState.for_topology(config.topology)
     occ, full = temp.occ, temp.full_mask
@@ -171,16 +172,8 @@ def _rebuild(
     for _footprint, _arrival, req_id, request, candidates, rank0 in entries:
         if rank0 is not None:
             fiber_ids, demand, shifts, low_mask = rank0
-            used = 0
-            for f in fiber_ids:
-                used |= occ[f]
-            fits = ~used & full
-            for shift in shifts:
-                fits &= fits >> shift
-            if start_zero_only:
-                fits &= 1
-            if fits:
-                start = (fits & -fits).bit_length() - 1
+            start = first_fit(occ, fiber_ids, full, shifts)
+            if start == 0 or (start > 0 and not start_zero_only):
                 mask = low_mask << start
                 for f in fiber_ids:
                     occ[f] |= mask

@@ -402,6 +402,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sbp(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {value:g}")
+    return value
+
+
 def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -452,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("bound", help="defragmentation blocking bound and capacity gain")
     _add_common_run_flags(s)
-    s.add_argument("--target-sbp", type=float, default=1e-3)
+    s.add_argument("--target-sbp", type=_sbp, default=1e-3)
     s.add_argument("--record-outcomes", action="store_true",
                    help="also write a per-request outcome CSV")
     s.set_defaults(func=cmd_bound)

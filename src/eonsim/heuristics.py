@@ -16,6 +16,9 @@ path order with spectrum search:
 * kca-ff: candidate minimizing path congestion (ties to earlier rank),
   placed first-fit.
 
+All six run in one candidate loop, with one fit routine per fit rule:
+``spectrum.first_fit`` and ``spectrum.best_fit_run``.
+
 Decisions are pure functions of the borrowed state: no mutation, and
 identical inputs always produce identical outputs.
 """
@@ -78,62 +81,46 @@ def decide(
     table: ModulationTable | None = None,
     guard_slots: int = 0,
 ) -> Decision | None:
-    """Apply one policy to a request; None means blocked."""
-    if kind is _KSP_FF or kind is _FF_KSP:
-        # First-fit on the packed occupancies, in place: only the winner
-        # becomes a SlotBlock and a Decision.
-        spectrum_first = kind is _FF_KSP
-        occ, full = state.occ, state.full_mask
-        best = None
-        for path in candidates:  # rank order, so first strict improvement wins ties
-            demand = demand_for_path(request, path, table, guard_slots)
-            if demand is None:
-                continue
-            used = 0
-            for f in path.fiber_ids:
-                used |= occ[f]
-            fits = ~used & full
-            for shift in run_shifts(demand):
-                fits &= fits >> shift
-            if not fits:
-                continue
-            start = (fits & -fits).bit_length() - 1
-            if best is None or start < best[0]:
-                best = (start, path, demand)
-            if not spectrum_first or start == 0:
-                break
-        if best is None:
-            return None
-        start, path, demand = best
-        return Decision(path, SlotBlock(start, demand))
+    """Apply one policy to a request; None means blocked.
 
-    # The scan-all policies keep the candidate with the smallest key;
-    # ksp-bf takes the first candidate with any fit.
-    best_key = best_dec = None
+    One pass in rank order: ksp-ff and ksp-bf return the first candidate
+    that fits; the others keep the smallest policy key, so ties go to
+    the earlier rank.
+    """
+    best_fit = kind is _KSP_BF or kind is _BF_KSP
+    occ, full, n_slots = state.occ, state.full_mask, state.n_slots
+    best_key = best = None
     for path in candidates:
         demand = demand_for_path(request, path, table, guard_slots)
         if demand is None:
             continue
-        free = state.path_free(path.fiber_ids)
-        if kind is _KSP_BF or kind is _BF_KSP:
-            fit = best_fit_run(free, state.n_slots, demand)
+        if best_fit:
+            fit = best_fit_run(state.path_free(path.fiber_ids), n_slots, demand)
             if fit is None:
                 continue
             block, run_len = fit
-            if kind is _KSP_BF:
-                return Decision(path, block)
-            key = (run_len, block.start)
+            start = block.start
         else:
-            block = first_fit(free, demand)
-            if block is None:
+            start = first_fit(occ, path.fiber_ids, full, run_shifts(demand))
+            if start < 0:
                 continue
-            if kind is _KME_FF:
-                key = entropy_after_placement(state, path.fiber_ids, block)
-            elif kind is _KCA_FF:
-                key = path_congestion(state, path.fiber_ids)
-            else:
-                raise ValueError(f"unhandled heuristic kind {kind}")
+        if kind is _KSP_FF or kind is _KSP_BF:
+            return Decision(path, SlotBlock(start, demand))
+        if kind is _FF_KSP:
+            key = start
+        elif kind is _BF_KSP:
+            key = (run_len, start)
+        elif kind is _KME_FF:
+            key = entropy_after_placement(state, path.fiber_ids, SlotBlock(start, demand))
+        elif kind is _KCA_FF:
+            key = path_congestion(state, path.fiber_ids)
+        else:
+            raise ValueError(f"unhandled heuristic kind {kind}")
         if best_key is None or key < best_key:
-            best_key = key
-            best_dec = Decision(path, block)
-    return best_dec
+            best_key, best = key, (path, start, demand)
+            if start == 0 and kind is _FF_KSP:  # no later candidate starts lower
+                break
+    if best is None:
+        return None
+    path, start, demand = best
+    return Decision(path, SlotBlock(start, demand))

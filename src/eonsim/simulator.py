@@ -30,6 +30,9 @@ from .spectrum import SlotBlock, SpectrumState
 from .topology import CandidatePath, PathOrdering, Topology
 from .traffic import ServiceRequest, TrafficConfig, generate_stream
 
+#: ``sweep`` warns when a load pools fewer blocking events than this
+MIN_BLOCKING_EVENTS = 100
+
 
 class SimConfigError(ValueError):
     """Invalid simulation configuration."""
@@ -259,7 +262,6 @@ def sweep(
     loads: Sequence[float],
     *,
     jobs: int = 1,
-    min_blocking_events: int = 100,
     trial_runner: Callable[[SimConfig, int], TrialResult] = run_trial,
 ) -> LoadSweepResult:
     """Paired-seed trials across traffic loads.
@@ -268,8 +270,8 @@ def sweep(
     (base_seed + trial index), so
     curves at different loads or k values are directly comparable.
     Loads must be strictly increasing.  A warning is emitted for any
-    load whose pooled blocking-event count is too small for a stable
-    SBP estimate.
+    load whose pooled blocking-event count is below
+    ``MIN_BLOCKING_EVENTS``, too few for a stable SBP estimate.
 
     With ``jobs > 1`` trials run in worker processes; ``trial_runner``
     must then pickle: a module-level function, or a ``functools.partial``
@@ -296,7 +298,7 @@ def sweep(
     points = []
     for load in loads:
         point = summarize_trials(load, by_load[load])
-        if point.blocked_total < min_blocking_events:
+        if point.blocked_total < MIN_BLOCKING_EVENTS:
             warnings.warn(
                 f"load {load}: only {point.blocked_total} blocking events across "
                 f"{point.trials} trials; SBP estimate is noisy",

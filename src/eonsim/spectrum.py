@@ -59,15 +59,21 @@ def run_shifts(size: int) -> tuple[int, ...]:
     return tuple(shifts)
 
 
-def first_fit(free: int, size: int) -> SlotBlock | None:
-    """Lowest-index contiguous free run of at least ``size`` slots."""
-    r = free
-    for shift in run_shifts(size):
-        r &= r >> shift
-    if not r:
-        return None
-    start = (r & -r).bit_length() - 1
-    return SlotBlock(start, size)
+def first_fit(occ: Sequence[int], fiber_ids: Sequence[int], full: int, shifts: Sequence[int]) -> int:
+    """Lowest start of a block free on every fiber of a path, or -1.
+
+    ``occ`` holds the packed per-fiber occupancies, ``full`` the grid's
+    all-slots mask and ``shifts`` is ``run_shifts(size)`` for the block
+    size.  With no fit the mask is 0, and ``(0 & -0).bit_length() - 1``
+    is -1.
+    """
+    used = 0
+    for f in fiber_ids:
+        used |= occ[f]
+    fits = ~used & full
+    for shift in shifts:
+        fits &= fits >> shift
+    return (fits & -fits).bit_length() - 1
 
 
 def free_runs(free: int, n_slots: int) -> list[tuple[int, int]]:

@@ -271,6 +271,32 @@ def active_slot_links(active):
     return sum(len(fibers) * block.size for _req, fibers, block, _key in active.records.values())
 
 
+def erlang_b(n, load):
+    """Blocking probability E(n, A) of an M/M/n/n loss system (Erlang B).
+
+    Uses the recursion E(0) = 1, E(k) = A E(k-1) / (k + A E(k-1)).
+    """
+    b = 1.0
+    for k in range(1, n + 1):
+        b = load * b / (k + load * b)
+    return b
+
+
+def kaufman_roberts(n, loads):
+    """Per-class blocking of a multi-rate loss link of ``n`` slots.
+
+    ``loads`` maps a class's slot demand to its offered load in Erlangs.
+    The occupancy distribution follows the Kaufman-Roberts recursion
+    j q(j) = sum_b a_b b q(j - b); class b blocks in the states
+    j > n - b.  Returns {demand: blocking probability}.
+    """
+    q = [1.0] + [0.0] * n
+    for j in range(1, n + 1):
+        q[j] = sum(a * b * q[j - b] for b, a in loads.items() if b <= j) / j
+    total = sum(q)
+    return {b: sum(q[n - b + 1 :]) / total for b in loads}
+
+
 def dominance_gap(heuristic_point, bound_point):
     """Mean and standard error of paired per-seed SBP differences.
 

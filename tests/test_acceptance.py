@@ -21,7 +21,7 @@ from eonsim.cli import main
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
 from eonsim.simulator import estimate_warmup, run_stream, sweep, warmup_slope
-from eonsim.spectrum import best_fit_run, first_fit
+from eonsim.spectrum import best_fit_run, first_fit, run_shifts
 from eonsim.topology import PathOrdering, Topology, k_shortest_paths
 from eonsim.traffic import TRUNCATED_MEAN_RATIO, generate_stream
 from reference import (
@@ -228,8 +228,8 @@ def test_criterion_7b_fit_oracle_ten_thousand_masks():
         occ = (rng.random(n) < density).astype(int).tolist()
         size = int(rng.integers(1, 17))
         free = path_free_mask([pack_bits(occ)], n)
-        ff = first_fit(free, size)
-        assert (ff.start if ff else None) == first_fit_oracle(occ, size)
+        start = first_fit([pack_bits(occ)], [0], (1 << n) - 1, run_shifts(size))
+        assert (start if start >= 0 else None) == first_fit_oracle(occ, size)
         bf = best_fit_run(free, n, size)
         assert (bf[0].start if bf else None) == best_fit_oracle(occ, size)
     report(7, "first/best fit equal brute-force scans on 10,000 masks")

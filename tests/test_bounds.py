@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 from unittest import mock
 
@@ -307,9 +308,10 @@ def test_bound_dominates_heuristic_small_scale():
         topo, HeuristicKind.KSP_FF, 5, ORDER, 380.0,
         warmup_requests=500, measured_requests=2500, trials=3,
     )
-    heur = sweep(cfg, [380.0], min_blocking_events=0)
-    bound = sweep(cfg, [380.0], min_blocking_events=0,
-                  trial_runner=defrag_bound_trial)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        heur = sweep(cfg, [380.0])
+        bound = sweep(cfg, [380.0], trial_runner=defrag_bound_trial)
     mean_diff, se = dominance_gap(heur.points[0], bound.points[0])
     assert mean_diff <= max(2 * se, 0.0) + 1e-12
     assert bound.points[0].mean_sbp < heur.points[0].mean_sbp
@@ -381,8 +383,11 @@ def test_bound_csv_writers(tmp_path):
                                         fixed_slot_choices=(1, 2, 3)),
         trials=2,
     )
-    result = sweep(cfg, [4.0], min_blocking_events=0,
-                   trial_runner=partial(defrag_bound_trial, record_outcomes=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = sweep(
+            cfg, [4.0], trial_runner=partial(defrag_bound_trial, record_outcomes=True)
+        )
     path = tmp_path / "bound_trials.csv"
     write_bound_trials_csv(result, path)
     lines = path.read_text().strip().splitlines()
@@ -402,8 +407,9 @@ def test_bound_csv_writers(tmp_path):
 
 def test_outcomes_csv_needs_recorded_outcomes(tmp_path):
     cfg = wire_config(wire(8), n_measured=20, trials=1)
-    result = sweep(cfg, [1.0], min_blocking_events=0,
-                   trial_runner=defrag_bound_trial)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = sweep(cfg, [1.0], trial_runner=defrag_bound_trial)
     with pytest.raises(ValueError, match="record_outcomes"):
         write_outcomes_csv(result, tmp_path / "outcomes.csv")
 
@@ -417,10 +423,8 @@ def test_bound_sweep_end_to_end_tiny():
                                         fixed_slot_choices=(1, 2, 3)),
         trials=3,
     )
-    import warnings as w
-
-    with w.catch_warnings():
-        w.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         result = bound_sweep(cfg, [1.0, 1.5, 2.0], target_sbp=0.1)
     assert result.gain.bound_load >= result.gain.heuristic_load
     assert result.gain.relative_gain >= 0.0

@@ -388,6 +388,26 @@ def test_non_positive_jobs_is_a_usage_error(tmp_path, capsys, sub, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["0", "1", "-0.1", "1.5", "nan", "inf"])
+def test_target_sbp_outside_open_unit_interval_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, target
+):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simulator, "run_stream", no_trials)
+    monkeypatch.setattr(bounds, "run_stream", no_trials)
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc:
+        run(
+            "bound --preset deeprmsa --topology nsfnet --k 2 --loads 100,200 --trials 1 "
+            f"--warmup 10 --measured 50 --jobs 1 --target-sbp {target} --out {out}".split()
+        )
+    assert exc.value.code == 2
+    assert "--target-sbp" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

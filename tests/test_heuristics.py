@@ -164,7 +164,7 @@ def test_modulation_infeasible_paths_skipped():
 def test_ksp_ff_k1_equals_shortest_path_first_fit(diamond):
     """With one candidate, every policy degenerates to first-fit (or best-fit)
     on the shortest path, for any grid state."""
-    from eonsim.spectrum import first_fit
+    from eonsim.spectrum import first_fit, run_shifts
 
     rng = np.random.default_rng(31)
     cands1 = diamond.candidate_paths("A", "D", 1, PathOrdering.HOPS_THEN_KM)
@@ -175,11 +175,11 @@ def test_ksp_ff_k1_equals_shortest_path_first_fit(diamond):
             state.occ[f] = int(rng.integers(0, 2**8))
         size = int(rng.integers(1, 4))
         got = decide(HeuristicKind.KSP_FF, request(slots=size), cands1, state)
-        want = first_fit(state.path_free(shortest.fiber_ids), size)
-        if want is None:
+        start = first_fit(state.occ, shortest.fiber_ids, state.full_mask, run_shifts(size))
+        if start < 0:
             assert got is None
         else:
-            assert got.path is shortest and got.block == want
+            assert got.path is shortest and got.block == SlotBlock(start, size)
 
 
 def test_determinism_and_purity(two_route_topo):

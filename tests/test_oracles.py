@@ -1,0 +1,86 @@
+"""Blocking probabilities against closed forms on a single link.
+
+On one fiber of N slots the event loop is a loss system with a known
+blocking probability:
+
+* with 1-slot demands every policy is M/M/N/N, so its SBP is Erlang B,
+  E(N, A), and every policy admits exactly the same requests;
+* with multi-slot demands a full rebuild can pack any set whose total
+  fits in N slots, so the defragmentation bound is the multi-rate loss
+  system whose per-class blocking follows the Kaufman-Roberts
+  recursion.  An online first-fit policy fragments the spectrum and
+  blocks measurably more.
+
+The seeds, trial counts and the tolerance in standard errors are fixed
+here once; they are not tuned to make a run pass.
+"""
+import math
+
+import pytest
+
+from eonsim.bounds import defrag_bound_trial
+from eonsim.heuristics import HeuristicKind
+from eonsim.simulator import SimConfig, sweep
+from eonsim.topology import PathOrdering, Topology
+from eonsim.traffic import TrafficConfig
+from reference import erlang_b, kaufman_roberts
+
+N_SLOTS = 20
+TRIALS = 8
+WARMUP = 3000
+MEASURED = 40_000
+#: allowed distance from the closed form, in standard errors of the mean SBP
+TOLERANCE_SE = 4.0
+
+
+def link_point(kind, load, slot_choices, trial_runner=None):
+    """One swept load on a 2-node single-fiber link of ``N_SLOTS`` slots."""
+    topology = Topology(
+        "link", ["A", "B"], [("A", "B", 100)], slots_per_fiber=N_SLOTS, fiber_mode="single"
+    )
+    config = SimConfig(
+        topology=topology,
+        heuristic=kind,
+        k=1,
+        ordering=PathOrdering.HOPS_THEN_KM,
+        traffic=TrafficConfig.from_load(
+            load, rate_gbps_range=None, fixed_slot_choices=slot_choices
+        ),
+        warmup_requests=WARMUP,
+        measured_requests=MEASURED,
+        trials=TRIALS,
+        base_seed=0,
+    )
+    hooks = {} if trial_runner is None else {"trial_runner": trial_runner}
+    return sweep(config, [load], **hooks).points[0]
+
+
+def standard_error(point):
+    return point.std_sbp / math.sqrt(point.trials)
+
+
+def test_single_slot_demands_block_as_erlang_b():
+    load = 15.0
+    points = {kind: link_point(kind, load, (1,)) for kind in HeuristicKind}
+    blocked = {
+        kind: [r.blocked_count for r in point.results] for kind, point in points.items()
+    }
+    # every policy admits whenever any slot is free, so all block the same requests
+    assert len({tuple(counts) for counts in blocked.values()}) == 1, blocked
+    point = points[HeuristicKind.KSP_FF]
+    expected = erlang_b(N_SLOTS, load)
+    assert expected == pytest.approx(0.045593, abs=5e-7)
+    assert abs(point.mean_sbp - expected) <= TOLERANCE_SE * standard_error(point)
+
+
+def test_bound_blocks_as_kaufman_roberts_and_first_fit_does_not():
+    load, sizes = 4.0, (1, 2, 3, 4)
+    per_class = kaufman_roberts(N_SLOTS, {size: load / len(sizes) for size in sizes})
+    # demands are drawn uniformly, so request blocking is the class mean
+    expected = sum(per_class.values()) / len(sizes)
+    assert expected == pytest.approx(0.047406, abs=5e-7)
+
+    bound = link_point(HeuristicKind.KSP_FF, load, sizes, trial_runner=defrag_bound_trial)
+    assert abs(bound.mean_sbp - expected) <= TOLERANCE_SE * standard_error(bound)
+    first_fit = link_point(HeuristicKind.KSP_FF, load, sizes)
+    assert first_fit.mean_sbp - expected > TOLERANCE_SE * standard_error(first_fit)

@@ -16,6 +16,7 @@ from eonsim.spectrum import (
     entropy_after_placement,
     first_fit,
     path_congestion,
+    run_shifts,
 )
 from eonsim.topology import PathOrdering
 from eonsim.traffic import ServiceRequest
@@ -161,7 +162,7 @@ def test_evaluate_empty_network(diamond):
     path = paths_for(diamond)[0]
     slots = demand_for_path(request(rate=100), path, TABLE)
     free = state.path_free(path.fiber_ids)
-    assert first_fit(free, slots) == SlotBlock(0, slots)
+    assert first_fit(state.occ, path.fiber_ids, state.full_mask, run_shifts(slots)) == 0
     assert best_fit_run(free, state.n_slots, slots)[0] == SlotBlock(0, slots)
     assert path_congestion(state, path.fiber_ids) == 0.0
     assert entropy_after_placement(state, path.fiber_ids, SlotBlock(0, slots)) > 0.0
@@ -185,7 +186,7 @@ def test_evaluate_fixed_width_demand_exceeds_free_run(single_link):
     state.allocate(path.fiber_ids, SlotBlock(0, 4))
     state.allocate(path.fiber_ids, SlotBlock(6, 4))
     assert demand_for_path(request(slots=3), path, None) == 3
-    assert first_fit(state.path_free(path.fiber_ids), 3) is None
+    assert first_fit(state.occ, path.fiber_ids, state.full_mask, run_shifts(3)) == -1
     for kind in HeuristicKind:
         assert decide(kind, request(slots=3), cands, state) is None, kind
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,8 +241,10 @@ def test_higher_k_never_hurts_other_topologies(topology_name, load):
         topo, HeuristicKind.KSP_FF, 2, ORDER, load,
         warmup_requests=500, measured_requests=2000, trials=3, base_seed=1,
     )
-    lo = sweep(cfg, [load], min_blocking_events=0)
-    hi = sweep(dataclasses.replace(cfg, k=8), [load], min_blocking_events=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lo = sweep(cfg, [load])
+        hi = sweep(dataclasses.replace(cfg, k=8), [load])
     assert hi.points[0].mean_sbp <= lo.points[0].mean_sbp
 
 
@@ -285,10 +288,8 @@ def test_parallel_sweep_matches_serial():
     from eonsim.bounds import defrag_bound_trial
 
     cfg = nsfnet_config(320, trials=2, measured_requests=1000, warmup_requests=300)
-    import warnings as w
-
-    with w.catch_warnings():
-        w.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         serial = sweep(cfg, [320, 340], jobs=1)
         parallel = sweep(cfg, [320, 340], jobs=2)
         bound_serial = sweep(cfg, [320, 340], jobs=1, trial_runner=defrag_bound_trial)
@@ -392,10 +393,8 @@ def test_dual_fiber_link_blocks_like_two_half_load_systems():
 
 def test_csv_writers(tmp_path):
     cfg = nsfnet_config(320, trials=2, measured_requests=800, warmup_requests=200)
-    import warnings as w
-
-    with w.catch_warnings():
-        w.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         result = sweep(cfg, [320, 340])
     trials_csv = tmp_path / "trials.csv"
     summary_csv = tmp_path / "summary.csv"

@@ -14,6 +14,7 @@ from eonsim.spectrum import (
     first_fit,
     free_runs,
     path_congestion,
+    run_shifts,
 )
 from reference import (
     best_fit_oracle,
@@ -30,6 +31,14 @@ from reference import (
 def free_of(occupied_bits):
     n = len(occupied_bits)
     return path_free_mask([pack_bits(occupied_bits)], n), n
+
+
+def first_fit_start(grids, size):
+    """``first_fit`` on a path whose fibers hold ``grids``; None for no fit."""
+    n = len(grids[0])
+    occ = [pack_bits(g) for g in grids]
+    start = first_fit(occ, range(len(grids)), (1 << n) - 1, run_shifts(size))
+    return None if start < 0 else start
 
 
 # --- path free mask -------------------------------------------------------
@@ -62,18 +71,20 @@ def test_path_free_empty_network():
 # --- first fit -------------------------------------------------------------
 
 def test_first_fit_example():
-    free, _ = free_of([1, 1, 0, 0, 1, 0, 0, 0])
-    assert first_fit(free, 2) == SlotBlock(2, 2)
+    assert first_fit_start([[1, 1, 0, 0, 1, 0, 0, 0]], 2) == 2
 
 
 def test_first_fit_whole_grid():
-    free, _ = free_of([0] * 10)
-    assert first_fit(free, 10) == SlotBlock(0, 10)
+    assert first_fit_start([[0] * 10], 10) == 0
 
 
 def test_first_fit_no_contiguous_pair():
-    free, _ = free_of([0, 1, 0, 1, 0])
-    assert first_fit(free, 2) is None
+    assert first_fit_start([[0, 1, 0, 1, 0]], 2) is None
+
+
+def test_first_fit_needs_the_block_free_on_every_fiber():
+    # each fiber alone has a 2-slot run at 0; only slots 4-5 are free on both
+    assert first_fit_start([[0, 0, 1, 1, 0, 0], [0, 1, 0, 0, 0, 0]], 2) == 4
 
 
 # --- best fit --------------------------------------------------------------
@@ -104,8 +115,7 @@ def test_fit_functions_match_bruteforce_scan():
         occ = list((rng.random(n) < rng.random()).astype(int))
         free = path_free_mask([pack_bits(occ)], n)
         size = int(rng.integers(1, n + 2))
-        ff = first_fit(free, size)
-        assert (ff.start if ff else None) == first_fit_oracle(occ, size)
+        assert first_fit_start([occ], size) == first_fit_oracle(occ, size)
         bf = best_fit_run(free, n, size)
         assert (bf[0].start if bf else None) == best_fit_oracle(occ, size)
 
@@ -115,8 +125,7 @@ def test_fit_functions_match_bruteforce_scan():
 def test_fit_functions_match_oracle_hypothesis(occ, size):
     n = len(occ)
     free = path_free_mask([pack_bits(occ)], n)
-    ff = first_fit(free, size)
-    assert (ff.start if ff else None) == first_fit_oracle(occ, size)
+    assert first_fit_start([occ], size) == first_fit_oracle(occ, size)
     bf = best_fit_run(free, n, size)
     assert (bf[0].start if bf else None) == best_fit_oracle(occ, size)
 
