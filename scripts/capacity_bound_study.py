@@ -13,7 +13,7 @@ import sys
 import warnings
 
 from eonsim.bounds import CrossingNotBracketedError, bound_sweep
-from eonsim.cli import parse_loads
+from eonsim.cli import non_negative_int, parse_loads, positive_int, sbp
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
 from eonsim.topology import PathOrdering
@@ -26,10 +26,10 @@ def main():
     parser.add_argument("--heuristic", default="ksp-ff", choices=["ksp-ff", "ff-ksp"])
     parser.add_argument("--k", type=int, default=50)
     parser.add_argument("--loads", default="240:360:30")
-    parser.add_argument("--trials", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=100)
-    parser.add_argument("--target-sbp", type=float, default=1e-3)
-    parser.add_argument("--jobs", type=int, default=2)
+    parser.add_argument("--trials", type=positive_int, default=10)
+    parser.add_argument("--seed", type=non_negative_int, default=100)
+    parser.add_argument("--target-sbp", type=sbp, default=1e-3)
+    parser.add_argument("--jobs", type=positive_int, default=2)
     args = parser.parse_args()
 
     preset = get_preset(args.preset)

@@ -12,10 +12,11 @@ Example:
 """
 import argparse
 import csv
+import math
 import sys
 import warnings
 
-from eonsim.cli import parse_loads
+from eonsim.cli import non_negative_int, parse_loads, positive_int
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
 from eonsim.simulator import sweep
@@ -41,9 +42,9 @@ def main():
     parser.add_argument("--k-values", default="2:26:4", help="K range for by-k")
     parser.add_argument("--loads", default="240:360:30", help="load range for by-load")
     parser.add_argument("--heuristics", default=",".join(h.value for h in HeuristicKind))
-    parser.add_argument("--trials", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=2)
+    parser.add_argument("--trials", type=positive_int, default=10)
+    parser.add_argument("--seed", type=non_negative_int, default=0)
+    parser.add_argument("--jobs", type=positive_int, default=2)
     parser.add_argument("--out", default=None, help="optional CSV path")
     args = parser.parse_args()
 
@@ -54,20 +55,16 @@ def main():
     rows = []
     if args.mode == "by-k":
         k_values = [int(v) for v in parse_loads(args.k_values)]
-        for kind in kinds:
-            for k in k_values:
-                p = run_point(preset, topo, kind, k, args.load, args.trials, args.seed, args.jobs)
-                rows.append((kind.value, k, args.load, p.mean_sbp, p.std_sbp))
-                print(f"{kind.value:8s} k={k:3d} load={args.load:g}: "
-                      f"SBP {p.mean_sbp:.5f} ± {p.std_sbp:.5f}")
+        points = [(k, args.load) for k in k_values]
     else:
-        loads = parse_loads(args.loads)
-        for kind in kinds:
-            for load in loads:
-                p = run_point(preset, topo, kind, args.k, load, args.trials, args.seed, args.jobs)
-                rows.append((kind.value, args.k, load, p.mean_sbp, p.std_sbp))
-                print(f"{kind.value:8s} k={args.k:3d} load={load:g}: "
-                      f"SBP {p.mean_sbp:.5f} ± {p.std_sbp:.5f}")
+        points = [(args.k, load) for load in parse_loads(args.loads)]
+    for kind in kinds:
+        for k, load in points:
+            p = run_point(preset, topo, kind, k, load, args.trials, args.seed, args.jobs)
+            undefined = math.isnan(p.std_sbp)  # one trial: empty field, as in summary.csv
+            rows.append((kind.value, k, load, p.mean_sbp, "" if undefined else p.std_sbp))
+            std = "n/a" if undefined else f"{p.std_sbp:.5f}"
+            print(f"{kind.value:8s} k={k:3d} load={load:g}: SBP {p.mean_sbp:.5f} ± {std}")
 
     if args.out:
         with open(args.out, "w", newline="") as fh:

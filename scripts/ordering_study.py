@@ -10,11 +10,13 @@ Example:
   python scripts/ordering_study.py --topologies nsfnet,cost239 --load 260
 """
 import argparse
+import math
 import sys
 import warnings
 
 import numpy as np
 
+from eonsim.cli import non_negative_int, positive_int
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
 from eonsim.simulator import sweep
@@ -38,9 +40,9 @@ def main():
     parser.add_argument("--preset", default="deeprmsa")
     parser.add_argument("--topologies", default="nsfnet,cost239")
     parser.add_argument("--load", type=float, default=260.0)
-    parser.add_argument("--trials", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=2)
+    parser.add_argument("--trials", type=positive_int, default=10)
+    parser.add_argument("--seed", type=non_negative_int, default=0)
+    parser.add_argument("--jobs", type=positive_int, default=2)
     args = parser.parse_args()
 
     preset = get_preset(args.preset)
@@ -68,8 +70,9 @@ def main():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 p = sweep(cfg, [args.load], jobs=args.jobs).points[0]
+            std = "n/a" if math.isnan(p.std_sbp) else f"{p.std_sbp:.5f}"  # one trial
             print(f"  5-sp-ff {ordering.value:4s} @ {args.load:g} E: "
-                  f"SBP {p.mean_sbp:.5f} ± {p.std_sbp:.5f}")
+                  f"SBP {p.mean_sbp:.5f} ± {std}")
     return 0
 
 

@@ -5,7 +5,7 @@ from .heuristics import HeuristicKind, decide
 from .presets import PRESETS, get_preset
 from .service import ModulationTable
 from .simulator import SimConfig, estimate_warmup, run_trial, sweep
-from .topology import PathOrdering, Topology, k_shortest_paths, load_bundled, load_topology
+from .topology import PathOrdering, Topology, k_shortest_paths, load_topology
 from .traffic import TrafficConfig, generate_stream
 
 __version__ = "0.1.0"
@@ -25,7 +25,6 @@ __all__ = [
     "generate_stream",
     "get_preset",
     "k_shortest_paths",
-    "load_bundled",
     "load_topology",
     "run_trial",
     "sweep",

@@ -50,8 +50,8 @@ from .simulator import (
     write_summary_csv,
     write_trials_csv,
 )
-from .topology import PathOrdering, Topology, TopologyError, load_bundled, load_topology, ordering_overlap
-from .traffic import TRUNCATED_MEAN_RATIO, TrafficConfigError, sample_holding_times
+from .topology import PathOrdering, TopologyError, load_topology, ordering_overlap
+from .traffic import HOLDING_TIME_MEAN, TRUNCATED_MEAN_RATIO, TrafficConfigError, sample_holding_times
 
 
 class CliError(ValueError):
@@ -59,7 +59,10 @@ class CliError(ValueError):
 
 
 def parse_loads(spec: str) -> list[float]:
-    """Parse ``start:stop:step`` (inclusive stop) or a comma list."""
+    """Parse ``start:stop:step`` (inclusive stop) or a comma list of loads.
+
+    The result is never empty, and every load is finite and > 0.
+    """
     spec = spec.strip()
     try:
         if ":" in spec:
@@ -67,6 +70,8 @@ def parse_loads(spec: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError("expected start:stop:step")
             start, stop, step = (float(p) for p in parts)
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ValueError("need finite start, stop and step")
             if step <= 0 or stop < start:
                 raise ValueError("need step > 0 and stop >= start")
             loads = []
@@ -74,26 +79,15 @@ def parse_loads(spec: str) -> list[float]:
             while value <= stop + 1e-9:
                 loads.append(round(value, 9))
                 value += step
-            return loads
-        loads = [float(p) for p in spec.split(",") if p.strip()]
+        else:
+            loads = [float(p) for p in spec.split(",") if p.strip()]
         if not loads:
             raise ValueError("empty list")
+        if not all(math.isfinite(load) and load > 0 for load in loads):
+            raise ValueError("every load must be finite and > 0")
         return loads
     except ValueError as exc:
         raise CliError(f"malformed --loads {spec!r}: {exc}") from None
-
-
-def _resolve_topology(args, preset=None) -> Topology:
-    name = args.topology
-    if name is None:
-        raise CliError("--topology is required")
-    slots = getattr(args, "slots", None)
-    fiber_mode = getattr(args, "fiber_mode", None)
-    if Path(name).is_file():
-        return load_topology(name, slots_per_fiber=slots, fiber_mode=fiber_mode)
-    if preset is not None:
-        return preset.load_topology(name, slots_per_fiber=slots, fiber_mode=fiber_mode)
-    return load_bundled(name, slots_per_fiber=slots, fiber_mode=fiber_mode)
 
 
 def _out_dir(args) -> Path:
@@ -161,21 +155,17 @@ def _sim_config(args, preset, topology, load0: float):
     )
 
 
-def _manifest_args(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
-
-
-_SWEEP_KEYS = (
-    "preset", "topology", "heuristic", "k", "ordering", "loads", "trials",
-    "seed", "warmup", "measured", "slots", "fiber_mode", "guard_slots",
-    "modulation_file", "jobs", "out",
-)
+def _manifest_args(args) -> dict:
+    """Every parsed option of the subcommand, as ``rerun`` replays it."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
 
 
 def _run_config(args):
     """Validated config and loads of a run, before its output directory exists."""
     preset = get_preset(args.preset)
-    topology = _resolve_topology(args, preset)
+    topology = preset.load_topology(
+        args.topology, slots_per_fiber=args.slots, fiber_mode=args.fiber_mode
+    )
     loads = parse_loads(args.loads)
     check_loads(loads)
     return _sim_config(args, preset, topology, loads[0]), loads
@@ -188,7 +178,7 @@ def cmd_sweep(args) -> int:
     result = sweep(config, loads, jobs=args.jobs)
     write_trials_csv(result, out / "trials.csv")
     write_summary_csv(result, out / "summary.csv")
-    _write_manifest(out, "sweep", _manifest_args(args, _SWEEP_KEYS))
+    _write_manifest(out, "sweep", _manifest_args(args))
     _write_meta(out, started)
     for p in result.points:
         std = "n/a" if math.isnan(p.std_sbp) else f"{p.std_sbp:.2g}"  # one trial: undefined
@@ -216,8 +206,7 @@ def cmd_bound(args) -> int:
     if args.record_outcomes:
         write_outcomes_csv(result.bound, out / "outcomes.csv")
 
-    keys = _SWEEP_KEYS + ("target_sbp", "record_outcomes")
-    _write_manifest(out, "bound", _manifest_args(args, keys))
+    _write_manifest(out, "bound", _manifest_args(args))
     _write_meta(out, started)
 
     for hp, bp in zip(result.heuristic.points, result.bound.points):
@@ -241,8 +230,8 @@ def cmd_bound(args) -> int:
 def cmd_warmup(args) -> int:
     started = time.time()
     loads = parse_loads(args.loads)
-    if args.trials < 1 or min(loads) <= 0:
-        raise CliError(f"warmup needs --trials >= 1 and loads > 0, got {args.trials} and {loads}")
+    if args.trials < 1:
+        raise CliError(f"warmup needs --trials >= 1, got {args.trials}")
     out = _out_dir(args)
     estimates = [
         estimate_warmup(load, args.trials, seed=args.seed) for load in loads
@@ -266,8 +255,7 @@ def cmd_warmup(args) -> int:
             json.dumps({"slope": round(slope, 6), "intercept": round(intercept, 6)}, indent=2)
             + "\n"
         )
-    keys = ("loads", "trials", "seed", "out")
-    _write_manifest(out, "warmup", _manifest_args(args, keys))
+    _write_manifest(out, "warmup", _manifest_args(args))
     _write_meta(out, started)
     for est in estimates:
         print(
@@ -296,7 +284,7 @@ def cmd_truncation_demo(args) -> int:
 
 def cmd_paths(args) -> int:
     started = time.time()
-    topology = _resolve_topology(args)
+    topology = load_topology(args.topology)
     ordering = PathOrdering(args.ordering)
     rows = []
     counts = []
@@ -326,8 +314,7 @@ def cmd_paths(args) -> int:
             fh.write("src,dst,paths,best_hops,best_km\n")
             for src, dst, n, hops, km in rows:
                 fh.write(f"{src},{dst},{n},{hops},{km:.12g}\n")
-        keys = ("topology", "k", "ordering", "diagnose_orderings", "out")
-        _write_manifest(out, "paths", _manifest_args(args, keys))
+        _write_manifest(out, "paths", _manifest_args(args))
         _write_meta(out, started)
         print(f"wrote {out / 'paths.csv'}")
     return 0
@@ -344,9 +331,9 @@ def cmd_presets(args) -> int:
         )
         print(
             f"{p.name}: fiber={p.fiber_mode}, slots={p.slots_per_fiber}, "
-            f"demand={demand}, modulation={'on' if p.use_modulation else 'off'}, "
+            f"demand={demand}, modulation={'on' if p.rate_gbps_range else 'off'}, "
             f"truncation={'on' if p.truncate_holding else 'off'}, "
-            f"mean holding={p.holding_time_mean:g}"
+            f"mean holding={HOLDING_TIME_MEAN:g}"
         )
         if p.topology_aliases:
             print(f"    topology aliases: {dict(p.topology_aliases)}")
@@ -395,21 +382,21 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
-def _sbp(text: str) -> float:
+def sbp(text: str) -> float:
     value = float(text)
     if not 0 < value < 1:
         raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {value:g}")
     return value
 
 
-def _non_negative_int(text: str) -> int:
+def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -427,7 +414,7 @@ def _add_common_run_flags(sub):
     sub.add_argument("--loads", required=True,
                      help="start:stop:step (inclusive) or comma-separated list")
     sub.add_argument("--trials", type=int, default=10)
-    sub.add_argument("--seed", type=_non_negative_int, default=0)
+    sub.add_argument("--seed", type=non_negative_int, default=0)
     sub.add_argument("--warmup", type=int, default=3000,
                      help="warm-up requests before the measured window")
     sub.add_argument("--measured", type=int, default=10000,
@@ -440,7 +427,7 @@ def _add_common_run_flags(sub):
                      help="extra guard slots appended to every demand")
     sub.add_argument("--modulation-file", default=None,
                      help="JSON file overriding the default modulation table")
-    sub.add_argument("--jobs", type=_positive_int, default=_available_cpus(),
+    sub.add_argument("--jobs", type=positive_int, default=_available_cpus(),
                      help="parallel trial workers (default: available CPUs)")
     sub.add_argument("--out", required=True, help="output directory for artifacts")
 
@@ -459,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("bound", help="defragmentation blocking bound and capacity gain")
     _add_common_run_flags(s)
-    s.add_argument("--target-sbp", type=_sbp, default=1e-3)
+    s.add_argument("--target-sbp", type=sbp, default=1e-3)
     s.add_argument("--record-outcomes", action="store_true",
                    help="also write a per-request outcome CSV")
     s.set_defaults(func=cmd_bound)
@@ -467,21 +454,19 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("warmup", help="MSER-5 warm-up length distribution")
     s.add_argument("--loads", required=True)
     s.add_argument("--trials", type=int, default=100)
-    s.add_argument("--seed", type=_non_negative_int, default=0)
+    s.add_argument("--seed", type=non_negative_int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_warmup)
 
     s = subs.add_parser("truncation-demo", help="holding-time truncation statistics")
-    s.add_argument("--samples", type=_positive_int, default=1_000_000)
-    s.add_argument("--seed", type=_non_negative_int, default=0)
+    s.add_argument("--samples", type=positive_int, default=1_000_000)
+    s.add_argument("--seed", type=non_negative_int, default=0)
     s.set_defaults(func=cmd_truncation_demo)
 
     s = subs.add_parser("paths", help="candidate-path audit")
     s.add_argument("--topology", required=True)
     s.add_argument("--k", type=int, default=5)
     s.add_argument("--ordering", choices=["km", "hops"], default="hops")
-    s.add_argument("--slots", type=int, default=None)
-    s.add_argument("--fiber-mode", choices=["dual", "single"], default=None)
     s.add_argument("--diagnose-orderings", action="store_true",
                    help="also report path overlap between km and hops orderings")
     s.add_argument("--out", default=None)

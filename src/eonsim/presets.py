@@ -1,7 +1,7 @@
 """Problem-setting presets for the recreated benchmark studies.
 
-Each preset pins the fiber mode, slot count, demand model, holding-time
-truncation and modulation handling of one published study family:
+Each preset pins the fiber mode, slot count, demand model and
+holding-time truncation of one published study family:
 
 * ``deeprmsa`` / ``reward-rmsa`` / ``gcn-rmsa``: dual-fiber links,
   100 FSU, 25-100 Gbps requests with distance-adaptive modulation, and
@@ -11,9 +11,11 @@ truncation and modulation handling of one published study family:
 * ``ptrnet-40`` / ``ptrnet-80``: single-fiber links with 40/80 FSU and
   fixed 1 / 1-4 slot demands; no modulation table (fixed-width mode).
 
-All presets use a mean holding time of 10 time units.  Topology, k,
-ordering and loads stay free parameters; ptrnet presets transparently
-map the shared topology names onto their variant files.
+Modulation is on exactly when demands are data rates, and every preset
+shares the traffic module's mean holding time.  Topology, k, ordering
+and loads stay free parameters.  A preset's slot count and fiber mode
+apply to any topology it loads, bundled or from a file; ptrnet presets
+also map the shared topology names onto their variant files.
 """
 from __future__ import annotations
 
@@ -24,12 +26,12 @@ from typing import Mapping
 from .heuristics import HeuristicKind
 from .service import ModulationTable
 from .simulator import SimConfig
-from .topology import PathOrdering, Topology, load_bundled
+from .topology import PathOrdering, Topology, load_topology
 from .traffic import TrafficConfig
 
 
 class PresetError(ValueError):
-    """Unknown preset name or incompatible preset usage."""
+    """Unknown preset name."""
 
 
 @dataclass(frozen=True)
@@ -38,39 +40,27 @@ class ExperimentPreset:
     fiber_mode: str
     slots_per_fiber: int
     truncate_holding: bool
-    use_modulation: bool
     rate_gbps_range: tuple[int, int] | None = None
     fixed_slot_choices: tuple[int, ...] | None = None
-    holding_time_mean: float = 10.0
     topology_aliases: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.use_modulation == (self.fixed_slot_choices is not None):
-            raise PresetError(
-                f"preset {self.name}: fixed-width demands and the modulation "
-                "table are mutually exclusive"
-            )
-
-    def resolve_topology_name(self, name: str) -> str:
-        return self.topology_aliases.get(name, name)
 
     def load_topology(
         self,
-        name: str,
+        source: str,
         *,
         slots_per_fiber: int | None = None,
         fiber_mode: str | None = None,
     ) -> Topology:
-        return load_bundled(
-            self.resolve_topology_name(name),
+        """A bundled topology or file under this preset's grid, unless overridden."""
+        return load_topology(
+            self.topology_aliases.get(source, source),
             slots_per_fiber=self.slots_per_fiber if slots_per_fiber is None else slots_per_fiber,
             fiber_mode=self.fiber_mode if fiber_mode is None else fiber_mode,
         )
 
     def traffic_config(self, load_erlangs: float) -> TrafficConfig:
-        return TrafficConfig.from_load(
+        return TrafficConfig(
             load_erlangs,
-            holding_time_mean=self.holding_time_mean,
             rate_gbps_range=self.rate_gbps_range,
             fixed_slot_choices=self.fixed_slot_choices,
             truncate_holding=self.truncate_holding,
@@ -86,7 +76,7 @@ class ExperimentPreset:
         **overrides,
     ) -> SimConfig:
         modulation = overrides.pop(
-            "modulation", ModulationTable.default() if self.use_modulation else None
+            "modulation", ModulationTable.default() if self.rate_gbps_range else None
         )
         return SimConfig(
             topology=topology,
@@ -103,7 +93,6 @@ _DEEPRMSA_FAMILY = dict(
     fiber_mode="dual",
     slots_per_fiber=100,
     truncate_holding=True,
-    use_modulation=True,
     rate_gbps_range=(25, 100),
 )
 
@@ -121,7 +110,6 @@ PRESETS: Mapping[str, ExperimentPreset] = MappingProxyType(
             fiber_mode="single",
             slots_per_fiber=100,
             truncate_holding=False,
-            use_modulation=True,
             rate_gbps_range=(25, 100),
         ),
         "ptrnet-40": ExperimentPreset(
@@ -129,7 +117,6 @@ PRESETS: Mapping[str, ExperimentPreset] = MappingProxyType(
             fiber_mode="single",
             slots_per_fiber=40,
             truncate_holding=False,
-            use_modulation=False,
             fixed_slot_choices=(1,),
             topology_aliases=_PTRNET_ALIASES,
         ),
@@ -138,7 +125,6 @@ PRESETS: Mapping[str, ExperimentPreset] = MappingProxyType(
             fiber_mode="single",
             slots_per_fiber=80,
             truncate_holding=False,
-            use_modulation=False,
             fixed_slot_choices=(1, 2, 3, 4),
             topology_aliases=_PTRNET_ALIASES,
         ),

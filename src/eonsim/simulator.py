@@ -28,7 +28,7 @@ from .heuristics import Decision, HeuristicKind, decide
 from .service import ModulationTable
 from .spectrum import SlotBlock, SpectrumState
 from .topology import CandidatePath, PathOrdering, Topology
-from .traffic import ServiceRequest, TrafficConfig, generate_stream
+from .traffic import HOLDING_TIME_MEAN, ServiceRequest, TrafficConfig, generate_stream
 
 #: ``sweep`` warns when a load pools fewer blocking events than this
 MIN_BLOCKING_EVENTS = 100
@@ -73,7 +73,7 @@ class SimConfig:
         return self.warmup_requests + self.measured_requests
 
     def with_load(self, load_erlangs: float) -> "SimConfig":
-        return replace(self, traffic=self.traffic.with_load(load_erlangs))
+        return replace(self, traffic=replace(self.traffic, load_erlangs=load_erlangs))
 
 
 @dataclass(frozen=True)
@@ -357,10 +357,9 @@ def nonblocking_active_series(
     load_erlangs: float, n_requests: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Active-connection count after each arrival when nothing blocks."""
-    holding_time_mean = 10.0  # the count series depends on the load only
-    lam = load_erlangs / holding_time_mean
+    lam = load_erlangs / HOLDING_TIME_MEAN
     arrivals = np.cumsum(rng.exponential(1.0 / lam, n_requests))
-    expiries = arrivals + rng.exponential(holding_time_mean, n_requests)
+    expiries = arrivals + rng.exponential(HOLDING_TIME_MEAN, n_requests)
     departed = np.searchsorted(np.sort(expiries), arrivals, side="left")
     return np.arange(1, n_requests + 1) - departed
 
@@ -409,8 +408,8 @@ def estimate_warmup(
     the upper whisker (largest point within 1.5 IQR above the third
     quartile), the statistic the warm-up rule-of-thumb fit uses.
     """
-    if load_erlangs <= 0:
-        raise SimConfigError(f"load must be > 0, got {load_erlangs}")
+    if not (math.isfinite(load_erlangs) and load_erlangs > 0):
+        raise SimConfigError(f"load must be finite and > 0, got {load_erlangs}")
     if trials < 1:
         raise SimConfigError(f"trials must be >= 1, got {trials}")
     n = max(1000, int(math.ceil(WARMUP_HORIZON_FACTOR * load_erlangs)))

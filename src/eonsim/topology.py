@@ -172,27 +172,29 @@ def load_topology(
     slots_per_fiber: int | None = None,
     fiber_mode: str | None = None,
 ) -> Topology:
-    """Load a topology from a JSON document.
+    """Load a topology from a JSON file, or else a bundled one by name.
 
+    ``source`` is read as a path when a file exists there; otherwise it
+    names one of the topologies shipped in the package data directory.
     Keyword overrides replace the slot count or fiber mode stored in
-    the file, so one physical graph can serve several problem settings.
+    the document, so one physical graph can serve several problem
+    settings.
     """
     path = Path(source)
+    if not path.is_file():
+        data_dir = resources.files("eonsim") / "data"
+        path = data_dir / f"{source}.json"
+        if not path.is_file():
+            bundled = sorted(p.name[: -len(".json")] for p in data_dir.iterdir()
+                             if p.name.endswith(".json"))
+            raise TopologyError(
+                f"no topology file or bundled topology named {str(source)!r}; "
+                f"bundled: {bundled}"
+            )
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise TopologyError(f"cannot parse topology file {path}: {exc}") from exc
-    return topology_from_dict(
-        doc, slots_per_fiber=slots_per_fiber, fiber_mode=fiber_mode
-    )
-
-
-def topology_from_dict(
-    doc: dict,
-    *,
-    slots_per_fiber: int | None = None,
-    fiber_mode: str | None = None,
-) -> Topology:
     schema = doc.get("schema")
     if schema != TOPOLOGY_SCHEMA:
         raise TopologyError(f"unsupported topology schema {schema!r}")
@@ -207,28 +209,6 @@ def topology_from_dict(
         )
     except KeyError as exc:
         raise TopologyError(f"topology document missing field {exc}") from exc
-
-
-def bundled_topology_names() -> list[str]:
-    data_dir = resources.files("eonsim") / "data"
-    return sorted(p.name[: -len(".json")] for p in data_dir.iterdir() if p.name.endswith(".json"))
-
-
-def load_bundled(
-    name: str,
-    *,
-    slots_per_fiber: int | None = None,
-    fiber_mode: str | None = None,
-) -> Topology:
-    """Load one of the topologies shipped in the package data directory."""
-    data_dir = resources.files("eonsim") / "data"
-    candidate = data_dir / f"{name}.json"
-    if not candidate.is_file():
-        raise TopologyError(
-            f"no bundled topology named {name!r}; available: {bundled_topology_names()}"
-        )
-    doc = json.loads(candidate.read_text())
-    return topology_from_dict(doc, slots_per_fiber=slots_per_fiber, fiber_mode=fiber_mode)
 
 
 def _sort_key(ordering: PathOrdering):

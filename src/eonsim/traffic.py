@@ -1,9 +1,11 @@
 """Seeded stochastic request streams.
 
-Arrivals are Poisson (exponential inter-arrival times at rate lambda),
-holding times exponential with mean tau, endpoints uniform over ordered
-node pairs, and demands either uniform integer data rates or a fixed
-slot-count set.  Offered load in Erlangs is lambda * tau.
+A traffic model is stated by its offered load A in Erlangs.  Holding
+times are exponential with the fixed mean ``HOLDING_TIME_MEAN`` (tau),
+so arrivals are Poisson at rate lambda = A / tau (exponential
+inter-arrival times).  Endpoints are uniform over ordered node pairs,
+and demands either uniform integer data rates or a fixed slot-count
+set.
 
 Some traffic models resample any holding time exceeding twice the mean
 ("holding-time truncation").  Resampling, not clamping: clamping would
@@ -18,12 +20,14 @@ distribution never perturbs draws from the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
+#: mean holding time tau, in the time unit of arrival and holding times
+HOLDING_TIME_MEAN = 10.0
 TRUNCATED_MEAN_RATIO = (1.0 - 3.0 * math.exp(-2.0)) / (1.0 - math.exp(-2.0))
 
 
@@ -33,21 +37,16 @@ class TrafficConfigError(ValueError):
 
 @dataclass(frozen=True)
 class TrafficConfig:
-    """Traffic model parameters; offered load is the lambda*tau product."""
+    """Traffic model parameters, stated by the offered load in Erlangs."""
 
-    arrival_rate: float
-    holding_time_mean: float = 10.0
+    load_erlangs: float
     rate_gbps_range: tuple[int, int] | None = (25, 100)
     fixed_slot_choices: tuple[int, ...] | None = None
     truncate_holding: bool = False
 
     def __post_init__(self):
-        if self.arrival_rate <= 0:
-            raise TrafficConfigError(f"arrival_rate must be > 0, got {self.arrival_rate}")
-        if self.holding_time_mean <= 0:
-            raise TrafficConfigError(
-                f"holding_time_mean must be > 0, got {self.holding_time_mean}"
-            )
+        if not (math.isfinite(self.load_erlangs) and self.load_erlangs > 0):
+            raise TrafficConfigError(f"load must be finite and > 0, got {self.load_erlangs}")
         if (self.rate_gbps_range is None) == (self.fixed_slot_choices is None):
             raise TrafficConfigError(
                 "exactly one of rate_gbps_range / fixed_slot_choices must be set"
@@ -61,24 +60,8 @@ class TrafficConfig:
                 raise TrafficConfigError(f"bad slot choices {self.fixed_slot_choices}")
 
     @property
-    def load_erlangs(self) -> float:
-        return self.arrival_rate * self.holding_time_mean
-
-    @classmethod
-    def from_load(cls, load_erlangs: float, holding_time_mean: float = 10.0, **kwargs):
-        """Build a config from offered load, deriving the arrival rate."""
-        if load_erlangs <= 0:
-            raise TrafficConfigError(f"load must be > 0, got {load_erlangs}")
-        cfg = cls(
-            arrival_rate=load_erlangs / holding_time_mean,
-            holding_time_mean=holding_time_mean,
-            **kwargs,
-        )
-        assert abs(cfg.load_erlangs - load_erlangs) < 1e-9
-        return cfg
-
-    def with_load(self, load_erlangs: float) -> "TrafficConfig":
-        return replace(self, arrival_rate=load_erlangs / self.holding_time_mean)
+    def arrival_rate(self) -> float:
+        return self.load_erlangs / HOLDING_TIME_MEAN
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,7 +117,7 @@ def generate_stream(
     arr_rng, hold_rng, demand_rng, pair_rng = _substreams(seed)
     arrivals = np.cumsum(arr_rng.exponential(1.0 / config.arrival_rate, n_requests))
     holdings = sample_holding_times(
-        config.holding_time_mean, config.truncate_holding, hold_rng, n_requests
+        HOLDING_TIME_MEAN, config.truncate_holding, hold_rng, n_requests
     )
 
     if config.rate_gbps_range is not None:

@@ -320,15 +320,17 @@ def reference_stream(config, n_requests, nodes, seed):
     """The seeded request stream, drawn as documented and built one request at a time.
 
     The seed spawns four generators, in order: arrivals, holding times,
-    demands, endpoints.  Holding times above twice the mean are redrawn
-    while truncating; the destination index skips the source's.  Every
-    field is read off the numpy arrays element by element.
+    demands, endpoints.  Holding times have the documented mean of 10
+    time units, so arrivals come at the load over 10.  Holding times
+    above twice the mean are redrawn while truncating; the destination
+    index skips the source's.  Every field is read off the numpy arrays
+    element by element.
     """
     arr_rng, hold_rng, demand_rng, pair_rng = (
         np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(4)
     )
-    arrivals = np.cumsum(arr_rng.exponential(1.0 / config.arrival_rate, n_requests))
-    mean = config.holding_time_mean
+    mean = 10.0
+    arrivals = np.cumsum(arr_rng.exponential(1.0 / (config.load_erlangs / mean), n_requests))
     holdings = hold_rng.exponential(mean, n_requests)
     while config.truncate_holding and (holdings > 2.0 * mean).any():
         long = holdings > 2.0 * mean

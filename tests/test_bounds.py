@@ -54,7 +54,7 @@ def wire_config(topology, n_measured, **kw):
         heuristic=HeuristicKind.KSP_FF,
         k=1,
         ordering=ORDER,
-        traffic=TrafficConfig.from_load(
+        traffic=TrafficConfig(
             1.0, rate_gbps_range=None, fixed_slot_choices=(1,)
         ),
         warmup_requests=0,
@@ -204,7 +204,7 @@ def test_rebuild_skips_rank0_beyond_every_reach():
     formats = [(1, 1000.0), (2, 500.0)]
     table = ModulationTable([ModulationFormat(f"m{b}", b, r) for b, r in formats])
     cfg = wire_config(topo, n_measured=4, k=2, modulation=table,
-                      traffic=TrafficConfig.from_load(1.0, rate_gbps_range=(25, 100)))
+                      traffic=TrafficConfig(1.0, rate_gbps_range=(25, 100)))
 
     def rate_req(rid, arrival, holding, rate, src="A"):
         return ServiceRequest(id=rid, src=src, dst="D", arrival_time=arrival,
@@ -379,8 +379,8 @@ def test_bound_csv_writers(tmp_path):
     topo = wire(8)
     cfg = wire_config(
         topo, n_measured=200,
-        traffic=TrafficConfig.from_load(4.0, rate_gbps_range=None,
-                                        fixed_slot_choices=(1, 2, 3)),
+        traffic=TrafficConfig(4.0, rate_gbps_range=None,
+                              fixed_slot_choices=(1, 2, 3)),
         trials=2,
     )
     with warnings.catch_warnings():
@@ -419,8 +419,8 @@ def test_bound_sweep_end_to_end_tiny():
     topo = wire(8)
     cfg = wire_config(
         topo, n_measured=600,
-        traffic=TrafficConfig.from_load(3.0, rate_gbps_range=None,
-                                        fixed_slot_choices=(1, 2, 3)),
+        traffic=TrafficConfig(3.0, rate_gbps_range=None,
+                              fixed_slot_choices=(1, 2, 3)),
         trials=3,
     )
     with warnings.catch_warnings():

@@ -9,6 +9,7 @@ import pytest
 from eonsim import bounds, cli, simulator
 from eonsim.cli import CliError, build_parser, main, parse_loads
 from eonsim.presets import PRESETS, get_preset
+from eonsim.traffic import HOLDING_TIME_MEAN
 
 
 def run(argv):
@@ -29,7 +30,12 @@ def test_parse_loads_comma_list():
     assert parse_loads("200,220.5,240") == [200.0, 220.5, 240.0]
 
 
-@pytest.mark.parametrize("bad", ["", "10:5:1", "1:10:0", "a,b", "1:2", "1:2:3:4"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "10:5:1", "1:10:0", "a,b", "1:2", "1:2:3:4",
+     "100,nan", "100,inf", "nan,100", "0,100", "-5", ",",
+     "nan:10:1", "1:inf:1", "-inf:10:1", "1:10:nan", "1:10:inf", "0:10:5"],
+)
 def test_parse_loads_rejects_malformed(bad):
     with pytest.raises(CliError):
         parse_loads(bad)
@@ -116,9 +122,9 @@ def test_preset_values_match_documented_settings():
     deeprmsa = get_preset("deeprmsa")
     assert deeprmsa.fiber_mode == "dual"
     assert deeprmsa.slots_per_fiber == 100
-    assert deeprmsa.truncate_holding and deeprmsa.use_modulation
+    assert deeprmsa.truncate_holding
     assert deeprmsa.rate_gbps_range == (25, 100)
-    assert deeprmsa.holding_time_mean == 10.0
+    assert HOLDING_TIME_MEAN == 10.0
     for name in ("reward-rmsa", "gcn-rmsa"):
         other = get_preset(name)
         assert (other.fiber_mode, other.slots_per_fiber, other.truncate_holding) == (
@@ -126,9 +132,9 @@ def test_preset_values_match_documented_settings():
         )
     maskrsa = get_preset("maskrsa")
     assert maskrsa.fiber_mode == "single" and not maskrsa.truncate_holding
-    assert maskrsa.use_modulation
+    assert maskrsa.rate_gbps_range == (25, 100)
     p40 = get_preset("ptrnet-40")
-    assert (p40.fiber_mode, p40.slots_per_fiber, p40.use_modulation) == ("single", 40, False)
+    assert (p40.fiber_mode, p40.slots_per_fiber, p40.rate_gbps_range) == ("single", 40, None)
     assert p40.fixed_slot_choices == (1,)
     p80 = get_preset("ptrnet-80")
     assert (p80.slots_per_fiber, p80.fixed_slot_choices) == (80, (1, 2, 3, 4))
@@ -144,6 +150,17 @@ def test_ptrnet_preset_resolves_variant_topology():
     assert topo.name == "cost239-ptrnet"
     assert topo.slots_per_fiber == 40
     assert topo.fiber_mode == "single"
+
+
+def test_preset_grid_applies_to_topology_files(tmp_path):
+    path = tmp_path / "usnet-ptrnet.json"
+    path.write_bytes((resources.files("eonsim") / "data" / "usnet-ptrnet.json").read_bytes())
+    doc = json.loads(path.read_text())
+    assert (doc["slots_per_fiber"], doc["fiber_mode"]) == (80, "single")
+    topo = get_preset("deeprmsa").load_topology(str(path))
+    assert (topo.slots_per_fiber, topo.fiber_mode) == (100, "dual")
+    topo = get_preset("deeprmsa").load_topology(str(path), slots_per_fiber=60)
+    assert (topo.slots_per_fiber, topo.fiber_mode) == (60, "dual")
 
 
 # --- sweep end to end ----------------------------------------------------------------
@@ -236,6 +253,26 @@ def test_rerun_refuses_changed_topology_file(tmp_path, capsys):
     assert run(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "edited")]) == 2
     assert f"--topology {topo}" in capsys.readouterr().err
     assert not (tmp_path / "edited").exists()
+
+
+def test_sweep_on_a_topology_file_runs_on_the_preset_grid(tmp_path):
+    """A file under a preset gets the preset's slots and fibers, as a bundled name does.
+
+    The file stores 80 single-fiber slots; deeprmsa's grid is 100 dual-fiber
+    slots, and the manifest records no override of either.
+    """
+    topo = tmp_path / "usnet-ptrnet.json"
+    topo.write_bytes((resources.files("eonsim") / "data" / "usnet-ptrnet.json").read_bytes())
+    common = (
+        "sweep --preset deeprmsa --k 2 --loads 200 --trials 1 --warmup 50 "
+        "--measured 300 --jobs 1"
+    )
+    assert run(f"{common} --topology {topo} --out {tmp_path / 'file'}".split()) == 0
+    assert run(f"{common} --topology usnet-ptrnet --out {tmp_path / 'name'}".split()) == 0
+    trials = [(tmp_path / d / "trials.csv").read_bytes() for d in ("file", "name")]
+    assert trials[0] == trials[1]
+    args = json.loads((tmp_path / "file" / "manifest.json").read_text())["args"]
+    assert (args["preset"], args["slots"], args["fiber_mode"]) == ("deeprmsa", None, None)
 
 
 # --- paths audit ------------------------------------------------------------------------
@@ -367,6 +404,11 @@ def test_bound_with_scan_all_policy_exits_2_before_any_trial(tmp_path, capsys, m
         "--measured 50 --jobs 1 --slots 0",
         "warmup --loads 100 --trials 0",
         "warmup --loads 0",
+        # a non-finite load is a usage error, not a simulated point
+        "sweep --preset deeprmsa --topology nsfnet --loads 100,nan --trials 1 --jobs 1",
+        "sweep --preset deeprmsa --topology nsfnet --loads 100,inf --trials 1 --jobs 1",
+        "sweep --preset deeprmsa --topology nsfnet --loads nan,100 --trials 1 --jobs 1",
+        "warmup --loads nan",
     ],
 )
 def test_rejected_run_leaves_no_output_dir(tmp_path, argv):

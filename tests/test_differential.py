@@ -41,11 +41,11 @@ def scenarios(draw, kinds):
         scale = draw(st.sampled_from([0.1, 0.3, 1.0]))
         formats = [(bits, reach * scale) for bits, reach in BASE_FORMATS]
         table = ModulationTable([ModulationFormat(f"m{b}", b, r) for b, r in formats])
-        traffic = TrafficConfig.from_load(load, rate_gbps_range=(25, 100))
+        traffic = TrafficConfig(load, rate_gbps_range=(25, 100))
     else:
         formats, table = [], None
         choices = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-        traffic = TrafficConfig.from_load(
+        traffic = TrafficConfig(
             load, rate_gbps_range=None, fixed_slot_choices=tuple(choices)
         )
     warmup = draw(st.integers(0, 10))

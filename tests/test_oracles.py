@@ -5,6 +5,9 @@ blocking probability:
 
 * with 1-slot demands every policy is M/M/N/N, so its SBP is Erlang B,
   E(N, A), and every policy admits exactly the same requests;
+* Erlang B depends on the holding-time distribution only through its
+  mean (insensitivity), so with holding-time truncation the SBP is
+  E(N, r A), where r is the truncated mean's ratio to the untruncated;
 * with multi-slot demands a full rebuild can pack any set whose total
   fits in N slots, so the defragmentation bound is the multi-rate loss
   system whose per-class blocking follows the Kaufman-Roberts
@@ -23,7 +26,7 @@ from eonsim.heuristics import HeuristicKind
 from eonsim.simulator import SimConfig, sweep
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import TrafficConfig
-from reference import erlang_b, kaufman_roberts
+from reference import TRUNCATED_MEAN_ANALYTIC, erlang_b, kaufman_roberts
 
 N_SLOTS = 20
 TRIALS = 8
@@ -33,7 +36,7 @@ MEASURED = 40_000
 TOLERANCE_SE = 4.0
 
 
-def link_point(kind, load, slot_choices, trial_runner=None):
+def link_point(kind, load, slot_choices, trial_runner=None, truncate_holding=False):
     """One swept load on a 2-node single-fiber link of ``N_SLOTS`` slots."""
     topology = Topology(
         "link", ["A", "B"], [("A", "B", 100)], slots_per_fiber=N_SLOTS, fiber_mode="single"
@@ -43,8 +46,9 @@ def link_point(kind, load, slot_choices, trial_runner=None):
         heuristic=kind,
         k=1,
         ordering=PathOrdering.HOPS_THEN_KM,
-        traffic=TrafficConfig.from_load(
-            load, rate_gbps_range=None, fixed_slot_choices=slot_choices
+        traffic=TrafficConfig(
+            load, rate_gbps_range=None, fixed_slot_choices=slot_choices,
+            truncate_holding=truncate_holding,
         ),
         warmup_requests=WARMUP,
         measured_requests=MEASURED,
@@ -70,6 +74,14 @@ def test_single_slot_demands_block_as_erlang_b():
     point = points[HeuristicKind.KSP_FF]
     expected = erlang_b(N_SLOTS, load)
     assert expected == pytest.approx(0.045593, abs=5e-7)
+    assert abs(point.mean_sbp - expected) <= TOLERANCE_SE * standard_error(point)
+
+
+def test_truncated_holding_blocks_as_erlang_b_of_the_truncated_mean():
+    load = 15.0
+    point = link_point(HeuristicKind.KSP_FF, load, (1,), truncate_holding=True)
+    expected = erlang_b(N_SLOTS, TRUNCATED_MEAN_ANALYTIC * load)
+    assert expected == pytest.approx(0.002513, abs=5e-7)
     assert abs(point.mean_sbp - expected) <= TOLERANCE_SE * standard_error(point)
 
 

@@ -30,7 +30,7 @@ ORDER = PathOrdering.HOPS_THEN_KM
 def fixed_slot_traffic(load=10.0, **kw):
     kw.setdefault("rate_gbps_range", None)
     kw.setdefault("fixed_slot_choices", (1,))
-    return TrafficConfig.from_load(load, **kw)
+    return TrafficConfig(load, **kw)
 
 
 def small_config(topology, **kw):
@@ -77,7 +77,7 @@ def test_zero_measured_requests_rejected(single_link):
 
 def test_rate_traffic_requires_modulation(single_link):
     with pytest.raises(SimConfigError, match="modulation"):
-        small_config(single_link, traffic=TrafficConfig.from_load(10.0))
+        small_config(single_link, traffic=TrafficConfig(10.0))
 
 
 # --- event loop semantics ------------------------------------------------------
@@ -318,7 +318,8 @@ def test_truncation_matches_reduced_load_without():
     cfg_plain = dataclasses.replace(
         cfg_trunc,
         traffic=dataclasses.replace(
-            cfg_trunc.traffic.with_load(load * TRUNCATED_MEAN_RATIO),
+            cfg_trunc.traffic,
+            load_erlangs=load * TRUNCATED_MEAN_RATIO,
             truncate_holding=False,
         ),
     )
@@ -442,6 +443,12 @@ def test_estimate_warmup_deterministic():
     a = estimate_warmup(80.0, trials=10, seed=5)
     b = estimate_warmup(80.0, trials=10, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("load", [0.0, -5.0, math.nan, math.inf])
+def test_estimate_warmup_rejects_a_load_that_is_not_finite_and_positive(load):
+    with pytest.raises(SimConfigError, match="load"):
+        estimate_warmup(load, trials=2)
 
 
 def test_warmup_slope_small_scale():

@@ -10,7 +10,6 @@ from eonsim.topology import (
     Topology,
     TopologyError,
     k_shortest_paths,
-    load_bundled,
     load_topology,
     ordering_overlap,
 )
@@ -29,7 +28,7 @@ BUNDLED_COUNTS = {
 
 @pytest.mark.parametrize("name,expected", sorted(BUNDLED_COUNTS.items()))
 def test_bundled_topology_counts(name, expected):
-    topo = load_bundled(name)
+    topo = load_topology(name)
     assert (len(topo.nodes), len(topo.links)) == expected
 
 
@@ -197,7 +196,7 @@ def _all_pairs_equal_reference(topo, k, ordering):
     ],
 )
 def test_ksp_matches_unoptimized_yen_on_bundled(name, k, ordering):
-    _all_pairs_equal_reference(load_bundled(name), k, ordering)
+    _all_pairs_equal_reference(load_topology(name), k, ordering)
 
 
 def fractional_graph(rng):
@@ -260,15 +259,15 @@ def test_zero_overrides_are_rejected_not_ignored():
     from eonsim.presets import get_preset
 
     with pytest.raises(TopologyError, match="slots"):
-        load_bundled("nsfnet", slots_per_fiber=0)
+        load_topology("nsfnet", slots_per_fiber=0)
     with pytest.raises(TopologyError, match="slots"):
         get_preset("deeprmsa").load_topology("nsfnet", slots_per_fiber=0)
     with pytest.raises(TopologyError, match="fiber_mode"):
-        load_bundled("nsfnet", fiber_mode="")
+        load_topology("nsfnet", fiber_mode="")
 
 
 def test_dual_fiber_count_doubles():
-    dual = load_bundled("nsfnet")
-    single = load_bundled("nsfnet", fiber_mode="single")
+    dual = load_topology("nsfnet")
+    single = load_topology("nsfnet", fiber_mode="single")
     assert dual.num_fibers == 2 * len(dual.links)
     assert single.num_fibers == len(single.links)

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eonsim.traffic import (
+    HOLDING_TIME_MEAN,
     TRUNCATED_MEAN_RATIO,
     ServiceRequest,
     TrafficConfig,
@@ -17,7 +19,7 @@ NODES = [str(i) for i in range(1, 15)]
 
 
 def config(**kw):
-    base = dict(arrival_rate=10.0, holding_time_mean=10.0)
+    base = dict(load_erlangs=100.0)
     base.update(kw)
     return TrafficConfig(**base)
 
@@ -25,13 +27,14 @@ def config(**kw):
 # --- config validation -------------------------------------------------------
 
 def test_load_is_rate_times_holding():
-    cfg = config(arrival_rate=25.0, holding_time_mean=10.0)
-    assert cfg.load_erlangs == pytest.approx(250.0)
+    assert HOLDING_TIME_MEAN == 10.0
+    cfg = TrafficConfig(250.0)
+    assert cfg.arrival_rate * HOLDING_TIME_MEAN == pytest.approx(cfg.load_erlangs)
 
 
 def test_from_load_consistency():
-    cfg = TrafficConfig.from_load(300.0)
-    assert cfg.arrival_rate == pytest.approx(30.0)
+    cfg = TrafficConfig(300.0)
+    assert cfg.arrival_rate == 300.0 / HOLDING_TIME_MEAN == pytest.approx(30.0)
     assert cfg.load_erlangs == pytest.approx(300.0, abs=1e-9)
 
 
@@ -44,9 +47,17 @@ def test_exactly_one_demand_model():
 
 def test_positive_parameters_required():
     with pytest.raises(TrafficConfigError):
-        config(arrival_rate=0.0)
+        config(load_erlangs=0.0)
     with pytest.raises(TrafficConfigError):
-        config(holding_time_mean=-1.0)
+        config(load_erlangs=-1.0)
+
+
+@pytest.mark.parametrize("load", [math.nan, math.inf, -math.inf])
+def test_non_finite_load_rejected_on_every_path(load):
+    with pytest.raises(TrafficConfigError, match="finite"):
+        config(load_erlangs=load)
+    with pytest.raises(TrafficConfigError, match="finite"):
+        replace(config(), load_erlangs=load)
 
 
 # --- holding time truncation ---------------------------------------------------
@@ -126,7 +137,7 @@ def test_mean_rate_of_uniform_demands():
 
 
 def test_mean_interarrival_time():
-    stream = generate_stream(config(arrival_rate=10.0), 100_000, NODES, seed=3)
+    stream = generate_stream(config(load_erlangs=100.0), 100_000, NODES, seed=3)
     arrivals = np.array([r.arrival_time for r in stream])
     gaps = np.diff(arrivals)
     assert gaps.mean() == pytest.approx(0.100, abs=0.002)
@@ -145,7 +156,7 @@ def test_truncated_holding_in_stream():
     cfg = config(truncate_holding=True)
     stream = generate_stream(cfg, 20_000, NODES, seed=5)
     holdings = np.array([r.holding_time for r in stream])
-    assert holdings.max() <= 2 * cfg.holding_time_mean
+    assert holdings.max() <= 2 * HOLDING_TIME_MEAN
 
 
 def test_relabeling_permutes_endpoints_only():
