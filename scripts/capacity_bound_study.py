@@ -24,7 +24,7 @@ def main():
     parser.add_argument("--preset", default="deeprmsa")
     parser.add_argument("--topology", default="nsfnet")
     parser.add_argument("--heuristic", default="ksp-ff", choices=["ksp-ff", "ff-ksp"])
-    parser.add_argument("--k", type=int, default=50)
+    parser.add_argument("--k", type=positive_int, default=50)
     parser.add_argument("--loads", default="240:360:30")
     parser.add_argument("--trials", type=positive_int, default=10)
     parser.add_argument("--seed", type=non_negative_int, default=100)

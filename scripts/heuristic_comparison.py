@@ -16,7 +16,7 @@ import math
 import sys
 import warnings
 
-from eonsim.cli import non_negative_int, parse_loads, positive_int
+from eonsim.cli import non_negative_int, parse_loads, positive_int, positive_load
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
 from eonsim.simulator import sweep
@@ -37,8 +37,8 @@ def main():
     parser.add_argument("mode", choices=["by-k", "by-load"])
     parser.add_argument("--preset", default="deeprmsa")
     parser.add_argument("--topology", default="nsfnet")
-    parser.add_argument("--load", type=float, default=300.0, help="fixed load for by-k")
-    parser.add_argument("--k", type=int, default=50, help="fixed K for by-load")
+    parser.add_argument("--load", type=positive_load, default=300.0, help="fixed load for by-k")
+    parser.add_argument("--k", type=positive_int, default=50, help="fixed K for by-load")
     parser.add_argument("--k-values", default="2:26:4", help="K range for by-k")
     parser.add_argument("--loads", default="240:360:30", help="load range for by-load")
     parser.add_argument("--heuristics", default=",".join(h.value for h in HeuristicKind))

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from eonsim.cli import non_negative_int, positive_int
+from eonsim.cli import non_negative_int, positive_int, positive_load
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
 from eonsim.simulator import sweep
@@ -39,7 +39,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", default="deeprmsa")
     parser.add_argument("--topologies", default="nsfnet,cost239")
-    parser.add_argument("--load", type=float, default=260.0)
+    parser.add_argument("--load", type=positive_load, default=260.0)
     parser.add_argument("--trials", type=positive_int, default=10)
     parser.add_argument("--seed", type=non_negative_int, default=0)
     parser.add_argument("--jobs", type=positive_int, default=2)

@@ -58,10 +58,16 @@ class CliError(ValueError):
     """Configuration-level CLI failure (exit code 2)."""
 
 
+#: Most loads a ``start:stop:step`` range may expand to.
+MAX_RANGE_LOADS = 10_000
+
+
 def parse_loads(spec: str) -> list[float]:
     """Parse ``start:stop:step`` (inclusive stop) or a comma list of loads.
 
-    The result is never empty, and every load is finite and > 0.
+    The result is never empty, and every load is finite and > 0.  A
+    range yields at most :data:`MAX_RANGE_LOADS` loads, and its step
+    must advance every value it is added to.
     """
     spec = spec.strip()
     try:
@@ -77,7 +83,11 @@ def parse_loads(spec: str) -> list[float]:
             loads = []
             value = start
             while value <= stop + 1e-9:
+                if len(loads) == MAX_RANGE_LOADS:
+                    raise ValueError(f"the range holds more than {MAX_RANGE_LOADS} loads")
                 loads.append(round(value, 9))
+                if value + step == value:
+                    raise ValueError(f"step {step:g} does not advance the value {value:g}")
                 value += step
         else:
             loads = [float(p) for p in spec.split(",") if p.strip()]
@@ -123,13 +133,15 @@ def _write_manifest(out: Path, subcommand: str, manifest_args: dict) -> None:
     (out / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_meta(out: Path, started: float) -> None:
+def _write_meta(out: Path, started: float, paths_s: float | None = None) -> None:
     finished = time.time()
     doc = {
         "started_unix": started,
         "finished_unix": finished,
         "duration_s": round(finished - started, 3),
     }
+    if paths_s is not None:
+        doc["paths_s"] = round(paths_s, 3)
     (out / "run_meta.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
@@ -160,6 +172,13 @@ def _manifest_args(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
 
 
+def _warm_paths(topology, k: int, ordering: PathOrdering) -> float:
+    """Compute every candidate-path list up front; return the seconds taken."""
+    t0 = time.perf_counter()
+    topology.warm_path_cache(k, ordering)
+    return time.perf_counter() - t0
+
+
 def _run_config(args):
     """Validated config and loads of a run, before its output directory exists."""
     preset = get_preset(args.preset)
@@ -175,11 +194,12 @@ def cmd_sweep(args) -> int:
     started = time.time()
     config, loads = _run_config(args)
     out = _out_dir(args)
+    paths_s = _warm_paths(config.topology, config.k, config.ordering)
     result = sweep(config, loads, jobs=args.jobs)
     write_trials_csv(result, out / "trials.csv")
     write_summary_csv(result, out / "summary.csv")
     _write_manifest(out, "sweep", _manifest_args(args))
-    _write_meta(out, started)
+    _write_meta(out, started, paths_s)
     for p in result.points:
         std = "n/a" if math.isnan(p.std_sbp) else f"{p.std_sbp:.2g}"  # one trial: undefined
         print(
@@ -195,6 +215,7 @@ def cmd_bound(args) -> int:
     config, loads = _run_config(args)
     require_inner_heuristic(config)
     out = _out_dir(args)
+    paths_s = _warm_paths(config.topology, config.k, config.ordering)
     result = bound_sweep(
         config, loads, jobs=args.jobs, target_sbp=args.target_sbp,
         record_outcomes=args.record_outcomes,
@@ -207,7 +228,7 @@ def cmd_bound(args) -> int:
         write_outcomes_csv(result.bound, out / "outcomes.csv")
 
     _write_manifest(out, "bound", _manifest_args(args))
-    _write_meta(out, started)
+    _write_meta(out, started, paths_s)
 
     for hp, bp in zip(result.heuristic.points, result.bound.points):
         print(
@@ -286,6 +307,7 @@ def cmd_paths(args) -> int:
     started = time.time()
     topology = load_topology(args.topology)
     ordering = PathOrdering(args.ordering)
+    paths_s = _warm_paths(topology, args.k, ordering)
     rows = []
     counts = []
     overlaps = []
@@ -315,7 +337,7 @@ def cmd_paths(args) -> int:
             for src, dst, n, hops, km in rows:
                 fh.write(f"{src},{dst},{n},{hops},{km:.12g}\n")
         _write_manifest(out, "paths", _manifest_args(args))
-        _write_meta(out, started)
+        _write_meta(out, started, paths_s)
         print(f"wrote {out / 'paths.csv'}")
     return 0
 
@@ -386,6 +408,14 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_load(text: str) -> float:
+    """A traffic load in Erlangs: finite and > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value:g}")
     return value
 
 

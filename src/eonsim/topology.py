@@ -17,6 +17,24 @@ gives a spur node its banned edges in one lookup, and an accepted path
 spurs only from its deviation index, the node where it left the path it
 was spurred from: an earlier spur would see the same banned edges as
 the last spur from that root and rediscover a path already queued.
+
+When every link length is an integer (all bundled topologies), path
+costs are exact whatever the order they are summed in, and three
+shortcuts apply:
+
+* one Yen run serves both directions of a node pair: a path and its
+  reverse have the same hop count and km length, so the paths found for
+  (s, d), reversed, are every (d, s) path up to the same k-th cost;
+* spur searches are A* (Hart, Nilsson & Raphael 1968) whose potential
+  is the full-graph distance to the destination, from one search out of
+  the destination per (destination, weighting), cached on the topology;
+* that search's shortest-path tree is the spur path itself whenever its
+  path from the spur node avoids the root's nodes and the banned first
+  hops (Martins & Pascoal 2003), and then no search runs.
+
+With non-integer lengths, float sums depend on the order of addition,
+and the searches keep plain Dijkstra order (a zero potential) so that
+near-tied costs round exactly as they always have.
 """
 from __future__ import annotations
 
@@ -129,6 +147,10 @@ class Topology:
         self._adjacency = adjacency
         self._edges = edges
         self._path_cache: dict[tuple[str, str, int, PathOrdering], tuple[CandidatePath, ...]] = {}
+        lengths = [link.length_km for link in self.links]
+        # every path length is then an exactly representable integer
+        self._integral = all(x.is_integer() for x in lengths) and sum(lengths) < 2**53
+        self._trees: dict[tuple[str, bool], tuple[dict[str, float], dict[str, tuple]]] = {}
 
     @property
     def num_fibers(self) -> int:
@@ -217,39 +239,63 @@ def _sort_key(ordering: PathOrdering):
     return lambda p: (p[1], p[0], p[2])  # (km, hops, node_seq)
 
 
-def _dijkstra(
+def _search(
     adjacency: dict[str, list[tuple[str, int, float]]],
     src: str,
-    dst: str,
     hop_weighted: bool,
-    banned_nodes: set[str],
-    banned_edges: dict[str, set[str]],
-) -> tuple[float, float, tuple[str, ...]] | None:
-    """Cheapest path avoiding banned nodes and banned ``node -> next`` edges.
+    potential: dict[str, float],
+    banned_nodes: set[str] | tuple = (),
+    banned_next: set[str] | tuple = (),
+):
+    """Yield ``(cost, km, node_path)`` for each node reachable from ``src``.
 
-    Returns (primary_cost, km_length, node_path) or None.  Heap entries
-    carry the node sequence so equal-cost expansions stay deterministic.
+    Nodes settle in order of cost plus ``potential``: A* toward the node
+    the potential measures distance to, or Dijkstra's order under a zero
+    potential.  Paths avoid ``banned_nodes``, and ``src`` is not left
+    through ``banned_next``.  Heap entries carry the node sequence so
+    equal-cost expansions stay deterministic.
     """
-    inf = math.inf
     best: dict[str, float] = {src: 0.0}
-    heap: list[tuple[float, float, tuple[str, ...]]] = [(0.0, 0.0, (src,))]
+    # (cost + potential, -cost, km, node path): on equal estimates the node
+    # farther along goes first, which under a zero potential never decides
+    heap: list[tuple[float, float, float, tuple[str, ...]]] = [
+        (potential[src], -0.0, 0.0, (src,))
+    ]
+    banned_here = banned_next  # ``src`` settles first, and only once
     while heap:
-        cost, km, path = heapq.heappop(heap)
+        _, neg_cost, km, path = heapq.heappop(heap)
+        cost = -neg_cost
         node = path[-1]
-        if node == dst:
-            return cost, km, path
-        if cost > best.get(node, inf):
+        if cost > best[node]:
             continue
-        banned_next = banned_edges.get(node, ())
+        yield cost, km, path
         for nbr, _link, length in adjacency[node]:
-            if nbr in banned_nodes or nbr in banned_next:
+            if nbr in banned_nodes or nbr in banned_here:
                 continue
-            step = 1.0 if hop_weighted else length
-            ncost = cost + step
-            if ncost < best.get(nbr, inf):
+            ncost = cost + (1.0 if hop_weighted else length)
+            if ncost < best.get(nbr, math.inf):
                 best[nbr] = ncost
-                heapq.heappush(heap, (ncost, km + length, path + (nbr,)))
-    return None
+                heapq.heappush(heap, (ncost + potential[nbr], -ncost, km + length, path + (nbr,)))
+        banned_here = ()
+
+
+def _reverse_tree(topology: Topology, dst: str, hop_weighted: bool):
+    """Distances to ``dst`` and a shortest ``(cost, km, path)`` to it, per node.
+
+    Computed once per (destination, weighting) and cached on the topology;
+    only valid with integral lengths, where a reversed path costs the same.
+    """
+    key = (dst, hop_weighted)
+    tree = topology._trees.get(key)
+    if tree is None:
+        zero = dict.fromkeys(topology.nodes, 0.0)
+        routes = {
+            path[-1]: (cost, km, path[::-1])
+            for cost, km, path in _search(topology._adjacency, dst, hop_weighted, zero)
+        }
+        potential = {node: route[0] for node, route in routes.items()}
+        tree = topology._trees[key] = (potential, routes)
+    return tree
 
 
 def _yen_paths(topology: Topology, src: str, dst: str, ordering: PathOrdering):
@@ -263,7 +309,25 @@ def _yen_paths(topology: Topology, src: str, dst: str, ordering: PathOrdering):
     adjacency = topology._adjacency
     edges = topology._edges
     hop_weighted = ordering is PathOrdering.HOPS_THEN_KM
-    first = _dijkstra(adjacency, src, dst, hop_weighted, set(), {})
+    if topology._integral:
+        potential, routes = _reverse_tree(topology, dst, hop_weighted)
+    else:
+        potential, routes = dict.fromkeys(topology.nodes, 0.0), {}
+
+    def shortest_from(spur, banned_nodes, banned_next):
+        route = routes.get(spur)
+        if route is not None:
+            tree_path = route[2]
+            if tree_path[1] not in banned_next and banned_nodes.isdisjoint(tree_path):
+                return route
+        elif spur not in potential:  # not connected to ``dst``
+            return None
+        for found in _search(adjacency, spur, hop_weighted, potential, banned_nodes, banned_next):
+            if found[2][-1] == dst:
+                return found
+        return None
+
+    first = shortest_from(src, set(), ())
     if first is None:
         return
     cost, km, path = first
@@ -284,7 +348,7 @@ def _yen_paths(topology: Topology, src: str, dst: str, ordering: PathOrdering):
             spur = path[i]
             banned = next_after.setdefault(path[: i + 1], set())
             banned.add(path[i + 1])
-            res = _dijkstra(adjacency, spur, dst, hop_weighted, set(path[:i]), {spur: banned})
+            res = shortest_from(spur, set(path[:i]), banned)
             if res is not None:
                 spur_cost, spur_km, spur_path = res
                 total = path[:i] + spur_path
@@ -307,6 +371,10 @@ def k_shortest_paths(
     returned list is optimal under the full lexicographic key (primary
     criterion, secondary criterion, node sequence).  A disconnected
     pair yields an empty list.
+
+    With integral link lengths the same run also gives the ``(dst,
+    src)`` list, which is stored in the topology's path cache unless
+    one is cached already.
     """
     if src == dst:
         raise TopologyError("src and dst must differ")
@@ -324,9 +392,23 @@ def k_shortest_paths(
         enumerated.append((len(node_path) - 1, km, node_path))
         if len(enumerated) == k:
             kth_primary = primary
-    if not enumerated:
-        return []
 
+    if topology._integral:
+        # every (dst, src) path up to the same k-th primary cost
+        reverse = [(hops, km, node_path[::-1]) for hops, km, node_path in enumerated]
+        topology._path_cache.setdefault(
+            (dst, src, k, ordering), tuple(_ranked(topology, reverse, k, ordering))
+        )
+    return _ranked(topology, enumerated, k, ordering)
+
+
+def _ranked(
+    topology: Topology,
+    enumerated: list[tuple[int, float, tuple[str, ...]]],
+    k: int,
+    ordering: PathOrdering,
+) -> list[CandidatePath]:
+    """The best k of ``(hops, km, node_seq)`` entries under the full key."""
     enumerated.sort(key=_sort_key(ordering))
     edges = topology._edges
     out: list[CandidatePath] = []

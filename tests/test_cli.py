@@ -1,7 +1,11 @@
 import hashlib
 import json
 import os
+import resource
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -39,6 +43,36 @@ def test_parse_loads_comma_list():
 def test_parse_loads_rejects_malformed(bad):
     with pytest.raises(CliError):
         parse_loads(bad)
+
+
+def test_parse_loads_caps_a_range_at_max_range_loads():
+    assert len(parse_loads(f"1:{cli.MAX_RANGE_LOADS}:1")) == cli.MAX_RANGE_LOADS
+    with pytest.raises(CliError, match="more than"):
+        parse_loads(f"1:{cli.MAX_RANGE_LOADS + 1}:1")
+
+
+def _limit_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+# A step below the float resolution of the value never moved it, and a huge
+# range was built in full; in a child process with a timeout and a 1 GiB
+# address-space limit, so a regression fails the test instead of the host.
+@pytest.mark.parametrize(
+    "spec,reason", [("1:2:1e-300", "does not advance"), ("1:1e9:1", "more than")]
+)
+def test_unending_or_huge_load_range_exits_2(tmp_path, spec, reason):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from eonsim.cli import main; sys.exit(main())",
+         "sweep", "--preset", "deeprmsa", "--topology", "nsfnet", "--loads", spec,
+         "--trials", "1", "--jobs", "1", "--out", str(tmp_path / "never")],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "malformed --loads" in proc.stderr and reason in proc.stderr
+    assert not (tmp_path / "never").exists()
 
 
 # --- defaults -----------------------------------------------------------------
@@ -493,6 +527,24 @@ def test_one_trial_sweep_writes_no_nan(tmp_path, capsys):
 
 
 # --- run metadata -----------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore:load .* blocking events")
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (SWEEP_ARGS, 0),
+        # unbracketed, so it exits 3, but only after writing every output
+        ("bound --preset ptrnet-40 --topology nsfnet --k 3 --loads 5,8 --trials 1 "
+         "--warmup 50 --measured 300 --jobs 1 --target-sbp 0.01", 3),
+        ("paths --topology nsfnet --k 5", 0),
+    ],
+)
+def test_run_meta_records_path_set_up_seconds(tmp_path, argv, code):
+    out = tmp_path / "run"
+    assert run(f"{argv} --out {out}".split()) == code
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert 0 <= meta["paths_s"] <= meta["duration_s"]
+
 
 def test_run_meta_reads_the_clock_once(tmp_path, monkeypatch):
     ticks = iter([100.0, 101.25, 102.5])

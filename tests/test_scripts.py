@@ -57,8 +57,8 @@ def test_script_runs_end_to_end(name, argv, expected):
     assert expected in proc.stdout
 
 
-# The scripts parse --seed, --jobs, --trials and --target-sbp with the CLI's
-# argument types, so a bad value is a usage error before any trial runs.
+# The scripts parse --seed, --jobs, --trials, --target-sbp, --k and --load
+# with the CLI's argument types, so a bad value is a usage error before any trial runs.
 @pytest.mark.parametrize(
     "name, argv, flag",
     [
@@ -67,6 +67,9 @@ def test_script_runs_end_to_end(name, argv, expected):
         ("ordering_study", ["--trials", "0"], "--trials"),
         ("capacity_bound_study", ["--target-sbp", "0"], "--target-sbp"),
         ("capacity_bound_study", ["--jobs", "-2"], "--jobs"),
+        ("capacity_bound_study", ["--k", "0"], "--k"),
+        ("heuristic_comparison", ["by-k", "--load", "nan"], "--load"),
+        ("ordering_study", ["--load", "-1"], "--load"),
     ],
 )
 def test_script_rejects_bad_argument_values(name, argv, flag):

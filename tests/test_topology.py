@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eonsim import topology as topology_module
 from eonsim.topology import (
     PathOrdering,
     Topology,
@@ -185,18 +187,59 @@ def _all_pairs_equal_reference(topo, k, ordering):
                 assert got == reference_k_shortest_paths(topo, src, dst, k, ordering), (src, dst)
 
 
-@pytest.mark.parametrize(
-    "name,k,ordering",
-    [
-        ("nsfnet", 50, PathOrdering.HOPS_THEN_KM),
-        ("nsfnet", 50, PathOrdering.KM_THEN_HOPS),
-        ("cost239", 50, PathOrdering.HOPS_THEN_KM),
-        ("cost239", 50, PathOrdering.KM_THEN_HOPS),
-        ("usnet", 10, PathOrdering.KM_THEN_HOPS),
-    ],
-)
+def _warm_cache_equals_reference(topo, k, ordering):
+    """Every cached list, the ones a Yen run stores for the reverse pair included."""
+    topo.warm_path_cache(k, ordering)
+    for src in topo.nodes:
+        for dst in topo.nodes:
+            if src != dst:
+                got = list(topo.candidate_paths(src, dst, k, ordering))
+                assert got == reference_k_shortest_paths(topo, src, dst, k, ordering), (src, dst)
+
+
+BUNDLED_KSP_CASES = [
+    ("nsfnet", 50, PathOrdering.HOPS_THEN_KM),
+    ("nsfnet", 50, PathOrdering.KM_THEN_HOPS),
+    ("cost239", 50, PathOrdering.HOPS_THEN_KM),
+    ("cost239", 50, PathOrdering.KM_THEN_HOPS),
+    ("usnet", 10, PathOrdering.KM_THEN_HOPS),
+]
+
+
+@pytest.mark.parametrize("name,k,ordering", BUNDLED_KSP_CASES)
 def test_ksp_matches_unoptimized_yen_on_bundled(name, k, ordering):
     _all_pairs_equal_reference(load_topology(name), k, ordering)
+
+
+@pytest.mark.parametrize("name,k,ordering", BUNDLED_KSP_CASES)
+def test_warm_cache_matches_unoptimized_yen_on_bundled(name, k, ordering):
+    _warm_cache_equals_reference(load_topology(name), k, ordering)
+
+
+# SHA-256 of every ordered pair's candidate node sequences, in rank order, for
+# tables the unoptimized reference is too slow to check in full.  Recorded with
+# the plain-Dijkstra Yen search, before A* spurs, the shortest-path-tree
+# shortcut and the one run per unordered pair were introduced.
+CANDIDATE_TABLE_SHA256 = {
+    ("usnet", 50, PathOrdering.HOPS_THEN_KM):
+        "5294f9ed2e2dfd5e06da431f3a9396a614400ca185346ea5dbffbf3376f5bbd2",
+    ("usnet", 50, PathOrdering.KM_THEN_HOPS):
+        "dc7aa29fad0f3515d04f77e5a33d4970b95d32e6898edcffa518cd1d7f0fe77b",
+    ("jpn48", 50, PathOrdering.KM_THEN_HOPS):
+        "1264bdde56056546ba65b28cfae945b6f00c263e326df138f67c6468a1d258c2",
+}
+
+
+@pytest.mark.parametrize("name,k,ordering", sorted(CANDIDATE_TABLE_SHA256, key=str))
+def test_candidate_table_is_pinned(name, k, ordering):
+    topo = load_topology(name)
+    digest = hashlib.sha256()
+    for src in topo.nodes:
+        for dst in topo.nodes:
+            if src != dst:
+                seqs = [p.node_seq for p in topo.candidate_paths(src, dst, k, ordering)]
+                digest.update(json.dumps([src, dst, seqs]).encode())
+    assert digest.hexdigest() == CANDIDATE_TABLE_SHA256[name, k, ordering]
 
 
 def fractional_graph(rng):
@@ -220,6 +263,45 @@ def fractional_graph(rng):
 @settings(max_examples=200, deadline=None)
 def test_ksp_matches_unoptimized_yen_with_fractional_lengths(seed, k, ordering):
     _all_pairs_equal_reference(fractional_graph(np.random.default_rng(seed)), k, ordering)
+
+
+def integral_graph(rng):
+    """Random graph on 5-8 nodes with lengths in {1, 2, 3}: many paths tie in
+    (hops, km), so ties cross the k-th cut, and a pair's two directions then
+    differ only in the node-sequence tiebreak."""
+    nodes = [chr(ord("A") + i) for i in range(int(rng.integers(5, 9)))]
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :] if rng.random() < 0.6]
+    lengths = rng.integers(1, 4, len(pairs))
+    return Topology("int", nodes, [(a, b, int(x)) for (a, b), x in zip(pairs, lengths)], 8)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(1, 10),
+    st.sampled_from(list(PathOrdering)),
+    st.sampled_from([integral_graph, fractional_graph]),
+)
+@settings(max_examples=200, deadline=None)
+def test_warm_cache_matches_unoptimized_yen_on_random_graphs(seed, k, ordering, graph):
+    _warm_cache_equals_reference(graph(np.random.default_rng(seed)), k, ordering)
+
+
+@pytest.mark.parametrize("ordering", list(PathOrdering))
+@pytest.mark.parametrize("offset,runs", [(0.0, 91), (0.5, 182)])
+def test_one_yen_run_per_unordered_pair_only_with_integral_lengths(
+    monkeypatch, ordering, offset, runs
+):
+    nsfnet = load_topology("nsfnet")
+    links = [(l.src, l.dst, l.length_km + offset) for l in nsfnet.links]
+    topo = Topology("shifted", nsfnet.nodes, links, 8)
+    calls = []
+    real = topology_module.k_shortest_paths
+    monkeypatch.setattr(
+        topology_module, "k_shortest_paths", lambda *args: calls.append(args) or real(*args)
+    )
+    topo.warm_path_cache(5, ordering)
+    assert len(calls) == runs
+    assert len(topo._path_cache) == 14 * 13
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
