@@ -156,7 +156,10 @@ def _sim_config(args, preset, topology, load0: float):
     if args.modulation_file:
         from .service import ModulationTable
 
-        overrides["modulation"] = ModulationTable.from_json(args.modulation_file)
+        try:
+            overrides["modulation"] = ModulationTable.from_json(args.modulation_file)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"bad --modulation-file {args.modulation_file}: {exc!r}") from None
     return preset.sim_config(
         topology,
         HeuristicKind.from_name(args.heuristic),
@@ -311,12 +314,15 @@ def cmd_paths(args) -> int:
     rows = []
     counts = []
     overlaps = []
+    hops, kms = [], []
     for src in topology.nodes:
         for dst in topology.nodes:
             if src == dst:
                 continue
             paths = topology.candidate_paths(src, dst, args.k, ordering)
             counts.append(len(paths))
+            hops.extend(p.hop_count for p in paths)
+            kms.extend(p.length_km for p in paths)
             if args.diagnose_orderings:
                 overlaps.append(ordering_overlap(topology, src, dst, args.k))
             rows.append((src, dst, len(paths), paths[0].hop_count if paths else 0,
@@ -325,6 +331,11 @@ def cmd_paths(args) -> int:
     full = sum(1 for c in counts if c >= args.k)
     print(f"topology {topology.name}: {n_pairs} ordered pairs, k={args.k}, ordering={args.ordering}")
     print(f"pairs with k paths: {full}/{n_pairs}; min paths {min(counts)}, mean {np.mean(counts):.1f}")
+    if hops:
+        print(
+            f"candidate paths: {len(hops)}; hops {np.mean(hops):.2f}±{np.std(hops):.2f}, "
+            f"km {np.mean(kms):.0f}±{np.std(kms):.0f} (mean±std)"
+        )
     if overlaps:
         print(
             f"ordering-unique path fraction (km vs hops): mean {np.mean(overlaps):.1%}, "
@@ -408,14 +419,6 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def positive_load(text: str) -> float:
-    """A traffic load in Erlangs: finite and > 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value:g}")
     return value
 
 

@@ -110,8 +110,8 @@ class Topology:
         nodes = [str(n) for n in nodes]
         if len(set(nodes)) != len(nodes):
             raise TopologyError("duplicate node ids")
-        if not nodes:
-            raise TopologyError("topology has no nodes")
+        if len(nodes) < 2:
+            raise TopologyError(f"topology needs at least two nodes, got {len(nodes)}")
 
         self.name = name
         self.nodes: tuple[str, ...] = tuple(nodes)

@@ -1,7 +1,11 @@
 import hashlib
+import itertools
 import json
 import os
+import re
 import resource
+import shlex
+import string
 import subprocess
 import sys
 from importlib import resources
@@ -320,9 +324,22 @@ def test_paths_subcommand(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "182 ordered pairs" in printed
     assert "pairs with k paths: 182/182" in printed
+    assert "candidate paths: 910; hops 3.67±1.13, km 3529±1489 (mean±std)" in printed
     lines = (out / "paths.csv").read_text().strip().splitlines()
     assert lines[0] == "src,dst,paths,best_hops,best_km"
     assert len(lines) == 1 + 14 * 13
+
+
+def test_paths_on_a_one_node_topology_exits_2(tmp_path, capsys):
+    solo = tmp_path / "solo.json"
+    solo.write_text(json.dumps({
+        "schema": "eonsim-topology/1", "name": "solo", "fiber_mode": "dual",
+        "slots_per_fiber": 10, "nodes": ["A"], "links": [],
+    }))
+    out = tmp_path / "never"
+    assert run(f"paths --topology {solo} --k 2 --out {out}".split()) == 2
+    assert "two nodes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # SHA-256 of ``paths --k 5 --out`` for every bundled topology and ordering,
@@ -427,6 +444,15 @@ def test_bound_with_scan_all_policy_exits_2_before_any_trial(tmp_path, capsys, m
 
 
 
+BAD_MODULATION_FILES = {
+    "invalid.json": "{not json",
+    "no-formats.json": '{"rates": []}',
+    "negative-reach.json": (
+        '{"formats": [{"name": "lone", "bits_per_symbol": 2, "max_reach_km": -5}]}'
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -443,12 +469,26 @@ def test_bound_with_scan_all_policy_exits_2_before_any_trial(tmp_path, capsys, m
         "sweep --preset deeprmsa --topology nsfnet --loads 100,inf --trials 1 --jobs 1",
         "sweep --preset deeprmsa --topology nsfnet --loads nan,100 --trials 1 --jobs 1",
         "warmup --loads nan",
+        "sweep --preset deeprmsa --topology nsfnet --k 0 --loads 100 --trials 1 --jobs 1",
+        "bound --preset deeprmsa --topology nsfnet --k 0 --loads 100,200 --trials 1 --jobs 1",
+        "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 100 --trials 0 --jobs 1",
+        "bound --preset deeprmsa --topology nsfnet --k 2 --loads 100,200 --trials 0 --jobs 1",
+        # {mods} is a directory holding BAD_MODULATION_FILES
+        *(
+            "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 100 --trials 1 --jobs 1 "
+            f"--modulation-file {{mods}}/{name}"
+            for name in [*BAD_MODULATION_FILES, "missing.json"]
+        ),
     ],
 )
-def test_rejected_run_leaves_no_output_dir(tmp_path, argv):
+def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, argv):
+    for name, text in BAD_MODULATION_FILES.items():
+        (tmp_path / name).write_text(text)
     out = tmp_path / "never"
-    assert run(f"{argv} --out {out}".split()) == 2
+    assert run(f"{argv.format(mods=tmp_path)} --out {out}".split()) == 2
     assert not out.exists()
+    if "--modulation-file" in argv:
+        assert "--modulation-file" in capsys.readouterr().err
 
 @pytest.mark.parametrize("sub", ["sweep", "bound"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -553,3 +593,37 @@ def test_run_meta_reads_the_clock_once(tmp_path, monkeypatch):
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert meta["finished_unix"] == 100.0
     assert meta["duration_s"] == round(meta["finished_unix"] - meta["started_unix"], 3)
+
+
+# --- README studies ---------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_study_commands():
+    """Argument lists of every ``eonsim`` command in the README's studies section.
+
+    A command inside shell ``for`` loops yields one list per combination
+    of the loop values.
+    """
+    section = README.read_text().split("\n## Studies\n")[1].split("\n## ")[0]
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        script = block.replace("\\\n", " ")
+        loops = dict(re.findall(r"for (\w+) in ([^;]+); do", script))
+        values = itertools.product(*(v.split() for v in loops.values()))
+        bindings = [dict(zip(loops, combo)) for combo in values]
+        for line in script.splitlines():
+            if line.strip().startswith("eonsim "):
+                for env in bindings:
+                    yield shlex.split(string.Template(line).substitute(env))[1:]
+
+
+def test_readme_study_commands_parse():
+    """The documented studies are valid CLI runs; they are parsed, not run."""
+    commands = list(readme_study_commands())
+    assert {argv[0] for argv in commands} == {"bound", "sweep", "paths"}
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if "loads" in args:
+            parse_loads(args.loads)

@@ -58,6 +58,7 @@ def test_load_topology_from_file(tmp_path):
         (lambda d: d["links"].append({"src": "A", "dst": "B", "length_km": 7}), "duplicate"),
         (lambda d: d["links"].__setitem__(0, {"src": "A", "dst": "B", "length_km": 0}), "non-positive"),
         (lambda d: d.__setitem__("schema", "nope/9"), "schema"),
+        (lambda d: d.update(nodes=["A"], links=[]), "two nodes"),
     ],
 )
 def test_load_topology_rejects_bad_documents(tmp_path, mutate, match):
