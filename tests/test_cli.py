@@ -330,6 +330,27 @@ def test_paths_subcommand(tmp_path, capsys):
     assert len(lines) == 1 + 14 * 13
 
 
+def test_path_statistics_are_population_mean_and_std(tmp_path, capsys):
+    # In a triangle every ordered pair has exactly two simple paths: the
+    # direct link and the two-hop detour.
+    triangle = tmp_path / "triangle.json"
+    triangle.write_text(json.dumps({
+        "schema": "eonsim-topology/1", "name": "triangle", "fiber_mode": "dual",
+        "slots_per_fiber": 10, "nodes": ["A", "B", "C"],
+        "links": [
+            {"src": "A", "dst": "B", "length_km": 100},
+            {"src": "B", "dst": "C", "length_km": 100},
+            {"src": "A", "dst": "C", "length_km": 300},
+        ],
+    }))
+    assert run(f"paths --topology {triangle} --k 2".split()) == 0
+    # hops: six 1s and six 2s; km per pair: AB 100+400, BC 100+400, AC 300+200.
+    # The km std over n (not n-1) is sqrt(95000 / 6) = 125.8.
+    assert "candidate paths: 12; hops 1.50±0.50, km 250±126 (mean±std)" in (
+        capsys.readouterr().out
+    )
+
+
 def test_paths_on_a_one_node_topology_exits_2(tmp_path, capsys):
     solo = tmp_path / "solo.json"
     solo.write_text(json.dumps({
@@ -473,6 +494,10 @@ BAD_MODULATION_FILES = {
         "bound --preset deeprmsa --topology nsfnet --k 0 --loads 100,200 --trials 1 --jobs 1",
         "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 100 --trials 0 --jobs 1",
         "bound --preset deeprmsa --topology nsfnet --k 2 --loads 100,200 --trials 0 --jobs 1",
+        # every load must be > 0, whichever subcommand parses it
+        "sweep --preset deeprmsa --topology nsfnet --k 2 --loads -1 --trials 1 --jobs 1",
+        "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 0:40:20 --trials 1 --jobs 1",
+        "bound --preset deeprmsa --topology nsfnet --k 2 --loads 0,200 --trials 1 --jobs 1",
         # {mods} is a directory holding BAD_MODULATION_FILES
         *(
             "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 100 --trials 1 --jobs 1 "
@@ -501,6 +526,25 @@ def test_non_positive_jobs_is_a_usage_error(tmp_path, capsys, sub, jobs):
         )
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# --k is an int: a fractional K is refused, not truncated to a smaller one.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sweep --preset deeprmsa --topology nsfnet --k 1.5 --loads 100 --trials 1 --jobs 1",
+        "bound --preset deeprmsa --topology nsfnet --k 2.5 --loads 100,200 --trials 1 --jobs 1",
+        "paths --topology nsfnet --k 1.5",
+    ],
+    ids=["sweep", "bound", "paths"],
+)
+def test_non_integer_k_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc:
+        run(f"{argv} --out {out}".split())
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -627,3 +671,27 @@ def test_readme_study_commands_parse():
         args = parser.parse_args(argv)
         if "loads" in args:
             parse_loads(args.loads)
+
+
+# One small point of each study, pinned at the figures the study drivers
+# printed for the same arguments before the studies moved onto the CLI.
+
+def test_heuristic_comparison_point_is_pinned(tmp_path):
+    out = tmp_path / "by-k"
+    assert run(
+        "sweep --preset deeprmsa --topology nsfnet --heuristic ksp-ff --k 3 --loads 300 "
+        f"--trials 2 --seed 0 --jobs 1 --out {out}".split()
+    ) == 0
+    summary = (out / "summary.csv").read_text().strip().splitlines()
+    assert summary[1].startswith("300,2,0.0282,") and summary[1].endswith(",564")
+
+
+def test_capacity_gain_point_is_pinned(tmp_path, capsys):
+    out = tmp_path / "bound"
+    with pytest.warns(UserWarning, match="SBP estimate is noisy"):
+        code = run(
+            "bound --preset deeprmsa --topology nsfnet --k 5 --ordering hops "
+            f"--loads 200,400 --trials 1 --seed 100 --jobs 1 --out {out}".split()
+        )
+    assert code == 0
+    assert "heuristic 243.8 E, bound 309.6 E, relative gain +26.9%" in capsys.readouterr().out
