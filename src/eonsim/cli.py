@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -254,8 +255,6 @@ def cmd_bound(args) -> int:
 def cmd_warmup(args) -> int:
     started = time.time()
     loads = parse_loads(args.loads)
-    if args.trials < 1:
-        raise CliError(f"warmup needs --trials >= 1, got {args.trials}")
     out = _out_dir(args)
     estimates = [
         estimate_warmup(load, args.trials, seed=args.seed) for load in loads
@@ -442,21 +441,21 @@ def _add_common_run_flags(sub):
                      help="bundled topology name or path to a topology JSON file")
     sub.add_argument("--heuristic", default="ksp-ff",
                      choices=[k.value for k in HeuristicKind])
-    sub.add_argument("--k", type=int, default=5)
+    sub.add_argument("--k", type=positive_int, default=5)
     sub.add_argument("--ordering", choices=["km", "hops"], default="hops")
     sub.add_argument("--loads", required=True,
                      help="start:stop:step (inclusive) or comma-separated list")
-    sub.add_argument("--trials", type=int, default=10)
+    sub.add_argument("--trials", type=positive_int, default=10)
     sub.add_argument("--seed", type=non_negative_int, default=0)
-    sub.add_argument("--warmup", type=int, default=3000,
+    sub.add_argument("--warmup", type=non_negative_int, default=3000,
                      help="warm-up requests before the measured window")
-    sub.add_argument("--measured", type=int, default=10000,
+    sub.add_argument("--measured", type=positive_int, default=10000,
                      help="measured requests per trial")
-    sub.add_argument("--slots", type=int, default=None,
+    sub.add_argument("--slots", type=positive_int, default=None,
                      help="override the preset's slots per fiber")
     sub.add_argument("--fiber-mode", choices=["dual", "single"], default=None,
                      help="override the preset's fiber mode")
-    sub.add_argument("--guard-slots", type=int, default=0,
+    sub.add_argument("--guard-slots", type=non_negative_int, default=0,
                      help="extra guard slots appended to every demand")
     sub.add_argument("--modulation-file", default=None,
                      help="JSON file overriding the default modulation table")
@@ -486,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("warmup", help="MSER-5 warm-up length distribution")
     s.add_argument("--loads", required=True)
-    s.add_argument("--trials", type=int, default=100)
+    s.add_argument("--trials", type=positive_int, default=100)
     s.add_argument("--seed", type=non_negative_int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_warmup)
@@ -498,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("paths", help="candidate-path audit")
     s.add_argument("--topology", required=True)
-    s.add_argument("--k", type=int, default=5)
+    s.add_argument("--k", type=positive_int, default=5)
     s.add_argument("--ordering", choices=["km", "hops"], default="hops")
     s.add_argument("--diagnose-orderings", action="store_true",
                    help="also report path overlap between km and hops orderings")
@@ -517,11 +516,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # one plain line per warning, no source location
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except (CliError, PresetError, TopologyError, TrafficConfigError, SimConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

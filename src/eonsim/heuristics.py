@@ -98,8 +98,7 @@ def decide(
             fit = best_fit_run(state.path_free(path.fiber_ids), n_slots, demand)
             if fit is None:
                 continue
-            block, run_len = fit
-            start = block.start
+            start, run_len = fit
         else:
             start = first_fit(occ, path.fiber_ids, full, run_shifts(demand))
             if start < 0:
@@ -111,7 +110,7 @@ def decide(
         elif kind is _BF_KSP:
             key = (run_len, start)
         elif kind is _KME_FF:
-            key = entropy_after_placement(state, path.fiber_ids, SlotBlock(start, demand))
+            key = entropy_after_placement(state, path.fiber_ids, start, demand)
         elif kind is _KCA_FF:
             key = path_congestion(state, path.fiber_ids)
         else:

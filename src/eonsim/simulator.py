@@ -300,7 +300,7 @@ def sweep(
         point = summarize_trials(load, by_load[load])
         if point.blocked_total < MIN_BLOCKING_EVENTS:
             warnings.warn(
-                f"load {load}: only {point.blocked_total} blocking events across "
+                f"load {load:g}: only {point.blocked_total} blocking events across "
                 f"{point.trials} trials; SBP estimate is noisy",
                 stacklevel=2,
             )

@@ -6,15 +6,16 @@ defined purely in terms of the equivalent boolean vectors; the packed
 form only buys speed.
 
 Each fiber's maximal free runs, with their ``p ln p`` entropy terms and
-prefix partial entropies, are kept in a lazily built record that is
-rebuilt only when the fiber's occupancy integer has changed, so the
-entropy after a hypothetical placement costs a bisection and a short
-fold rather than a rescan of every fiber on the path.
+prefix partial entropies, are kept in a lazily built record.  When the
+fiber's occupancy integer has changed, only the runs around the changed
+slots are rescanned and spliced in, so the entropy after a hypothetical
+placement costs a bisection and a short fold rather than a rescan of
+every fiber on the path.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
@@ -99,23 +100,32 @@ def free_runs(free: int, n_slots: int) -> list[tuple[int, int]]:
         pos = start + length
 
 
-def best_fit_run(free: int, n_slots: int, size: int) -> tuple[SlotBlock, int] | None:
-    """Best-fit block plus the length of its containing run.
+def best_fit_run(free: int, n_slots: int, size: int) -> tuple[int, int] | None:
+    """Start and length of the smallest maximal free run that fits ``size``.
 
-    The block starts the smallest maximal free run that fits ``size``;
-    ties between equal-sized runs go to the lowest start index.
+    Ties between equal-sized runs go to the lowest start.  ``fits`` marks
+    every start of ``size`` free slots; those whose previous slot is not
+    free start the maximal runs that can hold the block, and only they
+    are walked.  Bits of ``free`` at or above ``n_slots`` are ignored.
     """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    best_run = None
-    for start, length in free_runs(free, n_slots):
-        if length >= size and (best_run is None or length < best_run[1]):
-            best_run = (start, length)
+    free &= (1 << n_slots) - 1
+    fits = free
+    for shift in run_shifts(size):
+        fits &= fits >> shift
+    fits &= ~(free << 1)
+    occ = ~free
+    best = None
+    while fits:
+        low = fits & -fits
+        start = low.bit_length() - 1
+        after = occ >> start
+        length = (after & -after).bit_length() - 1
+        if best is None or length < best[1]:
+            best = (start, length)
             if length == size:
                 break
-    if best_run is None:
-        return None
-    return SlotBlock(best_run[0], size), best_run[1]
+        fits ^= low
+    return best
 
 
 @lru_cache(maxsize=None)
@@ -178,37 +188,50 @@ class SpectrumState:
             occ[f] &= ~mask
 
     def _rebuild_runs(self, f: int) -> tuple:
-        """Fiber ``f``'s run record, built from its current occupancy."""
+        """Fiber ``f``'s run record, patched to its current occupancy.
+
+        Only the old runs that touch a slot changed since the record was
+        made, adjacency included, are rescanned, over the window they and
+        the changed slots span; a missing record reads as a fully occupied
+        fiber.  The prefix entropies are refolded from the first replaced
+        run, the same left fold as a full build, so they are bit-identical.
+        """
         occ = self.occ[f]
-        runs = free_runs(~occ & self.full_mask, self.n_slots)
-        table = _run_terms(self.n_slots)
-        terms = [table[length] for _start, length in runs]
-        record = self._runs[f] = (
-            occ,
-            [start for start, _length in runs],
-            [start + length for start, length in runs],
-            terms,
-            list(accumulate(terms, sub, initial=0.0)),
-        )
+        old, starts, ends, terms, prefix = self._runs[f] or (self.full_mask, [], [], [], [0.0])
+        changed = old ^ occ
+        if changed:
+            lo = (changed & -changed).bit_length() - 1
+            hi = changed.bit_length()
+            i0 = bisect_left(ends, lo)
+            i1 = bisect_right(starts, hi, i0)
+            if i0 < i1:
+                lo, hi = min(lo, starts[i0]), max(hi, ends[i1 - 1])
+            runs = free_runs((~occ & self.full_mask) >> lo, hi - lo)
+            table = _run_terms(self.n_slots)
+            starts[i0:i1] = [lo + start for start, _length in runs]
+            ends[i0:i1] = [lo + start + length for start, length in runs]
+            terms[i0:i1] = [table[length] for _start, length in runs]
+            prefix[i0:] = accumulate(terms[i0:], sub, initial=prefix[i0])
+        record = self._runs[f] = (occ, starts, ends, terms, prefix)
         return record
 
 
 def entropy_after_placement(
-    state: SpectrumState, fiber_ids: Sequence[int], block: SlotBlock
+    state: SpectrumState, fiber_ids: Sequence[int], start: int, size: int
 ) -> float:
     """Summed per-link fragmentation entropy after a hypothetical placement.
 
     A fiber's entropy is H = -sum_i (D_i/D) ln(D_i/D) over its maximal
     free runs D_i in ascending start order, D the grid size (natural log).
-    The block splits one run into at most two remnants; starting from
-    that run's prefix partial, the remnants' and the later runs' terms are
-    subtracted in the same order as a left-to-right scan, so the result
-    is bit-identical to rescanning the fiber.  Raises
+    The block of ``size`` slots at ``start`` splits one run into at most
+    two remnants; starting from that run's prefix partial, the remnants'
+    and the later runs' terms are subtracted in the same order as a
+    left-to-right scan, so the result is bit-identical to rescanning the
+    fiber.  Raises
     SpectrumAssignmentError when the block is not inside one free run of
     every fiber.
     """
-    start = block.start
-    end = start + block.size
+    end = start + size
     table = _run_terms(state.n_slots)
     records, occ = state._runs, state.occ
     total = 0.0
@@ -219,7 +242,7 @@ def entropy_after_placement(
         _occ, starts, ends, terms, prefix = record
         j = bisect_right(starts, start) - 1
         if j < 0 or ends[j] < end:
-            raise SpectrumAssignmentError(f"block {block} is not free on fiber {f}")
+            raise SpectrumAssignmentError(f"block ({start}, {size}) is not free on fiber {f}")
         h = prefix[j]
         if start > starts[j]:
             h -= table[start - starts[j]]

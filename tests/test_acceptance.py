@@ -231,7 +231,7 @@ def test_criterion_7b_fit_oracle_ten_thousand_masks():
         start = first_fit([pack_bits(occ)], [0], (1 << n) - 1, run_shifts(size))
         assert (start if start >= 0 else None) == first_fit_oracle(occ, size)
         bf = best_fit_run(free, n, size)
-        assert (bf[0].start if bf else None) == best_fit_oracle(occ, size)
+        assert (bf[0] if bf else None) == best_fit_oracle(occ, size)
     report(7, "first/best fit equal brute-force scans on 10,000 masks")
 
 

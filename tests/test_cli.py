@@ -474,26 +474,46 @@ BAD_MODULATION_FILES = {
 }
 
 
+# An integer flag out of its range -> the flag its error must name.
+BAD_INT_FLAGS = {
+    # a zero override is an error, not a fall-back to the preset's grid
+    "sweep --preset deeprmsa --topology nsfnet --loads 100 --trials 1 --warmup 10 "
+    "--measured 50 --jobs 1 --slots 0": "--slots",
+    "warmup --loads 100 --trials 0": "--trials",
+    "sweep --preset deeprmsa --topology nsfnet --k 0 --loads 100 --trials 1 --jobs 1": "--k",
+    "bound --preset deeprmsa --topology nsfnet --k 0 --loads 100,200 --trials 1 --jobs 1": "--k",
+    "paths --topology nsfnet --k 0": "--k",
+    "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 100 --trials 0 --jobs 1": "--trials",
+    "bound --preset deeprmsa --topology nsfnet --k 2 --loads 100,200 --trials 0 --jobs 1": "--trials",
+    "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 100 --trials 1 --measured 0 "
+    "--jobs 1": "--measured",
+    "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 100 --trials 1 --warmup -5 "
+    "--jobs 1": "--warmup",
+    "bound --preset deeprmsa --topology nsfnet --k 2 --loads 100,200 --trials 1 "
+    "--guard-slots -1 --jobs 1": "--guard-slots",
+}
+
+
+def exit_code(argv):
+    """``main``'s return value, or the code of the SystemExit argparse raises."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         "bound --preset ptrnet-80 --topology usnet --heuristic kme-ff --k 10 --ordering km "
         "--loads 160,200 --trials 2 --jobs 1",
         "sweep --preset deeprmsa --topology nsfnet --loads 300,200 --trials 1 --jobs 1",
-        # a zero override is an error, not a fall-back to the preset's grid
-        "sweep --preset deeprmsa --topology nsfnet --loads 100 --trials 1 --warmup 10 "
-        "--measured 50 --jobs 1 --slots 0",
-        "warmup --loads 100 --trials 0",
         "warmup --loads 0",
         # a non-finite load is a usage error, not a simulated point
         "sweep --preset deeprmsa --topology nsfnet --loads 100,nan --trials 1 --jobs 1",
         "sweep --preset deeprmsa --topology nsfnet --loads 100,inf --trials 1 --jobs 1",
         "sweep --preset deeprmsa --topology nsfnet --loads nan,100 --trials 1 --jobs 1",
         "warmup --loads nan",
-        "sweep --preset deeprmsa --topology nsfnet --k 0 --loads 100 --trials 1 --jobs 1",
-        "bound --preset deeprmsa --topology nsfnet --k 0 --loads 100,200 --trials 1 --jobs 1",
-        "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 100 --trials 0 --jobs 1",
-        "bound --preset deeprmsa --topology nsfnet --k 2 --loads 100,200 --trials 0 --jobs 1",
         # every load must be > 0, whichever subcommand parses it
         "sweep --preset deeprmsa --topology nsfnet --k 2 --loads -1 --trials 1 --jobs 1",
         "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 0:40:20 --trials 1 --jobs 1",
@@ -504,16 +524,21 @@ BAD_MODULATION_FILES = {
             f"--modulation-file {{mods}}/{name}"
             for name in [*BAD_MODULATION_FILES, "missing.json"]
         ),
+        *BAD_INT_FLAGS,
     ],
 )
 def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, argv):
     for name, text in BAD_MODULATION_FILES.items():
         (tmp_path / name).write_text(text)
     out = tmp_path / "never"
-    assert run(f"{argv.format(mods=tmp_path)} --out {out}".split()) == 2
+    assert exit_code(f"{argv.format(mods=tmp_path)} --out {out}".split()) == 2
     assert not out.exists()
+    err = capsys.readouterr().err
     if "--modulation-file" in argv:
-        assert "--modulation-file" in capsys.readouterr().err
+        assert "--modulation-file" in err
+    if argv in BAD_INT_FLAGS:
+        assert f"argument {BAD_INT_FLAGS[argv]}:" in err
+
 
 @pytest.mark.parametrize("sub", ["sweep", "bound"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -594,6 +619,24 @@ def test_truncation_demo_zero_samples_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert "--samples" in captured.err
     assert "nan" not in captured.out
+
+
+# Run in a child process, so stderr is what a user reads, outside pytest's
+# capture of warnings.
+@pytest.mark.parametrize("sub,loads", [("sweep", "300"), ("bound", "200,300")])
+def test_few_blocks_warning_is_one_plain_line(tmp_path, sub, loads):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from eonsim.cli import main; sys.exit(main())",
+         sub, "--preset", "deeprmsa", "--topology", "nsfnet", "--k", "2", "--loads", loads,
+         "--trials", "1", "--warmup", "10", "--measured", "50", "--jobs", "1",
+         "--out", str(tmp_path / "run")],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode in (0, 3), proc.stderr  # bound: no crossing within 200-300
+    line = "warning: load 300: only 0 blocking events across 1 trials; SBP estimate is noisy"
+    assert line in proc.stderr.splitlines()
+    assert ".py:" not in proc.stderr
 
 
 def test_one_trial_sweep_writes_no_nan(tmp_path, capsys):
@@ -688,10 +731,11 @@ def test_heuristic_comparison_point_is_pinned(tmp_path):
 
 def test_capacity_gain_point_is_pinned(tmp_path, capsys):
     out = tmp_path / "bound"
-    with pytest.warns(UserWarning, match="SBP estimate is noisy"):
-        code = run(
-            "bound --preset deeprmsa --topology nsfnet --k 5 --ordering hops "
-            f"--loads 200,400 --trials 1 --seed 100 --jobs 1 --out {out}".split()
-        )
+    code = run(
+        "bound --preset deeprmsa --topology nsfnet --k 5 --ordering hops "
+        f"--loads 200,400 --trials 1 --seed 100 --jobs 1 --out {out}".split()
+    )
     assert code == 0
-    assert "heuristic 243.8 E, bound 309.6 E, relative gain +26.9%" in capsys.readouterr().out
+    printed = capsys.readouterr()
+    assert "heuristic 243.8 E, bound 309.6 E, relative gain +26.9%" in printed.out
+    assert "SBP estimate is noisy" in printed.err

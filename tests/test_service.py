@@ -163,9 +163,9 @@ def test_evaluate_empty_network(diamond):
     slots = demand_for_path(request(rate=100), path, TABLE)
     free = state.path_free(path.fiber_ids)
     assert first_fit(state.occ, path.fiber_ids, state.full_mask, run_shifts(slots)) == 0
-    assert best_fit_run(free, state.n_slots, slots)[0] == SlotBlock(0, slots)
+    assert best_fit_run(free, state.n_slots, slots) == (0, state.n_slots)
     assert path_congestion(state, path.fiber_ids) == 0.0
-    assert entropy_after_placement(state, path.fiber_ids, SlotBlock(0, slots)) > 0.0
+    assert entropy_after_placement(state, path.fiber_ids, 0, slots) > 0.0
 
 
 def test_evaluate_infeasible_path_is_marked():
@@ -198,5 +198,5 @@ def test_evaluate_is_pure(diamond):
     for path in paths_for(diamond):
         state.path_free(path.fiber_ids)
         path_congestion(state, path.fiber_ids)
-        entropy_after_placement(state, path.fiber_ids, SlotBlock(0, 2))
+        entropy_after_placement(state, path.fiber_ids, 0, 2)
     assert state.occ == before

@@ -1,4 +1,7 @@
+import math
 import signal
+from itertools import accumulate
+from operator import sub
 
 import numpy as np
 import pytest
@@ -92,13 +95,13 @@ def test_first_fit_needs_the_block_free_on_every_fiber():
 def test_best_fit_prefers_smallest_run():
     # runs: size 3 at 0, size 2 at 5
     free, n = free_of([0, 0, 0, 1, 1, 0, 0, 1])
-    assert best_fit_run(free, n, 2)[0] == SlotBlock(5, 2)
+    assert best_fit_run(free, n, 2) == (5, 2)
 
 
 def test_best_fit_tie_goes_to_lowest_start():
     # runs: size 2 at 0, size 2 at 4
     free, n = free_of([0, 0, 1, 1, 0, 0, 1])
-    assert best_fit_run(free, n, 2)[0] == SlotBlock(0, 2)
+    assert best_fit_run(free, n, 2) == (0, 2)
 
 
 def test_best_fit_cannot_fit():
@@ -117,7 +120,7 @@ def test_fit_functions_match_bruteforce_scan():
         size = int(rng.integers(1, n + 2))
         assert first_fit_start([occ], size) == first_fit_oracle(occ, size)
         bf = best_fit_run(free, n, size)
-        assert (bf[0].start if bf else None) == best_fit_oracle(occ, size)
+        assert (bf[0] if bf else None) == best_fit_oracle(occ, size)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=200), st.integers(1, 16))
@@ -127,7 +130,23 @@ def test_fit_functions_match_oracle_hypothesis(occ, size):
     free = path_free_mask([pack_bits(occ)], n)
     assert first_fit_start([occ], size) == first_fit_oracle(occ, size)
     bf = best_fit_run(free, n, size)
-    assert (bf[0].start if bf else None) == best_fit_oracle(occ, size)
+    assert (bf[0] if bf else None) == best_fit_oracle(occ, size)
+
+
+def test_best_fit_run_start_and_length_exhaustive():
+    """Every free mask of up to 10 slots, with junk bits past the grid, and every size.
+
+    bf-ksp ranks candidates by the run length, so it is checked as well as the start.
+    """
+    for n in range(1, 11):
+        for mask in range(1 << n):
+            occ = [not mask >> i & 1 for i in range(n)]
+            runs = dict(maximal_free_runs_oracle(occ))
+            for size in range(1, n + 2):
+                start = best_fit_oracle(occ, size)
+                expected = None if start is None else (start, runs[start])
+                for junk in (0, 1, 0b101, 0b111):
+                    assert best_fit_run(mask | junk << n, n, size) == expected, (n, mask, size, junk)
 
 
 # --- entropy ----------------------------------------------------------------
@@ -309,7 +328,56 @@ def test_entropy_after_placement_tracks_every_occupancy_change(n_slots, data):
                 continue
             block = SlotBlock(data.draw(st.sampled_from(starts)), size)
             expected = placed_entropy_oracle(state, path, block)
-            assert entropy_after_placement(state, path, block) == expected
+            assert entropy_after_placement(state, path, block.start, block.size) == expected
+
+
+def scratch_record(state, f):
+    """Fiber ``f``'s run record built by one scan of the whole fiber."""
+    occupied = [bool(state.occ[f] >> i & 1) for i in range(state.n_slots)]
+    runs = maximal_free_runs_oracle(occupied)
+    n = state.n_slots
+    terms = [(length / n) * math.log(length / n) for _start, length in runs]
+    return (
+        state.occ[f],
+        [start for start, _length in runs],
+        [start + length for start, length in runs],
+        terms,
+        list(accumulate(terms, sub, initial=0.0)),
+    )
+
+
+@given(st.sampled_from([1, 63, 64, 65, 80, 320]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_patched_run_record_equals_one_built_from_scratch(n_slots, data):
+    """After every step, each record patched so far equals a full rebuild, floats by ==.
+
+    A fiber is patched only on some steps, so one patch may span several
+    occupancy changes, as between two lookups of a real trial.
+    """
+    n_fibers = 3
+    state = SpectrumState(n_fibers, n_slots)
+    held = []
+    for _step in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(["allocate", "release", "write", "swap"]))
+        if op == "allocate":
+            size = data.draw(st.integers(1, n_slots))
+            block = SlotBlock(data.draw(st.integers(0, n_slots - size)), size)
+            path = data.draw(st.lists(st.integers(0, n_fibers - 1), min_size=1, unique=True))
+            if not any(state.occ[f] & block.mask for f in path):
+                state.allocate(path, block)
+                held.append((path, block))
+        elif op == "release" and held:
+            state.release(*held.pop(data.draw(st.integers(0, len(held) - 1))))
+        elif op == "write":
+            f = data.draw(st.integers(0, n_fibers - 1))
+            state.occ[f] = data.draw(st.integers(0, state.full_mask))
+            held = [(path, block) for path, block in held if f not in path]
+        elif op == "swap":
+            state.occ = [data.draw(st.integers(0, state.full_mask)) for _ in range(n_fibers)]
+            held = []
+        for f in range(n_fibers):
+            if data.draw(st.booleans()):
+                assert state._rebuild_runs(f) == scratch_record(state, f)
 
 
 def test_entropy_after_placement_rejects_block_over_occupied_slots():
@@ -317,17 +385,17 @@ def test_entropy_after_placement_rejects_block_over_occupied_slots():
     state.allocate([1], SlotBlock(3, 1))
     state.occ[2] = state.full_mask
     ok = SlotBlock(2, 3)
-    assert entropy_after_placement(state, [0], ok) == placed_entropy_oracle(state, [0], ok)
+    assert entropy_after_placement(state, [0], 2, 3) == placed_entropy_oracle(state, [0], ok)
     for fiber_ids, block in [
         ([0, 1], ok),  # slot 3 held on fiber 1
         ([0], SlotBlock(6, 3)),  # past the grid's end
         ([2], SlotBlock(0, 1)),  # fully occupied fiber
     ]:
         with pytest.raises(SpectrumAssignmentError):
-            entropy_after_placement(state, fiber_ids, block)
+            entropy_after_placement(state, fiber_ids, block.start, block.size)
     # a rejected block is rejected again after the rejecting fiber's record is cached
     with pytest.raises(SpectrumAssignmentError):
-        entropy_after_placement(state, [1], SlotBlock(3, 1))
+        entropy_after_placement(state, [1], 3, 1)
 
 
 # --- congestion -------------------------------------------------------------
