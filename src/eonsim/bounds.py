@@ -26,7 +26,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
+from operator import itemgetter
 from typing import Sequence
 
 from .heuristics import HeuristicKind, decide
@@ -41,7 +42,7 @@ from .simulator import (
     run_stream,
     sweep,
 )
-from .spectrum import SlotBlock, SpectrumState, first_fit, run_shifts
+from .spectrum import SlotBlock, SpectrumState, first_fit, run_shifts, slot_block
 from .traffic import ServiceRequest, generate_stream
 
 INNER_HEURISTICS = (HeuristicKind.KSP_FF, HeuristicKind.FF_KSP)
@@ -49,10 +50,6 @@ INNER_HEURISTICS = (HeuristicKind.KSP_FF, HeuristicKind.FF_KSP)
 OUTCOME_DIRECT = "direct"
 OUTCOME_DEFRAG = "defrag"
 OUTCOME_BLOCKED = "blocked"
-
-# Slot blocks are immutable, so every rebuild shares one per (start, size)
-# instead of making one per re-placed request.
-_slot_block = lru_cache(maxsize=None)(SlotBlock)
 
 
 class CrossingNotBracketedError(RuntimeError):
@@ -151,10 +148,12 @@ def _rebuild(
 ) -> tuple[SpectrumState, dict[int, tuple[tuple[int, ...], SlotBlock]]] | None:
     """Re-place every request on an empty network, largest footprint first.
 
-    ``entries`` are the requests' sort keys from ``defrag_bound_trial``;
-    ids are unique, so sorting never compares past the id.  Returns the
-    rebuilt state and per-request placements, or None as soon as any
-    request cannot be hosted.
+    ``entries`` are the requests' sort keys from ``defrag_bound_trial``,
+    in admission order with the blocked request last.  Requests arrive
+    in stream order, so that is ascending ``(arrival, id)``, and a
+    stable sort on the footprint alone gives the full key's order.
+    Returns the rebuilt state and per-request placements, or None as
+    soon as any request cannot be hosted.
 
     Each request first runs ``first_fit`` on its rank-0 candidate with
     the entry's precompiled fibers and shifts.  Under ksp-ff any fit
@@ -168,7 +167,7 @@ def _rebuild(
     kind, table, guard = config.heuristic, config.modulation, config.guard_slots
     start_zero_only = kind is HeuristicKind.FF_KSP
     placements: dict[int, tuple[tuple[int, ...], SlotBlock]] = {}
-    entries.sort()
+    entries.sort(key=itemgetter(0))
     for _footprint, _arrival, req_id, request, candidates, rank0 in entries:
         if rank0 is not None:
             fiber_ids, demand, shifts, low_mask = rank0
@@ -177,13 +176,13 @@ def _rebuild(
                 mask = low_mask << start
                 for f in fiber_ids:
                     occ[f] |= mask
-                placements[req_id] = (fiber_ids, _slot_block(start, demand))
+                placements[req_id] = (fiber_ids, slot_block(start, demand))
                 continue
         decision = decide(kind, request, candidates, temp, table, guard)
         if decision is None:
             return None
-        fiber_ids, block = decision.path.fiber_ids, decision.block
-        mask = block.mask
+        path, block = decision
+        fiber_ids, mask = path.fiber_ids, block.mask
         for f in fiber_ids:  # decide found the block free on every fiber
             occ[f] |= mask
         placements[req_id] = (fiber_ids, block)
@@ -273,8 +272,8 @@ def bound_sweep(
     """
     require_inner_heuristic(config)
     bound_trial = partial(defrag_bound_trial, record_outcomes=record_outcomes)
-    heuristic_result = sweep(config, loads, jobs=jobs)
-    bound_result = sweep(config, loads, jobs=jobs, trial_runner=bound_trial)
+    heuristic_result = sweep(config, loads, jobs=jobs, curve="heuristic")
+    bound_result = sweep(config, loads, jobs=jobs, trial_runner=bound_trial, curve="bound")
     return BoundSweepResult(heuristic_result, bound_result, target_sbp)
 
 

@@ -25,8 +25,7 @@ identical inputs always produce identical outputs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .service import ModulationTable, demand_for_path
 from .spectrum import (
@@ -37,6 +36,7 @@ from .spectrum import (
     first_fit,
     path_congestion,
     run_shifts,
+    slot_block,
 )
 from .topology import CandidatePath
 
@@ -65,8 +65,7 @@ class HeuristicKind(enum.Enum):
 _KSP_FF, _FF_KSP, _KSP_BF, _BF_KSP, _KME_FF, _KCA_FF = HeuristicKind
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
+class Decision(NamedTuple):
     """The chosen path and slot block; ``block.size`` is the demand."""
 
     path: CandidatePath
@@ -104,7 +103,7 @@ def decide(
             if start < 0:
                 continue
         if kind is _KSP_FF or kind is _KSP_BF:
-            return Decision(path, SlotBlock(start, demand))
+            return Decision(path, slot_block(start, demand))
         if kind is _FF_KSP:
             key = start
         elif kind is _BF_KSP:
@@ -122,4 +121,4 @@ def decide(
     if best is None:
         return None
     path, start, demand = best
-    return Decision(path, SlotBlock(start, demand))
+    return Decision(path, slot_block(start, demand))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .topology import CandidatePath
+from .topology import CandidatePath, _Lookup
 
 SLOT_WIDTH_GHZ = 12.5
 
@@ -29,20 +29,6 @@ class ModulationFormat:
     name: str
     bits_per_symbol: int
     max_reach_km: float
-
-
-class _Lookup(dict):
-    """A dictionary that computes, and keeps, each missing entry."""
-
-    __slots__ = ("_compute",)
-
-    def __init__(self, compute):
-        super().__init__()
-        self._compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self._compute(key)
-        return value
 
 
 class ModulationTable:

@@ -17,9 +17,13 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import multiprocessing
+import os
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -93,11 +97,12 @@ class TrialResult:
 class ActiveLightpaths:
     """Expiry-ordered set of admitted lightpaths plus their placements."""
 
-    __slots__ = ("_state", "_heap", "records")
+    __slots__ = ("_state", "expiries", "records")
 
     def __init__(self, state: SpectrumState):
         self._state = state
-        self._heap: list[tuple[float, int]] = []
+        # heap of (expiry time, request id)
+        self.expiries: list[tuple[float, int]] = []
         # request id -> (request, fiber_ids, block, sort key or None)
         self.records: dict[int, tuple[ServiceRequest, tuple[int, ...], SlotBlock, tuple | None]] = {}
 
@@ -105,8 +110,9 @@ class ActiveLightpaths:
         return len(self.records)
 
     def add(self, request: ServiceRequest, decision: Decision, key: tuple | None = None) -> None:
-        self._state.allocate(decision.path.fiber_ids, decision.block)
-        self.insert_allocated(request, decision.path.fiber_ids, decision.block, key)
+        path, block = decision
+        self._state.allocate(path.fiber_ids, block)
+        self.insert_allocated(request, path.fiber_ids, block, key)
 
     def insert_allocated(
         self,
@@ -117,16 +123,16 @@ class ActiveLightpaths:
     ) -> None:
         """Record a lightpath whose slots are already held in the state."""
         self.records[request.id] = (request, fiber_ids, block, key)
-        heapq.heappush(self._heap, (request.expiry_time, request.id))
+        heapq.heappush(self.expiries, (request.expiry_time, request.id))
 
     def release_due(self, now: float) -> int:
         """Release every lightpath with expiry strictly before ``now``."""
         released = 0
-        heap = self._heap
+        heap, records, release = self.expiries, self.records, self._state.release
         while heap and heap[0][0] < now:
             _expiry, req_id = heapq.heappop(heap)
-            _request, fiber_ids, block, _key = self.records.pop(req_id)
-            self._state.release(fiber_ids, block)
+            _request, fiber_ids, block, _key = records.pop(req_id)
+            release(fiber_ids, block)
             released += 1
         return released
 
@@ -171,17 +177,20 @@ def run_stream(
         raise SimConfigError("stream shorter than the warm-up period")
     state = SpectrumState.for_topology(config.topology)
     active = ActiveLightpaths(state)
-    paths_of = config.topology.candidate_paths
-    k, ordering, kind, table = config.k, config.ordering, config.heuristic, config.modulation
+    routes = config.topology.route_table(config.k, config.ordering)
+    kind, table = config.heuristic, config.modulation
     guard, warmup = config.guard_slots, config.warmup_requests
+    expiries, release_due, add = active.expiries, active.release_due, active.add
 
     blocked = 0
     for i, request in enumerate(stream):
-        active.release_due(request.arrival_time)
-        candidates = paths_of(request.src, request.dst, k, ordering)
+        now = request.arrival_time
+        if expiries and expiries[0][0] < now:  # something is due
+            release_due(now)
+        candidates = routes[request.src, request.dst]
         decision = decide(kind, request, candidates, state, table, guard)
         if decision is not None:
-            active.add(request, decision, sort_key(request, candidates) if sort_key else None)
+            add(request, decision, sort_key(request, candidates) if sort_key else None)
         elif on_block is None or not on_block(i, request, candidates, active):
             if i >= warmup:
                 blocked += 1
@@ -237,10 +246,18 @@ _WORKER_CONFIG: SimConfig | None = None
 _WORKER_RUNNER: Callable[[SimConfig, int], TrialResult] | None = None
 
 
+def _exit_with_parent() -> None:
+    """Wait until the parent process has ended, then end this worker."""
+    wait([multiprocessing.parent_process().sentinel])
+    os._exit(1)
+
+
 def _init_worker(config: SimConfig, runner) -> None:
     global _WORKER_CONFIG, _WORKER_RUNNER
     _WORKER_CONFIG = config
     _WORKER_RUNNER = runner
+    # a worker whose sweeping process was killed would otherwise run on
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
 
 
 def _sweep_task(args: tuple[float, int]) -> tuple[float, int, TrialResult]:
@@ -263,6 +280,7 @@ def sweep(
     *,
     jobs: int = 1,
     trial_runner: Callable[[SimConfig, int], TrialResult] = run_trial,
+    curve: str | None = None,
 ) -> LoadSweepResult:
     """Paired-seed trials across traffic loads.
 
@@ -271,7 +289,8 @@ def sweep(
     curves at different loads or k values are directly comparable.
     Loads must be strictly increasing.  A warning is emitted for any
     load whose pooled blocking-event count is below
-    ``MIN_BLOCKING_EVENTS``, too few for a stable SBP estimate.
+    ``MIN_BLOCKING_EVENTS``, too few for a stable SBP estimate; it names
+    ``curve`` when one is given, for callers that sweep several curves.
 
     With ``jobs > 1`` trials run in worker processes; ``trial_runner``
     must then pickle: a module-level function, or a ``functools.partial``
@@ -299,8 +318,9 @@ def sweep(
     for load in loads:
         point = summarize_trials(load, by_load[load])
         if point.blocked_total < MIN_BLOCKING_EVENTS:
+            label = f" ({curve})" if curve else ""
             warnings.warn(
-                f"load {load:g}: only {point.blocked_total} blocking events across "
+                f"load {load:g}{label}: only {point.blocked_total} blocking events across "
                 f"{point.trials} trials; SBP estimate is noisy",
                 stacklevel=2,
             )

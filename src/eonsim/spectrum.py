@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import sub
@@ -29,18 +29,27 @@ class SpectrumAssignmentError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class SlotBlock:
-    """A contiguous run of slots starting at a 0-based index."""
+    """A contiguous run of slots starting at a 0-based index.
+
+    ``mask`` has bit ``i`` set for each slot ``i`` of the block; it is
+    computed once, at construction.  Placements share blocks through
+    :func:`slot_block`.
+    """
 
     start: int
     size: int
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.start < 0 or self.size < 1:
             raise ValueError(f"invalid slot block ({self.start}, {self.size})")
+        object.__setattr__(self, "mask", ((1 << self.size) - 1) << self.start)
 
-    @property
-    def mask(self) -> int:
-        return ((1 << self.size) - 1) << self.start
+
+#: The shared block for ``(start, size)``.  Blocks are immutable, so one
+#: per pair serves every trial; there are at most slots x sizes of them,
+#: and a bad pair raises on every call, since exceptions are not cached.
+slot_block = lru_cache(maxsize=None)(SlotBlock)
 
 
 @lru_cache(maxsize=None)

@@ -76,7 +76,7 @@ class Link:
     length_km: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidatePath:
     """A loopless route plus cached geometry and fiber bindings.
 
@@ -90,6 +90,20 @@ class CandidatePath:
     length_km: float
     rank: int
     fiber_ids: tuple[int, ...]
+
+
+class _Lookup(dict):
+    """A dictionary that computes, and keeps, each missing entry."""
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self._compute(key)
+        return value
 
 
 class Topology:
@@ -173,6 +187,20 @@ class Topology:
             cached = tuple(k_shortest_paths(self, src, dst, k, ordering))
             self._path_cache[key] = cached
         return cached
+
+    def route_table(
+        self, k: int, ordering: PathOrdering
+    ) -> dict[tuple[str, str], tuple[CandidatePath, ...]]:
+        """A ``(src, dst) -> candidate_paths(src, dst, k, ordering)`` table.
+
+        An event loop indexes it once per request instead of calling
+        ``candidate_paths``.  Each pair is fetched on first use, so a
+        short run pays only for the pairs it meets.  The topology keeps
+        no table: one kept there would form a reference cycle through
+        its fill function and hold a dropped topology until a full
+        garbage collection.
+        """
+        return _Lookup(lambda pair: self.candidate_paths(*pair, k, ordering))
 
     def warm_path_cache(self, k: int, ordering: PathOrdering) -> None:
         """Pre-compute candidate paths for every ordered node pair."""

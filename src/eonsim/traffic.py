@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,9 +64,12 @@ class TrafficConfig:
         return self.load_erlangs / HOLDING_TIME_MEAN
 
 
-@dataclass(frozen=True, slots=True)
-class ServiceRequest:
-    """One connection request; exactly one of rate_gbps / slots is set."""
+class ServiceRequest(NamedTuple):
+    """One connection request; exactly one of rate_gbps / slots is set.
+
+    An immutable tuple: a trial builds one per request, and a tuple is
+    about three times cheaper to build than a frozen dataclass.
+    """
 
     id: int
     src: str
@@ -122,9 +125,9 @@ def generate_stream(
 
     if config.rate_gbps_range is not None:
         lo, hi = config.rate_gbps_range
-        drawn = demand_rng.integers(lo, hi + 1, n_requests).astype(float)
-        shared: dict[float, float] = {}  # equal rates share one float object
-        rates = (shared.setdefault(r, r) for r in memoryview(drawn))
+        drawn = demand_rng.integers(lo, hi + 1, n_requests)
+        rate_values = [float(rate) for rate in range(lo, hi + 1)]  # one object per rate
+        rates = map(rate_values.__getitem__, memoryview(drawn - lo))
         slot_counts = repeat(None)
     else:
         choices = np.asarray(config.fixed_slot_choices)
@@ -138,15 +141,13 @@ def generate_stream(
 
     # Iterating a memoryview of a draw yields plain floats and ints one at
     # a time: no numpy scalar per field, and no list per column.
-    return list(
-        map(
-            ServiceRequest,
-            range(n_requests),
-            map(nodes.__getitem__, memoryview(src_idx)),
-            map(nodes.__getitem__, memoryview(dst_idx)),
-            memoryview(arrivals),
-            memoryview(holdings),
-            rates,
-            slot_counts,
-        )
+    rows = zip(
+        range(n_requests),
+        map(nodes.__getitem__, memoryview(src_idx)),
+        map(nodes.__getitem__, memoryview(dst_idx)),
+        memoryview(arrivals),
+        memoryview(holdings),
+        rates,
+        slot_counts,
     )
+    return list(map(ServiceRequest._make, rows))

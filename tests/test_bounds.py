@@ -317,6 +317,28 @@ def test_bound_dominates_heuristic_small_scale():
     assert bound.points[0].mean_sbp < heur.points[0].mean_sbp
 
 
+def test_rebuild_entries_arrive_in_arrival_order():
+    """``_rebuild`` sorts on the footprint alone, so its input must be in (arrival, id) order."""
+    preset = get_preset("deeprmsa")
+    topo = preset.load_topology("nsfnet")
+    cfg = preset.sim_config(
+        topo, HeuristicKind.KSP_FF, 5, ORDER, 380.0,
+        warmup_requests=500, measured_requests=1500, trials=1,
+    )
+    real_rebuild = bounds._rebuild
+    orders = []
+
+    def recorded_rebuild(config, entries):
+        orders.append([(entry[1], entry[2]) for entry in entries])
+        return real_rebuild(config, entries)
+
+    with mock.patch("eonsim.bounds._rebuild", recorded_rebuild):
+        defrag_bound_trial(cfg, seed=0)
+    assert len(orders) > 5
+    for order in orders:
+        assert order == sorted(order) and len(set(order)) == len(order)
+
+
 # --- crossing interpolation ---------------------------------------------------------
 
 def point(load, sbp, trials=4, measured=10_000):

@@ -44,6 +44,14 @@ def test_empty_network_all_kinds_pick_rank0(diamond):
         assert decision.block == SlotBlock(0, 2), kind
 
 
+def test_decision_rejects_attribute_assignment(diamond):
+    state = SpectrumState.for_topology(diamond)
+    decision = decide(HeuristicKind.KSP_FF, request(slots=2), candidates_of(diamond), state)
+    with pytest.raises(AttributeError):
+        decision.block = SlotBlock(4, 2)
+    assert decision.block == SlotBlock(0, 2)
+
+
 def test_ksp_ff_vs_ff_ksp(two_route_topo):
     """Path 0 first-fit starts at 7, path 1 at 2: rank-first vs spectrum-first."""
     topo = two_route_topo

@@ -1,5 +1,12 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +306,75 @@ def test_parallel_sweep_matches_serial():
     assert serial == parallel
     assert bound_serial == bound_parallel
     assert sum(r.defrag_count for p in bound_serial.points for r in p.results) > 0
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and has not exited; an unreaped zombie has exited."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_pool_workers_end_with_their_sweeping_process(tmp_path):
+    """A SIGTERM to a two-worker sweep leaves no worker running.
+
+    Each worker's trial spins until it is stopped, so only the worker's
+    own watch on its parent can end it.  The spin gives up after 60 s,
+    so a failing run leaves no process behind for long.
+    """
+    (tmp_path / "spin_trial.py").write_text(textwrap.dedent("""
+        import os, time
+        from pathlib import Path
+
+        def run(config, seed):
+            Path(os.environ["PID_DIR"], str(os.getpid())).touch()
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                pass
+    """))
+    script = textwrap.dedent("""
+        import spin_trial
+        from eonsim.heuristics import HeuristicKind
+        from eonsim.presets import get_preset
+        from eonsim.simulator import sweep
+        from eonsim.topology import PathOrdering
+
+        preset = get_preset("deeprmsa")
+        config = preset.sim_config(
+            preset.load_topology("nsfnet"), HeuristicKind.KSP_FF, 2,
+            PathOrdering.HOPS_THEN_KM, 100.0, trials=2,
+        )
+        sweep(config, [100.0], jobs=2, trial_runner=spin_trial.run)
+    """)
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PID_DIR": str(pid_dir),
+           "PYTHONPATH": os.pathsep.join([str(tmp_path), src])}
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(pids) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            pids = [int(p.name) for p in pid_dir.iterdir()]
+        assert len(pids) == 2, f"workers did not start (exit code {proc.poll()})"
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_truncation_matches_reduced_load_without():

@@ -18,6 +18,7 @@ from eonsim.spectrum import (
     free_runs,
     path_congestion,
     run_shifts,
+    slot_block,
 )
 from reference import (
     best_fit_oracle,
@@ -210,6 +211,29 @@ def test_free_runs_ignores_bits_past_the_grid():
     finally:
         signal.setitimer(signal.ITIMER_VIRTUAL, 0)
         signal.signal(signal.SIGVTALRM, previous)
+
+
+# --- shared slot blocks -----------------------------------------------------
+
+def test_shared_block_equals_and_hashes_like_a_fresh_one():
+    shared = slot_block(2, 3)
+    assert slot_block(2, 3) is shared
+    assert shared == SlotBlock(2, 3) and hash(shared) == hash(SlotBlock(2, 3))
+    assert shared.mask == SlotBlock(2, 3).mask == 0b11100
+    assert shared != slot_block(3, 2)
+
+
+def test_shared_block_rejects_attribute_assignment():
+    with pytest.raises(AttributeError):
+        slot_block(0, 1).start = 5
+    assert slot_block(0, 1).start == 0
+
+
+@pytest.mark.parametrize("start,size", [(-1, 2), (0, 0)])
+def test_bad_shared_block_raises_on_every_call(start, size):
+    for _ in range(2):  # an exception is not cached
+        with pytest.raises(ValueError):
+            slot_block(start, size)
 
 
 # --- allocate / release -----------------------------------------------------

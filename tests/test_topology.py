@@ -305,6 +305,25 @@ def test_one_yen_run_per_unordered_pair_only_with_integral_lengths(
     assert len(topo._path_cache) == 14 * 13
 
 
+def test_route_table_computes_only_the_pairs_it_is_asked_for(monkeypatch):
+    jpn48 = load_topology("jpn48")
+    calls = []
+    real = topology_module.k_shortest_paths
+    monkeypatch.setattr(
+        topology_module, "k_shortest_paths", lambda *args: calls.append(args[1:3]) or real(*args)
+    )
+    src, dst = jpn48.nodes[0], jpn48.nodes[-1]
+    routes = jpn48.route_table(3, PathOrdering.HOPS_THEN_KM)
+    assert len(routes) == 0 and calls == []
+    paths = routes[src, dst]
+    assert calls == [(src, dst)]
+    assert list(routes) == [(src, dst)]
+    assert paths == jpn48.candidate_paths(src, dst, 3, PathOrdering.HOPS_THEN_KM)
+    assert routes[src, dst] is paths
+    routes[dst, src]  # the same Yen run stored the reverse pair's list
+    assert calls == [(src, dst)] and len(routes) == 2
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_primary_criterion_nondecreasing(seed):

@@ -205,3 +205,10 @@ def test_rejects_missing_seed():
 def test_expiry_time_property():
     r = ServiceRequest(0, "a", "b", arrival_time=2.5, holding_time=1.25, rate_gbps=50.0)
     assert r.expiry_time == pytest.approx(3.75)
+
+
+def test_request_rejects_attribute_assignment():
+    r = ServiceRequest(0, "a", "b", arrival_time=2.5, holding_time=1.25, slots=2)
+    with pytest.raises(AttributeError):
+        r.slots = 3
+    assert (r.slots, r.rate_gbps) == (2, None)
