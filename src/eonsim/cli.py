@@ -11,9 +11,10 @@ Subcommands::
     rerun            replay a saved run manifest
 
 Every data-producing run writes a ``manifest.json`` (resolved
-parameters, tool version and the SHA-256 of any input file, no
-timestamps) that ``rerun`` replays byte-for-byte, refusing when an
-input file has changed; wall-clock metadata goes to ``run_meta.json``.
+parameters, tool and numpy versions and the SHA-256 of any input file,
+no timestamps) that ``rerun`` replays byte-for-byte, refusing when an
+input file or numpy's version has changed; wall-clock metadata goes to
+``run_meta.json``.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
@@ -127,6 +128,7 @@ def _write_manifest(out: Path, subcommand: str, manifest_args: dict) -> None:
     doc = {
         "tool": "eonsim",
         "version": __version__,
+        "numpy_version": np.__version__,
         "subcommand": subcommand,
         "args": manifest_args,
         "input_sha256": _input_hashes(manifest_args),
@@ -385,6 +387,18 @@ def cmd_rerun(args) -> int:
         raise CliError(
             "input changed since the recorded run: "
             + ", ".join(f"--{k.replace('_', '-')} {stored.get(k)}" for k in changed)
+        )
+    # Generator methods may change their draws between numpy releases (NEP 19)
+    recorded_numpy = doc.get("numpy_version")
+    if recorded_numpy is None:
+        warnings.warn(
+            f"{args.manifest} records no numpy version; "
+            f"its streams are reproduced only if it ran under numpy {np.__version__}"
+        )
+    elif recorded_numpy != np.__version__:
+        raise CliError(
+            f"numpy changed since the recorded run: recorded {recorded_numpy}, "
+            f"installed {np.__version__}"
         )
     argv = [sub]
     for key, value in stored.items():

@@ -13,6 +13,8 @@ path order with spectrum search:
   smallest free run wins (ties: lower start, then earlier rank).
 * kme-ff: candidate minimizing summed per-link fragmentation entropy
   after a hypothetical first-fit placement (ties to earlier rank).
+  Candidates are scored by ``spectrum.entropy_estimate``; only those
+  within twice its error bound of the lowest score get the exact fold.
 * kca-ff: candidate minimizing path congestion (ties to earlier rank),
   placed first-fit.
 
@@ -33,6 +35,8 @@ from .spectrum import (
     SpectrumState,
     best_fit_run,
     entropy_after_placement,
+    entropy_estimate,
+    entropy_estimate_error,
     first_fit,
     path_congestion,
     run_shifts,
@@ -85,10 +89,16 @@ def decide(
     One pass in rank order: ksp-ff and ksp-bf return the first candidate
     that fits; the others keep the smallest policy key, so ties go to
     the earlier rank.
+
+    kme-ff keys on ``entropy_estimate``, within eps of the exact fold,
+    so the exact argmin lies within 2 eps of the lowest estimate; after
+    the loop only those candidates are folded exactly, in rank order.
+    eps is taken over all the state's fibers, which bound a loopless path.
     """
     best_fit = kind is _KSP_BF or kind is _BF_KSP
     occ, full, n_slots = state.occ, state.full_mask, state.n_slots
     best_key = best = None
+    scored = []  # kme-ff: (estimate, path, start, demand) in rank order
     for path in candidates:
         demand = demand_for_path(request, path, table, guard_slots)
         if demand is None:
@@ -109,7 +119,8 @@ def decide(
         elif kind is _BF_KSP:
             key = (run_len, start)
         elif kind is _KME_FF:
-            key = entropy_after_placement(state, path.fiber_ids, start, demand)
+            key = entropy_estimate(state, path.fiber_ids, start, demand)
+            scored.append((key, path, start, demand))
         elif kind is _KCA_FF:
             key = path_congestion(state, path.fiber_ids)
         else:
@@ -120,5 +131,14 @@ def decide(
                 break
     if best is None:
         return None
+    if len(scored) > 1:
+        margin = 2 * entropy_estimate_error(n_slots, state.n_fibers)
+        near = [s[1:] for s in scored if s[0] - best_key <= margin]
+        if len(near) > 1:
+            best_key = None
+            for path, start, demand in near:  # a closure over state would slow every policy
+                key = entropy_after_placement(state, path.fiber_ids, start, demand)
+                if best_key is None or key < best_key:
+                    best_key, best = key, (path, start, demand)
     path, start, demand = best
     return Decision(path, slot_block(start, demand))

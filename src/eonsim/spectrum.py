@@ -5,21 +5,16 @@ bit ``i`` set meaning slot ``i`` is occupied.  All operations are
 defined purely in terms of the equivalent boolean vectors; the packed
 form only buys speed.
 
-Each fiber's maximal free runs, with their ``p ln p`` entropy terms and
-prefix partial entropies, are kept in a lazily built record.  When the
-fiber's occupancy integer has changed, only the runs around the changed
-slots are rescanned and spliced in, so the entropy after a hypothetical
-placement costs a bisection and a short fold rather than a rescan of
-every fiber on the path.
+Each fiber's fragmentation entropy is cached with the occupancy it was
+folded at, so a candidate placement is scored from the split run's
+bounds alone; the exact rescan settles only near-ties (see
+``heuristics.decide``).
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from itertools import accumulate
-from operator import sub
+from functools import lru_cache
 from typing import Sequence
 
 
@@ -86,29 +81,6 @@ def first_fit(occ: Sequence[int], fiber_ids: Sequence[int], full: int, shifts: S
     return (fits & -fits).bit_length() - 1
 
 
-def free_runs(free: int, n_slots: int) -> list[tuple[int, int]]:
-    """Maximal free runs as (start, length), ascending by start.
-
-    Bits of ``free`` at or above ``n_slots`` are ignored.
-    """
-    runs = []
-    occ_beyond = ~free  # bits >= n_slots read as occupied
-    pos = 0
-    while True:
-        rest = free >> pos
-        if not rest:
-            return runs
-        start = pos + ((rest & -rest).bit_length() - 1)
-        if start >= n_slots:
-            return runs
-        after = occ_beyond >> start
-        length = (after & -after).bit_length() - 1
-        if start + length > n_slots:
-            length = n_slots - start
-        runs.append((start, length))
-        pos = start + length
-
-
 def best_fit_run(free: int, n_slots: int, size: int) -> tuple[int, int] | None:
     """Start and length of the smallest maximal free run that fits ``size``.
 
@@ -139,8 +111,32 @@ def best_fit_run(free: int, n_slots: int, size: int) -> tuple[int, int] | None:
 
 @lru_cache(maxsize=None)
 def _run_terms(n_slots: int) -> tuple[float, ...]:
-    """``p ln p`` of a free run of each length n, p = n / n_slots (index 0 unused)."""
-    return (0.0,) + tuple((n / n_slots) * math.log(n / n_slots) for n in range(1, n_slots + 1))
+    """``p ln p`` of a free run of n slots at index n + 1, p = n / n_slots.
+
+    Index 1 is the empty run's 0.0 and index 0 is unused.  The offset
+    matches the bit counts that find a run: a run plus the occupied slot
+    that ends it.
+    """
+    return (0.0, 0.0) + tuple((n / n_slots) * math.log(n / n_slots) for n in range(1, n_slots + 1))
+
+
+def free_entropy(free: int, n_slots: int) -> float:
+    """Fragmentation entropy of one fiber's free mask (bit i set: slot i free).
+
+    H = -sum_i (D_i/D) ln(D_i/D) over the maximal free runs D_i, in
+    ascending start order, with D the grid size (natural log).  Adding
+    the lowest set bit clears the lowest run and carries into the slot
+    above it, so each run costs a few integer operations.  Bits at or
+    above ``n_slots`` are ignored.
+    """
+    table = _run_terms(n_slots)
+    free &= (1 << n_slots) - 1
+    h = 0.0
+    while free:
+        step = free + (free & -free)
+        h -= table[(free ^ step).bit_count()]  # the run and its carry bit
+        free &= step
+    return h
 
 
 class SpectrumState:
@@ -149,15 +145,16 @@ class SpectrumState:
     Owned by a single trial's event loop; trials never share state.
     """
 
-    __slots__ = ("n_fibers", "n_slots", "full_mask", "occ", "_runs")
+    __slots__ = ("n_fibers", "n_slots", "full_mask", "occ", "_entropy_occ", "_entropy")
 
     def __init__(self, n_fibers: int, n_slots: int):
         self.n_fibers = n_fibers
         self.n_slots = n_slots
         self.full_mask = (1 << n_slots) - 1
         self.occ = [0] * n_fibers
-        # per fiber: (occupancy, run starts, run ends, run terms, prefix entropies)
-        self._runs = [None] * n_fibers
+        # per fiber: the occupancy its entropy was last folded at, and that entropy
+        self._entropy_occ = [0] * n_fibers
+        self._entropy = [0.0] * n_fibers
 
     @classmethod
     def for_topology(cls, topology) -> "SpectrumState":
@@ -196,69 +193,83 @@ class SpectrumState:
         for f in fiber_ids:
             occ[f] &= ~mask
 
-    def _rebuild_runs(self, f: int) -> tuple:
-        """Fiber ``f``'s run record, patched to its current occupancy.
-
-        Only the old runs that touch a slot changed since the record was
-        made, adjacency included, are rescanned, over the window they and
-        the changed slots span; a missing record reads as a fully occupied
-        fiber.  The prefix entropies are refolded from the first replaced
-        run, the same left fold as a full build, so they are bit-identical.
-        """
-        occ = self.occ[f]
-        old, starts, ends, terms, prefix = self._runs[f] or (self.full_mask, [], [], [], [0.0])
-        changed = old ^ occ
-        if changed:
-            lo = (changed & -changed).bit_length() - 1
-            hi = changed.bit_length()
-            i0 = bisect_left(ends, lo)
-            i1 = bisect_right(starts, hi, i0)
-            if i0 < i1:
-                lo, hi = min(lo, starts[i0]), max(hi, ends[i1 - 1])
-            runs = free_runs((~occ & self.full_mask) >> lo, hi - lo)
-            table = _run_terms(self.n_slots)
-            starts[i0:i1] = [lo + start for start, _length in runs]
-            ends[i0:i1] = [lo + start + length for start, length in runs]
-            terms[i0:i1] = [table[length] for _start, length in runs]
-            prefix[i0:] = accumulate(terms[i0:], sub, initial=prefix[i0])
-        record = self._runs[f] = (occ, starts, ends, terms, prefix)
-        return record
-
 
 def entropy_after_placement(
     state: SpectrumState, fiber_ids: Sequence[int], start: int, size: int
 ) -> float:
     """Summed per-link fragmentation entropy after a hypothetical placement.
 
-    A fiber's entropy is H = -sum_i (D_i/D) ln(D_i/D) over its maximal
-    free runs D_i in ascending start order, D the grid size (natural log).
-    The block of ``size`` slots at ``start`` splits one run into at most
-    two remnants; starting from that run's prefix partial, the remnants'
-    and the later runs' terms are subtracted in the same order as a
-    left-to-right scan, so the result is bit-identical to rescanning the
-    fiber.  Raises
-    SpectrumAssignmentError when the block is not inside one free run of
-    every fiber.
+    Each fiber is rescanned with the block of ``size`` slots at ``start``
+    occupied (:func:`free_entropy`), and the fibers' entropies are added
+    in path order.  Raises SpectrumAssignmentError when the block is not
+    free on every fiber or does not fit the grid.
     """
-    end = start + size
-    table = _run_terms(state.n_slots)
-    records, occ = state._runs, state.occ
+    if start < 0 or start + size > state.n_slots:
+        raise SpectrumAssignmentError(f"block ({start}, {size}) exceeds grid of {state.n_slots} slots")
+    mask = ((1 << size) - 1) << start
     total = 0.0
     for f in fiber_ids:
-        record = records[f]
-        if record is None or record[0] != occ[f]:  # stale since the last placement
-            record = state._rebuild_runs(f)
-        _occ, starts, ends, terms, prefix = record
-        j = bisect_right(starts, start) - 1
-        if j < 0 or ends[j] < end:
+        occ = state.occ[f]
+        if occ & mask:
             raise SpectrumAssignmentError(f"block ({start}, {size}) is not free on fiber {f}")
-        h = prefix[j]
-        if start > starts[j]:
-            h -= table[start - starts[j]]
-        if ends[j] > end:
-            h -= table[ends[j] - end]
-        total += reduce(sub, terms[j + 1:], h)
+        total += free_entropy(~(occ | mask), state.n_slots)
     return total
+
+
+def entropy_estimate(
+    state: SpectrumState, fiber_ids: Sequence[int], start: int, size: int
+) -> float:
+    """:func:`entropy_after_placement` to within :func:`entropy_estimate_error`.
+
+    Per fiber, the cached entropy of its current occupancy (refolded when
+    that occupancy has changed) gets the ``p ln p`` term of the free run
+    that the block splits added back and the terms of the run's two
+    remnants subtracted.  The run's bounds come off the occupancy with
+    bit operations, so a fiber costs O(1) once its cache is current.  The
+    block must be free on every fiber; that is not checked.
+    """
+    end = start + size
+    n_slots = state.n_slots
+    table = _run_terms(n_slots)
+    below = (1 << start) - 1
+    grid_end = 1 << (n_slots - end)  # ends the run at the grid's edge
+    occ, cached_occ, cached = state.occ, state._entropy_occ, state._entropy
+    total = 0.0
+    for f in fiber_ids:
+        o = occ[f]
+        if cached_occ[f] != o:
+            cached_occ[f] = o
+            cached[f] = free_entropy(~o, n_slots)
+        lo = (o & below).bit_length()  # the split run's first slot
+        tail = o >> end | grid_end
+        right = (tail & -tail).bit_length()  # 1 + the right remnant's length
+        total += cached[f] + table[end + right - lo] - table[start + 1 - lo] - table[right]
+    return total
+
+
+@lru_cache(maxsize=None)
+def entropy_estimate_error(n_slots: int, n_fibers: int) -> float:
+    """A bound on |entropy_estimate - entropy_after_placement| over ``n_fibers`` fibers.
+
+    Both are float sums of the same ``p ln p`` table entries with the
+    same real value (the estimate adds back the split run's term, which
+    the cached fold subtracted), so only the additions round.  With unit
+    roundoff u = 2**-53, a sum whose every term passes through at most m
+    roundings is within gamma_m = m u / (1 - m u) times the sum of the
+    terms' absolute values of the real sum (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 4.2).  Here
+    m <= n_slots/2 + 4 + n_fibers: at most ceil(n_slots/2) free runs per
+    fiber, three patch terms and n_fibers per-fiber values in the path
+    sum.  A fiber's run terms are an entropy over at most n_slots parts
+    whose weights sum to at most 1, so their absolute values sum to at
+    most ln(n_slots) + 1/e, and each patch term is at most 1/e: below
+    n_fibers (ln(n_slots) + 2) in all.  Each value is thus within
+    gamma_m n_fibers (ln(n_slots) + 2) of the real sum, and the two
+    within twice that.  Evaluating with 2**-52 for u covers gamma_m's
+    denominator and the rounding of the bound itself.
+    """
+    m = n_slots / 2 + 4 + n_fibers
+    return 2 * m * 2.0**-52 * n_fibers * (math.log(n_slots) + 2)
 
 
 def path_congestion(state: SpectrumState, fiber_ids: Sequence[int]) -> float:
@@ -266,4 +277,3 @@ def path_congestion(state: SpectrumState, fiber_ids: Sequence[int]) -> float:
     if not fiber_ids:
         raise ValueError("path has no links")
     return max(state.occ[f].bit_count() for f in fiber_ids) / state.n_slots
-

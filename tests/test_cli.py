@@ -12,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from eonsim import bounds, cli, simulator
@@ -291,6 +292,57 @@ def test_rerun_refuses_changed_topology_file(tmp_path, capsys):
     assert run(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "edited")]) == 2
     assert f"--topology {topo}" in capsys.readouterr().err
     assert not (tmp_path / "edited").exists()
+
+
+TINY_SWEEP = (
+    "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 300 --trials 1 "
+    "--warmup 50 --measured 200 --jobs 1"
+)
+
+
+@pytest.mark.filterwarnings("ignore:load .* blocking events")
+def test_manifest_records_numpy_version(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(f"{TINY_SWEEP} --out {out}".split()) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["numpy_version"] == np.__version__
+    capsys.readouterr()
+    assert run(["rerun", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "b")]) == 0
+    assert "numpy" not in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:load .* blocking events")
+def test_rerun_refuses_another_numpy_version(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(f"{TINY_SWEEP} --out {out}".split()) == 0
+    manifest = out / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["numpy_version"] = "1.24.0" if np.__version__ != "1.24.0" else "2.0.0"
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "other")]) == 2
+    err = capsys.readouterr().err
+    assert f"recorded {doc['numpy_version']}, installed {np.__version__}" in err
+    assert not (tmp_path / "other").exists()
+
+
+@pytest.mark.filterwarnings("ignore:load .* blocking events")
+def test_rerun_of_a_manifest_without_numpy_version_warns_once(tmp_path, capsys):
+    """A manifest written before numpy's version was recorded still reruns."""
+    out = tmp_path / "run"
+    assert run(f"{TINY_SWEEP} --out {out}".split()) == 0
+    manifest = out / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    del doc["numpy_version"]
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "old")]) == 0
+    warned = [line for line in capsys.readouterr().err.splitlines() if "numpy" in line]
+    assert warned == [
+        f"warning: {manifest} records no numpy version; "
+        f"its streams are reproduced only if it ran under numpy {np.__version__}"
+    ]
+    assert (out / "trials.csv").read_bytes() == (tmp_path / "old" / "trials.csv").read_bytes()
 
 
 def test_sweep_on_a_topology_file_runs_on_the_preset_grid(tmp_path):

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from eonsim import heuristics
 from eonsim.heuristics import HeuristicKind, decide
 from eonsim.presets import get_preset
 from eonsim.service import ModulationTable
@@ -8,6 +11,7 @@ from eonsim.simulator import run_trial
 from eonsim.spectrum import SlotBlock, SpectrumState
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import ServiceRequest
+from reference import reference_decision
 
 TABLE = ModulationTable.default()
 
@@ -138,6 +142,66 @@ def test_kme_ff_minimizes_post_allocation_entropy(two_route_topo):
     # p1 first-fit at 4 leaves one run {4 at 6} per link (entropy low)
     assert decision.path.rank == 1
     assert decision.block == SlotBlock(4, 2)
+
+
+def kme_ff_against_reference(topo, cands, state, req):
+    """decide's kme-ff choice and reference_decision's, as (rank, block)."""
+    grids = [[bool(occ >> i & 1) for i in range(state.n_slots)] for occ in state.occ]
+    path, start, size = reference_decision("kme-ff", req, cands, grids, [], 12.5, 0)
+    decision = decide(HeuristicKind.KME_FF, req, cands, state)
+    return (decision.path.rank, decision.block), (path.rank, SlotBlock(start, size))
+
+
+def test_kme_ff_exact_tie_goes_to_the_earlier_rank(two_route_topo):
+    """Identical run layouts on both paths tie exactly; the fold settles it for rank 0."""
+    topo = two_route_topo
+    state = SpectrumState.for_topology(topo)
+    cands = candidates_of(topo)
+    for path in cands:
+        state.allocate(path.fiber_ids, SlotBlock(2, 1))
+        state.allocate(path.fiber_ids, SlotBlock(6, 2))
+    with mock.patch(
+        "eonsim.heuristics.entropy_after_placement", wraps=heuristics.entropy_after_placement
+    ) as exact:
+        got, expected = kme_ff_against_reference(topo, cands, state, request(slots=2))
+    assert got == expected == (0, SlotBlock(0, 2))
+    assert exact.call_count == 2  # both candidates were inside the margin
+
+
+def test_kme_ff_settles_float_near_ties_as_the_reference_does():
+    """Permuting a path's later runs keeps its entropy as a real number, but not
+    always as a float fold; the exact fold then decides, in rank order."""
+    rng = np.random.default_rng(11)
+    n_slots = 64
+    topo = Topology(
+        "tworoutes", ["A", "B", "C", "D"],
+        [("A", "B", 100), ("B", "D", 100), ("A", "C", 300), ("C", "D", 300)],
+        slots_per_fiber=n_slots,
+    )
+    cands = candidates_of(topo)
+    ranks = set()
+    for _case in range(200):
+        runs, used = [], 0
+        while used + 9 < n_slots:
+            runs.append(int(rng.integers(1, 9)))
+            used += runs[-1] + 1
+        shuffled = [runs[0]] + [int(r) for r in rng.permutation(runs[1:])]
+        state = SpectrumState.for_topology(topo)
+        for path, layout in zip(cands, (runs, shuffled)):
+            occ, pos = 0, 0
+            for length in layout:  # each run followed by one occupied slot
+                pos += length
+                occ |= 1 << pos
+                pos += 1
+            occ |= state.full_mask & ~((1 << pos) - 1)  # the rest occupied
+            for f in path.fiber_ids:
+                state.occ[f] = occ
+        got, expected = kme_ff_against_reference(
+            topo, cands, state, request(slots=int(rng.integers(1, runs[0] + 1)))
+        )
+        assert got == expected
+        ranks.add(got[0])
+    assert ranks == {0, 1}  # some float folds came out lower on the permuted path
 
 
 def test_kca_ff_picks_least_congested_path(two_route_topo):

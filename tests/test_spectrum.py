@@ -1,7 +1,5 @@
 import math
 import signal
-from itertools import accumulate
-from operator import sub
 
 import numpy as np
 import pytest
@@ -14,8 +12,10 @@ from eonsim.spectrum import (
     SpectrumState,
     best_fit_run,
     entropy_after_placement,
+    entropy_estimate,
+    entropy_estimate_error,
     first_fit,
-    free_runs,
+    free_entropy,
     path_congestion,
     run_shifts,
     slot_block,
@@ -186,7 +186,8 @@ def test_entropy_matches_oracle_and_zero_iff_whole_or_empty(occ):
     free = path_free_mask([pack_bits(occ)], len(occ))
     h = fragmentation_entropy(free, len(occ))
     assert h == pytest.approx(entropy_oracle(occ))
-    runs = free_runs(free, len(occ))
+    assert free_entropy(free, len(occ)) == entropy_oracle(occ)
+    runs = maximal_free_runs_oracle(occ)
     if h == 0.0:
         assert len(runs) == 0 or (len(runs) == 1 and runs[0][1] == len(occ))
     if len(runs) >= 2:
@@ -194,20 +195,22 @@ def test_entropy_matches_oracle_and_zero_iff_whole_or_empty(occ):
 
 
 def _out_of_time(signum, frame):
-    raise TimeoutError("free_runs did not return")
+    raise TimeoutError("free_entropy did not return")
 
 
-def test_free_runs_ignores_bits_past_the_grid():
-    """Free bits at or above n_slots end the scan instead of stalling it.
+def test_free_entropy_ignores_bits_past_the_grid():
+    """Free bits at or above n_slots, including the infinite ones of a
+    complemented occupancy, end the scan instead of stalling it.
 
     A CPU-time alarm turns a scan that never returns into a failure.
     """
     previous = signal.signal(signal.SIGVTALRM, _out_of_time)
     signal.setitimer(signal.ITIMER_VIRTUAL, 1.0)
     try:
-        assert free_runs(0b110000, 4) == []
-        assert free_runs(0b111100, 4) == [(2, 2)]
-        assert free_runs(0b1011 | 1 << 70, 4) == [(0, 2), (3, 1)]
+        assert free_entropy(0b110000, 4) == 0.0
+        assert free_entropy(~0b0011, 4) == free_entropy(0b1100, 4) == entropy_oracle([1, 1, 0, 0])
+        assert free_entropy(0b1011 | 1 << 70, 4) == entropy_oracle([0, 0, 1, 0])
+        assert free_entropy(~0, 4) == 0.0
     finally:
         signal.setitimer(signal.ITIMER_VIRTUAL, 0)
         signal.signal(signal.SIGVTALRM, previous)
@@ -297,7 +300,7 @@ def test_allocate_release_identity(occ_mask, start, size):
         assert state.occ[0] == occ_mask
 
 
-# --- entropy after placement (per-fiber run cache) --------------------------
+# --- entropy after placement, exact and estimated -----------------------------
 
 def grid_of(state, f):
     return [bool(state.occ[f] >> i & 1) for i in range(state.n_slots)]
@@ -312,12 +315,14 @@ def placed_entropy_oracle(state, fiber_ids, block):
     return total
 
 
-@given(st.sampled_from([1, 63, 64, 65, 320]), st.data())
-@settings(max_examples=150, deadline=None)
-def test_entropy_after_placement_tracks_every_occupancy_change(n_slots, data):
-    n_fibers = 3
-    state = SpectrumState(n_fibers, n_slots)
-    fibers = st.lists(st.integers(0, n_fibers - 1), min_size=1, max_size=n_fibers, unique=True)
+def occupancy_walk(state, data, fibers):
+    """Change ``state`` a drawn number of times, yielding after each change.
+
+    A change is an allocate, a release of a held block, a direct write to
+    one fiber's occupancy or a new occupancy list, as a defragmentation
+    rebuild installs.
+    """
+    n_fibers, n_slots = state.n_fibers, state.n_slots
     held = []  # (fiber_ids, block) placed through allocate and not yet released
     for _step in range(data.draw(st.integers(1, 10))):
         op = data.draw(st.sampled_from(["allocate", "release", "write", "swap"]))
@@ -334,74 +339,78 @@ def test_entropy_after_placement_tracks_every_occupancy_change(n_slots, data):
             f = data.draw(st.integers(0, n_fibers - 1))
             state.occ[f] = data.draw(st.integers(0, state.full_mask))
             held = [(path, block) for path, block in held if f not in path]
-        elif op == "swap":  # a new occupancy list, as a defragmentation rebuild installs
-            state.occ = [data.draw(st.integers(0, state.full_mask)) for _ in range(n_fibers)]
-            held = []
-        for _check in range(3):
-            path = data.draw(fibers)
-            size = data.draw(st.integers(1, n_slots))
-            occupied = grid_of(state, path[0])
-            for f in path[1:]:
-                occupied = [a or b for a, b in zip(occupied, grid_of(state, f))]
-            starts = [
-                s
-                for run_start, length in maximal_free_runs_oracle(occupied)
-                for s in range(run_start, run_start + length - size + 1)
-            ]
-            if not starts:
-                continue
-            block = SlotBlock(data.draw(st.sampled_from(starts)), size)
-            expected = placed_entropy_oracle(state, path, block)
-            assert entropy_after_placement(state, path, block.start, block.size) == expected
-
-
-def scratch_record(state, f):
-    """Fiber ``f``'s run record built by one scan of the whole fiber."""
-    occupied = [bool(state.occ[f] >> i & 1) for i in range(state.n_slots)]
-    runs = maximal_free_runs_oracle(occupied)
-    n = state.n_slots
-    terms = [(length / n) * math.log(length / n) for _start, length in runs]
-    return (
-        state.occ[f],
-        [start for start, _length in runs],
-        [start + length for start, length in runs],
-        terms,
-        list(accumulate(terms, sub, initial=0.0)),
-    )
-
-
-@given(st.sampled_from([1, 63, 64, 65, 80, 320]), st.data())
-@settings(max_examples=150, deadline=None)
-def test_patched_run_record_equals_one_built_from_scratch(n_slots, data):
-    """After every step, each record patched so far equals a full rebuild, floats by ==.
-
-    A fiber is patched only on some steps, so one patch may span several
-    occupancy changes, as between two lookups of a real trial.
-    """
-    n_fibers = 3
-    state = SpectrumState(n_fibers, n_slots)
-    held = []
-    for _step in range(data.draw(st.integers(1, 12))):
-        op = data.draw(st.sampled_from(["allocate", "release", "write", "swap"]))
-        if op == "allocate":
-            size = data.draw(st.integers(1, n_slots))
-            block = SlotBlock(data.draw(st.integers(0, n_slots - size)), size)
-            path = data.draw(st.lists(st.integers(0, n_fibers - 1), min_size=1, unique=True))
-            if not any(state.occ[f] & block.mask for f in path):
-                state.allocate(path, block)
-                held.append((path, block))
-        elif op == "release" and held:
-            state.release(*held.pop(data.draw(st.integers(0, len(held) - 1))))
-        elif op == "write":
-            f = data.draw(st.integers(0, n_fibers - 1))
-            state.occ[f] = data.draw(st.integers(0, state.full_mask))
-            held = [(path, block) for path, block in held if f not in path]
         elif op == "swap":
             state.occ = [data.draw(st.integers(0, state.full_mask)) for _ in range(n_fibers)]
             held = []
-        for f in range(n_fibers):
-            if data.draw(st.booleans()):
-                assert state._rebuild_runs(f) == scratch_record(state, f)
+        yield
+
+
+def draw_free_block(state, path, data):
+    """A block free on every fiber of ``path``, or None when no size-1 slot is."""
+    size = data.draw(st.integers(1, state.n_slots))
+    occupied = grid_of(state, path[0])
+    for f in path[1:]:
+        occupied = [a or b for a, b in zip(occupied, grid_of(state, f))]
+    starts = [
+        s
+        for run_start, length in maximal_free_runs_oracle(occupied)
+        for s in range(run_start, run_start + length - size + 1)
+    ]
+    if not starts:
+        return None
+    return SlotBlock(data.draw(st.sampled_from(starts)), size)
+
+
+@given(st.sampled_from([1, 63, 64, 65, 320]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_entropy_after_placement_tracks_every_occupancy_change(n_slots, data):
+    state = SpectrumState(3, n_slots)
+    fibers = st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True)
+    for _ in occupancy_walk(state, data, fibers):
+        for _check in range(3):
+            path = data.draw(fibers)
+            block = draw_free_block(state, path, data)
+            if block is not None:
+                expected = placed_entropy_oracle(state, path, block)
+                assert entropy_after_placement(state, path, block.start, block.size) == expected
+
+
+SLOT_COUNTS = [1, 63, 64, 65, 80, 320]
+
+
+@given(st.sampled_from(SLOT_COUNTS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_entropy_estimate_is_within_half_its_error_bound(n_slots, data):
+    """The estimate of a free block on a path of 1-10 fibers, against the exact fold."""
+    state = SpectrumState(10, n_slots)
+    state.occ = [data.draw(st.integers(0, state.full_mask)) for _ in range(10)]
+    path = data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True))
+    block = draw_free_block(state, path, data)
+    if block is None:
+        return
+    exact = entropy_after_placement(state, path, block.start, block.size)
+    estimate = entropy_estimate(state, path, block.start, block.size)
+    assert abs(estimate - exact) <= entropy_estimate_error(n_slots, len(path)) / 2
+
+
+@given(st.sampled_from(SLOT_COUNTS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_entropy_estimate_cache_tracks_every_occupancy_change(n_slots, data):
+    """Each fiber's cached entropy is refolded once its occupancy changes, however it changed."""
+    state = SpectrumState(3, n_slots)
+    fibers = st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True)
+    for _ in occupancy_walk(state, data, fibers):
+        for _check in range(3):
+            path = data.draw(fibers)
+            block = draw_free_block(state, path, data)
+            if block is None:
+                continue
+            exact = entropy_after_placement(state, path, block.start, block.size)
+            estimate = entropy_estimate(state, path, block.start, block.size)
+            assert abs(estimate - exact) <= entropy_estimate_error(n_slots, len(path)) / 2
+            for f in path:
+                assert state._entropy_occ[f] == state.occ[f]
+                assert state._entropy[f] == free_entropy(~state.occ[f], n_slots)
 
 
 def test_entropy_after_placement_rejects_block_over_occupied_slots():

@@ -10,6 +10,7 @@ from eonsim.traffic import (
     ServiceRequest,
     TrafficConfig,
     TrafficConfigError,
+    _substreams,
     generate_stream,
     sample_holding_times,
 )
@@ -190,6 +191,40 @@ def test_substream_isolation():
         assert ra.arrival_time == rb.arrival_time
         assert ra.holding_time == rb.holding_time
         assert (ra.src, ra.dst) == (rb.src, rb.dst)
+
+
+# The first draws of each substream, in spawn order, as generate_stream
+# makes them: arrival gaps (scaled here to a mean of 1), holding times,
+# demand rates in 25-100 Gbps and source indices over 14 nodes.  numpy
+# keeps a bit generator's raw stream stable across releases, but may
+# change a Generator method's transform (NEP 19); such a change fails this
+# one test by name rather than every pinned blocked count at once.
+GOLDEN_DRAWS = {
+    0: (
+        ["0x1.a5925192ff674p+1", "0x1.86b91275da150p-1", "0x1.409b21ba37ff6p+0"],
+        ["0x1.00fe50239580dp+3", "0x1.e8f6523591de9p+1", "0x1.d225316cd910bp+1"],
+        [74, 88, 60],
+        [12, 5, 4],
+    ),
+    12345: (
+        ["0x1.9707e33eecc31p-2", "0x1.161573715df21p+1", "0x1.5406df88b3c01p-1"],
+        ["0x1.67218d9f356aap+1", "0x1.65715a087e312p+2", "0x1.869209d57912ap+2"],
+        [44, 35, 38],
+        [12, 5, 7],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", list(GOLDEN_DRAWS))
+def test_substreams_first_draws_are_pinned(seed):
+    arrivals, holdings, demands, endpoints = _substreams(seed)
+    got = (
+        [x.hex() for x in arrivals.exponential(1.0, 3).tolist()],
+        [x.hex() for x in holdings.exponential(HOLDING_TIME_MEAN, 3).tolist()],
+        demands.integers(25, 101, 3).tolist(),
+        endpoints.integers(0, len(NODES), 3).tolist(),
+    )
+    assert got == GOLDEN_DRAWS[seed], f"numpy {np.__version__} draws differently"
 
 
 def test_rejects_tiny_node_set():
