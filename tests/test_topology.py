@@ -228,6 +228,8 @@ CANDIDATE_TABLE_SHA256 = {
         "dc7aa29fad0f3515d04f77e5a33d4970b95d32e6898edcffa518cd1d7f0fe77b",
     ("jpn48", 50, PathOrdering.KM_THEN_HOPS):
         "1264bdde56056546ba65b28cfae945b6f00c263e326df138f67c6468a1d258c2",
+    ("jpn48", 50, PathOrdering.HOPS_THEN_KM):
+        "0467e3ab7fb6c602536975325ba3b76cf675a1791ead1c7389cce25e5cd91f48",
 }
 
 
