@@ -43,8 +43,8 @@ class ModulationTable:
                 raise ValueError(
                     "reach must strictly decrease as bits per symbol increase"
                 )
-        if any(f.max_reach_km <= 0 for f in rows):
-            raise ValueError("reaches must be positive")
+        if not all(0 < f.max_reach_km < math.inf for f in rows):
+            raise ValueError("reaches must be positive and finite")
         self.formats: tuple[ModulationFormat, ...] = tuple(rows)
         # compiled lookups: path length -> format, and
         # (rate, bits per symbol, guard slots) -> slots

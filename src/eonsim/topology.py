@@ -11,30 +11,31 @@ ascending km length with hop-count tiebreak, or ascending hop count
 with km tiebreak.  Remaining ties are broken by the lexicographic node
 sequence so results are deterministic across runs and platforms.
 
-They come from Yen's algorithm with Lawler's refinement.  A prefix map
-from each found path's prefixes to the next nodes taken after them
-gives a spur node its banned edges in one lookup, and an accepted path
-spurs only from its deviation index, the node where it left the path it
-was spurred from: an earlier spur would see the same banned edges as
-the last spur from that root and rediscover a path already queued.
-
 When every link length is an integer (all bundled topologies), path
-costs are exact whatever the order they are summed in, and three
-shortcuts apply:
-
-* one Yen run serves both directions of a node pair: a path and its
-  reverse have the same hop count and km length, so the paths found for
-  (s, d), reversed, are every (d, s) path up to the same k-th cost;
-* spur searches are A* (Hart, Nilsson & Raphael 1968) whose potential
-  is the full-graph distance to the destination, from one search out of
-  the destination per (destination, weighting), cached on the topology;
-* that search's shortest-path tree is the spur path itself whenever its
-  path from the spur node avoids the root's nodes and the banned first
-  hops (Martins & Pascoal 2003), and then no search runs.
+costs are exact whatever the order they are summed in, and a pair's
+paths come from a budgeted depth-first search, iterative-deepening A*
+(Korf 1985).  It walks loopless paths out of the source and prunes a
+prefix once its cost plus the exact full-graph distance to the
+destination exceeds the budget; the distances come from one search out
+of the destination per (destination, weighting), cached on the
+topology.  The budget starts at the shortest distance and each round
+raises it, until the paths within it include every path whose primary
+cost is at most the k-th smallest, ties included.  A path and its
+reverse have the same hop count and km length, so one enumeration
+serves both directions of a node pair.
 
 With non-integer lengths, float sums depend on the order of addition,
-and the searches keep plain Dijkstra order (a zero potential) so that
-near-tied costs round exactly as they always have.
+and only Yen's root-plus-spur sums round as they always have.  Those
+paths come from Yen's algorithm with Lawler's refinement and plain
+Dijkstra spur searches, one run per ordered pair.  A prefix map from
+each found path's prefixes to the next nodes taken after them gives a
+spur node its banned edges in one lookup, and an accepted path spurs
+only from its deviation index, the node where it left the path it was
+spurred from: an earlier spur would see the same banned edges as the
+last spur from that root and rediscover a path already queued.
+
+Either way, the list is the best k of the collected paths under the
+full key.
 """
 from __future__ import annotations
 
@@ -141,6 +142,8 @@ class Topology:
                 raise TopologyError(f"link ({src}, {dst}) references unknown node")
             if src == dst:
                 raise TopologyError(f"self-loop on node {src}")
+            if not math.isfinite(length):
+                raise TopologyError(f"link ({src}, {dst}) has non-finite length {length}")
             if length <= 0:
                 raise TopologyError(f"link ({src}, {dst}) has non-positive length {length}")
             pair = frozenset((src, dst))
@@ -151,20 +154,22 @@ class Topology:
         self.links: tuple[Link, ...] = tuple(link_records)
 
         adjacency: dict[str, list[tuple[str, int, float]]] = {n: [] for n in nodes}
-        edges: dict[tuple[str, str], tuple[int, float]] = {}
+        # (from node, to node) -> (link id, fiber id, length) of that hop
+        hops: dict[tuple[str, str], tuple[int, int, float]] = {}
         for link in self.links:
             adjacency[link.src].append((link.dst, link.index, link.length_km))
             adjacency[link.dst].append((link.src, link.index, link.length_km))
-            edges[link.src, link.dst] = edges[link.dst, link.src] = (link.index, link.length_km)
+            for a, b in ((link.src, link.dst), (link.dst, link.src)):
+                hops[a, b] = (link.index, self.fiber_id(link.index, a), link.length_km)
         for lst in adjacency.values():
             lst.sort()
         self._adjacency = adjacency
-        self._edges = edges
+        self._hops = hops
         self._path_cache: dict[tuple[str, str, int, PathOrdering], tuple[CandidatePath, ...]] = {}
         lengths = [link.length_km for link in self.links]
         # every path length is then an exactly representable integer
         self._integral = all(x.is_integer() for x in lengths) and sum(lengths) < 2**53
-        self._trees: dict[tuple[str, bool], tuple[dict[str, float], dict[str, tuple]]] = {}
+        self._successors: dict[tuple[str, bool], dict[str, list[tuple]]] = {}
 
     @property
     def num_fibers(self) -> int:
@@ -261,6 +266,11 @@ def load_topology(
         raise TopologyError(f"topology document missing field {exc}") from exc
 
 
+#: Factor by which each round of the km-budgeted search at least grows its
+#: budget, so that a long run of near-equal path lengths takes few rounds.
+_KM_BUDGET_GROWTH = 1.1
+
+
 def _sort_key(ordering: PathOrdering):
     if ordering is PathOrdering.HOPS_THEN_KM:
         return lambda p: (p[0], p[1], p[2])  # (hops, km, node_seq)
@@ -271,28 +281,20 @@ def _search(
     adjacency: dict[str, list[tuple[str, int, float]]],
     src: str,
     hop_weighted: bool,
-    potential: dict[str, float],
     banned_nodes: set[str] | tuple = (),
     banned_next: set[str] | tuple = (),
 ):
     """Yield ``(cost, km, node_path)`` for each node reachable from ``src``.
 
-    Nodes settle in order of cost plus ``potential``: A* toward the node
-    the potential measures distance to, or Dijkstra's order under a zero
-    potential.  Paths avoid ``banned_nodes``, and ``src`` is not left
-    through ``banned_next``.  Heap entries carry the node sequence so
-    equal-cost expansions stay deterministic.
+    Nodes settle in Dijkstra's order.  Paths avoid ``banned_nodes``, and
+    ``src`` is not left through ``banned_next``.  Heap entries carry the
+    node sequence so equal-cost expansions stay deterministic.
     """
     best: dict[str, float] = {src: 0.0}
-    # (cost + potential, -cost, km, node path): on equal estimates the node
-    # farther along goes first, which under a zero potential never decides
-    heap: list[tuple[float, float, float, tuple[str, ...]]] = [
-        (potential[src], -0.0, 0.0, (src,))
-    ]
+    heap: list[tuple[float, float, tuple[str, ...]]] = [(0.0, 0.0, (src,))]
     banned_here = banned_next  # ``src`` settles first, and only once
     while heap:
-        _, neg_cost, km, path = heapq.heappop(heap)
-        cost = -neg_cost
+        cost, km, path = heapq.heappop(heap)
         node = path[-1]
         if cost > best[node]:
             continue
@@ -303,27 +305,91 @@ def _search(
             ncost = cost + (1.0 if hop_weighted else length)
             if ncost < best.get(nbr, math.inf):
                 best[nbr] = ncost
-                heapq.heappush(heap, (ncost + potential[nbr], -ncost, km + length, path + (nbr,)))
+                heapq.heappush(heap, (ncost, km + length, path + (nbr,)))
         banned_here = ()
 
 
-def _reverse_tree(topology: Topology, dst: str, hop_weighted: bool):
-    """Distances to ``dst`` and a shortest ``(cost, km, path)`` to it, per node.
+def _successors(topology: Topology, dst: str, hop_weighted: bool):
+    """Per node, its ``(estimate, cost, km, next node)`` steps toward ``dst``.
 
-    Computed once per (destination, weighting) and cached on the topology;
-    only valid with integral lengths, where a reversed path costs the same.
+    The estimate is the step's cost plus the next node's full-graph
+    distance to ``dst``, and each list is in ascending estimate, so a
+    node's first entry holds its own distance.  Nodes cut off from
+    ``dst`` have no entry and are never stepped to.  Computed once per
+    (destination, weighting) from one search out of ``dst`` and cached
+    on the topology; only valid with integral lengths, where a reversed
+    path costs the same.
     """
     key = (dst, hop_weighted)
-    tree = topology._trees.get(key)
-    if tree is None:
-        zero = dict.fromkeys(topology.nodes, 0.0)
-        routes = {
-            path[-1]: (cost, km, path[::-1])
-            for cost, km, path in _search(topology._adjacency, dst, hop_weighted, zero)
-        }
-        potential = {node: route[0] for node, route in routes.items()}
-        tree = topology._trees[key] = (potential, routes)
-    return tree
+    steps = topology._successors.get(key)
+    if steps is None:
+        adjacency = topology._adjacency
+        dist = {path[-1]: cost for cost, _km, path in _search(adjacency, dst, hop_weighted)}
+        steps = topology._successors[key] = {}
+        for node in dist:
+            node_steps = []
+            for nbr, _link, length in adjacency[node]:
+                cost = 1.0 if hop_weighted else length
+                node_steps.append((cost + dist[nbr], cost, length, nbr))
+            steps[node] = sorted(node_steps)
+    return steps
+
+
+def _budgeted_paths(
+    topology: Topology, src: str, dst: str, k: int, hop_weighted: bool
+) -> list[tuple[int, float, tuple[str, ...]]]:
+    """Every loopless path whose primary cost is at most the k-th smallest.
+
+    Iterative-deepening A* (Korf 1985): a depth-first search extends a
+    prefix only while its cost plus the exact distance to ``dst`` stays
+    within a budget.  The first budget is the shortest distance; each
+    round raises it to at least the smallest estimate it pruned (by one
+    hop, or by ``_KM_BUDGET_GROWTH`` in km) and records only the paths
+    above the last budget.  Rounds stop once k paths are recorded or
+    nothing was pruned, when every loopless path has been seen.
+    Returns ``(hops, km, node_seq)`` entries in no particular order.
+    """
+    successors = _successors(topology, dst, hop_weighted)
+    if src not in successors:
+        return []
+    found: list[tuple[float, int, float, tuple[str, ...]]] = []
+    floor, budget = -1.0, successors[src][0][0]
+    while True:
+        pruned = math.inf
+        path = [src]
+        on_path = {src}
+        # per node of the prefix: its steps not yet taken, cost and km to it
+        stack = [(iter(successors[src]), 0.0, 0.0)]
+        while stack:
+            depth = len(stack)
+            steps, cost, km = stack[-1]
+            for estimate, weight, length, nxt in steps:
+                if nxt in on_path:
+                    continue
+                total = cost + estimate
+                if total > budget:
+                    if total < pruned:
+                        pruned = total
+                    break  # the steps after it estimate no less
+                if nxt == dst:
+                    if total > floor:
+                        found.append((total, len(path), km + length, (*path, dst)))
+                    continue
+                path.append(nxt)
+                on_path.add(nxt)
+                stack.append((iter(successors[nxt]), cost + weight, km + length))
+                break
+            if len(stack) == depth:  # every step from this prefix is done
+                stack.pop()
+                on_path.discard(path.pop())
+        if len(found) >= k or pruned == math.inf:
+            break
+        floor = budget
+        budget = pruned if hop_weighted else max(pruned, budget * _KM_BUDGET_GROWTH)
+    if len(found) > k:
+        kth_primary = sorted(entry[0] for entry in found)[k - 1]
+        found = [entry for entry in found if entry[0] <= kth_primary]
+    return [(hops, km, node_seq) for _primary, hops, km, node_seq in found]
 
 
 def _yen_paths(topology: Topology, src: str, dst: str, ordering: PathOrdering):
@@ -335,22 +401,11 @@ def _yen_paths(topology: Topology, src: str, dst: str, ordering: PathOrdering):
     complete key.
     """
     adjacency = topology._adjacency
-    edges = topology._edges
+    hops = topology._hops
     hop_weighted = ordering is PathOrdering.HOPS_THEN_KM
-    if topology._integral:
-        potential, routes = _reverse_tree(topology, dst, hop_weighted)
-    else:
-        potential, routes = dict.fromkeys(topology.nodes, 0.0), {}
 
     def shortest_from(spur, banned_nodes, banned_next):
-        route = routes.get(spur)
-        if route is not None:
-            tree_path = route[2]
-            if tree_path[1] not in banned_next and banned_nodes.isdisjoint(tree_path):
-                return route
-        elif spur not in potential:  # not connected to ``dst``
-            return None
-        for found in _search(adjacency, spur, hop_weighted, potential, banned_nodes, banned_next):
+        for found in _search(adjacency, spur, hop_weighted, banned_nodes, banned_next):
             if found[2][-1] == dst:
                 return found
         return None
@@ -371,7 +426,7 @@ def _yen_paths(topology: Topology, src: str, dst: str, ordering: PathOrdering):
         yield cost, km, path
         # prefixes before the deviation index, and the next nodes taken
         # after them, are those of the path this one was spurred from
-        root_km = sum(edges[path[j], path[j + 1]][1] for j in range(deviation))
+        root_km = sum(hops[path[j], path[j + 1]][2] for j in range(deviation))
         for i in range(deviation, len(path) - 1):
             spur = path[i]
             banned = next_after.setdefault(path[: i + 1], set())
@@ -384,7 +439,7 @@ def _yen_paths(topology: Topology, src: str, dst: str, ordering: PathOrdering):
                     seen.add(total)
                     root_cost = float(i) if hop_weighted else root_km
                     heapq.heappush(candidates, (root_cost + spur_cost, root_km + spur_km, total, i))
-            root_km += edges[spur, path[i + 1]][1]
+            root_km += hops[spur, path[i + 1]][2]
         if not candidates:
             return
         cost, km, path, deviation = heapq.heappop(candidates)
@@ -400,9 +455,9 @@ def k_shortest_paths(
     criterion, secondary criterion, node sequence).  A disconnected
     pair yields an empty list.
 
-    With integral link lengths the same run also gives the ``(dst,
-    src)`` list, which is stored in the topology's path cache unless
-    one is cached already.
+    With integral link lengths the same enumeration also gives the
+    ``(dst, src)`` list, which is stored in the topology's path cache
+    unless one is cached already.
     """
     if src == dst:
         raise TopologyError("src and dst must differ")
@@ -411,22 +466,24 @@ def k_shortest_paths(
     if k < 1:
         raise TopologyError(f"k must be >= 1, got {k}")
 
-    enumerated: list[tuple[int, float, tuple[str, ...]]] = []
-    kth_primary: float | None = None
-    for cost, km, node_path in _yen_paths(topology, src, dst, ordering):
-        primary = cost
-        if kth_primary is not None and primary > kth_primary:
-            break
-        enumerated.append((len(node_path) - 1, km, node_path))
-        if len(enumerated) == k:
-            kth_primary = primary
-
     if topology._integral:
+        hop_weighted = ordering is PathOrdering.HOPS_THEN_KM
+        enumerated = _budgeted_paths(topology, src, dst, k, hop_weighted)
         # every (dst, src) path up to the same k-th primary cost
         reverse = [(hops, km, node_path[::-1]) for hops, km, node_path in enumerated]
         topology._path_cache.setdefault(
             (dst, src, k, ordering), tuple(_ranked(topology, reverse, k, ordering))
         )
+        return _ranked(topology, enumerated, k, ordering)
+
+    enumerated = []
+    kth_primary: float | None = None
+    for cost, km, node_path in _yen_paths(topology, src, dst, ordering):
+        if kth_primary is not None and cost > kth_primary:
+            break
+        enumerated.append((len(node_path) - 1, km, node_path))
+        if len(enumerated) == k:
+            kth_primary = cost
     return _ranked(topology, enumerated, k, ordering)
 
 
@@ -438,20 +495,16 @@ def _ranked(
 ) -> list[CandidatePath]:
     """The best k of ``(hops, km, node_seq)`` entries under the full key."""
     enumerated.sort(key=_sort_key(ordering))
-    edges = topology._edges
+    hop_table = topology._hops
     out: list[CandidatePath] = []
-    for rank, (hops, km, node_seq) in enumerate(enumerated[:k]):
-        link_ids = tuple(edges[node_seq[j], node_seq[j + 1]][0] for j in range(hops))
-        fiber_ids = tuple(
-            topology.fiber_id(link_ids[j], node_seq[j]) for j in range(hops)
-        )
-        length = sum(topology.links[l].length_km for l in link_ids)
+    for rank, (hops, _km, node_seq) in enumerate(enumerated[:k]):
+        link_ids, fiber_ids, lengths = zip(*map(hop_table.get, zip(node_seq, node_seq[1:])))
         out.append(
             CandidatePath(
                 node_seq=node_seq,
                 link_ids=link_ids,
                 hop_count=hops,
-                length_km=length,
+                length_km=sum(lengths),
                 rank=rank,
                 fiber_ids=fiber_ids,
             )

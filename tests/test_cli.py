@@ -523,6 +523,9 @@ BAD_MODULATION_FILES = {
     "negative-reach.json": (
         '{"formats": [{"name": "lone", "bits_per_symbol": 2, "max_reach_km": -5}]}'
     ),
+    "nan-reach.json": (
+        '{"formats": [{"name": "lone", "bits_per_symbol": 2, "max_reach_km": NaN}]}'
+    ),
 }
 
 

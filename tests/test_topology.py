@@ -57,6 +57,9 @@ def test_load_topology_from_file(tmp_path):
         (lambda d: d["links"].append({"src": "A", "dst": "Z", "length_km": 5}), "unknown node"),
         (lambda d: d["links"].append({"src": "A", "dst": "B", "length_km": 7}), "duplicate"),
         (lambda d: d["links"].__setitem__(0, {"src": "A", "dst": "B", "length_km": 0}), "non-positive"),
+        # written as the JSON literals NaN and Infinity, which json.loads accepts
+        (lambda d: d["links"][0].update(length_km=float("nan")), "non-finite length nan"),
+        (lambda d: d["links"][0].update(length_km=float("inf")), "non-finite length inf"),
         (lambda d: d.__setitem__("schema", "nope/9"), "schema"),
         (lambda d: d.update(nodes=["A"], links=[]), "two nodes"),
     ],
@@ -189,7 +192,7 @@ def _all_pairs_equal_reference(topo, k, ordering):
 
 
 def _warm_cache_equals_reference(topo, k, ordering):
-    """Every cached list, the ones a Yen run stores for the reverse pair included."""
+    """Every cached list, the ones an enumeration stores for the reverse pair included."""
     topo.warm_path_cache(k, ordering)
     for src in topo.nodes:
         for dst in topo.nodes:
@@ -219,8 +222,8 @@ def test_warm_cache_matches_unoptimized_yen_on_bundled(name, k, ordering):
 
 # SHA-256 of every ordered pair's candidate node sequences, in rank order, for
 # tables the unoptimized reference is too slow to check in full.  Recorded with
-# the plain-Dijkstra Yen search, before A* spurs, the shortest-path-tree
-# shortcut and the one run per unordered pair were introduced.
+# Yen's algorithm, before the budgeted depth-first enumeration replaced it for
+# integral lengths.
 CANDIDATE_TABLE_SHA256 = {
     ("usnet", 50, PathOrdering.HOPS_THEN_KM):
         "5294f9ed2e2dfd5e06da431f3a9396a614400ca185346ea5dbffbf3376f5bbd2",
@@ -278,15 +281,45 @@ def integral_graph(rng):
     return Topology("int", nodes, [(a, b, int(x)) for (a, b), x in zip(pairs, lengths)], 8)
 
 
+def wide_integral_graph(rng):
+    """Random graph on 5-8 nodes with integral lengths drawn from 1..5000: path
+    lengths spread widely, so a km-budgeted search raises its budget several
+    times before it holds k paths."""
+    nodes = [chr(ord("A") + i) for i in range(int(rng.integers(5, 9)))]
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :] if rng.random() < 0.6]
+    lengths = rng.integers(1, 5001, len(pairs))
+    return Topology("wide", nodes, [(a, b, int(x)) for (a, b), x in zip(pairs, lengths)], 8)
+
+
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(1, 10),
     st.sampled_from(list(PathOrdering)),
-    st.sampled_from([integral_graph, fractional_graph]),
+    st.sampled_from([integral_graph, wide_integral_graph, fractional_graph]),
 )
 @settings(max_examples=200, deadline=None)
 def test_warm_cache_matches_unoptimized_yen_on_random_graphs(seed, k, ordering, graph):
     _warm_cache_equals_reference(graph(np.random.default_rng(seed)), k, ordering)
+
+
+@pytest.mark.parametrize("ordering", list(PathOrdering))
+@pytest.mark.parametrize(
+    "shape,paths_per_pair",
+    [
+        ([(str(i), str(i + 1), 10 * (i + 1)) for i in range(6)], 1),  # a line
+        ([(str(i), str((i + 1) % 7), 10 * (i + 1)) for i in range(7)], 2),  # a ring
+    ],
+)
+def test_fewer_loopless_paths_than_k_are_all_returned(ordering, shape, paths_per_pair):
+    """Every budget round prunes less until nothing is left to prune; the
+    search must then end with every path, although k is never reached."""
+    topo = Topology("sparse", [str(i) for i in range(7)], shape, 8)
+    for src in topo.nodes:
+        for dst in topo.nodes:
+            if src != dst:
+                got = k_shortest_paths(topo, src, dst, 50, ordering)
+                assert len(got) == paths_per_pair
+                assert got == reference_k_shortest_paths(topo, src, dst, 50, ordering)
 
 
 @pytest.mark.parametrize("ordering", list(PathOrdering))
@@ -322,7 +355,7 @@ def test_route_table_computes_only_the_pairs_it_is_asked_for(monkeypatch):
     assert list(routes) == [(src, dst)]
     assert paths == jpn48.candidate_paths(src, dst, 3, PathOrdering.HOPS_THEN_KM)
     assert routes[src, dst] is paths
-    routes[dst, src]  # the same Yen run stored the reverse pair's list
+    routes[dst, src]  # the same enumeration stored the reverse pair's list
     assert calls == [(src, dst)] and len(routes) == 2
 
 
