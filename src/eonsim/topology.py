@@ -171,6 +171,11 @@ class Topology:
         self._integral = all(x.is_integer() for x in lengths) and sum(lengths) < 2**53
         self._successors: dict[tuple[str, bool], dict[str, list[tuple]]] = {}
 
+    def __getstate__(self):
+        # a pickled copy, as a pool worker gets, carries the cached paths but
+        # not the search steps, which only a pair not yet cached would need
+        return {**self.__dict__, "_successors": {}}
+
     @property
     def num_fibers(self) -> int:
         return 2 * len(self.links) if self.fiber_mode == "dual" else len(self.links)
