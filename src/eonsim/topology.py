@@ -171,11 +171,6 @@ class Topology:
         self._integral = all(x.is_integer() for x in lengths) and sum(lengths) < 2**53
         self._successors: dict[tuple[str, bool], dict[str, list[tuple]]] = {}
 
-    def __getstate__(self):
-        # a pickled copy, as a pool worker gets, carries the cached paths but
-        # not the search steps, which only a pair not yet cached would need
-        return {**self.__dict__, "_successors": {}}
-
     @property
     def num_fibers(self) -> int:
         return 2 * len(self.links) if self.fiber_mode == "dual" else len(self.links)
@@ -218,6 +213,9 @@ class Topology:
             for dst in self.nodes:
                 if src != dst:
                     self.candidate_paths(src, dst, k, ordering)
+        # every pair is cached now; the search steps would serve only another
+        # k or ordering, and cost little to rebuild, so free them
+        self._successors.clear()
 
     def __repr__(self) -> str:
         return (
