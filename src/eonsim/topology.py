@@ -359,15 +359,14 @@ def _budgeted_paths(
     floor, budget = -1.0, successors[src][0][0]
     while True:
         pruned = math.inf
-        path = [src]
-        on_path = {src}
+        path = {src: None}  # the prefix's nodes; popitem() drops the last one
         # per node of the prefix: its steps not yet taken, cost and km to it
         stack = [(iter(successors[src]), 0.0, 0.0)]
         while stack:
             depth = len(stack)
             steps, cost, km = stack[-1]
             for estimate, weight, length, nxt in steps:
-                if nxt in on_path:
+                if nxt in path:
                     continue
                 total = cost + estimate
                 if total > budget:
@@ -378,13 +377,12 @@ def _budgeted_paths(
                     if total > floor:
                         found.append((total, len(path), km + length, (*path, dst)))
                     continue
-                path.append(nxt)
-                on_path.add(nxt)
+                path[nxt] = None
                 stack.append((iter(successors[nxt]), cost + weight, km + length))
                 break
             if len(stack) == depth:  # every step from this prefix is done
                 stack.pop()
-                on_path.discard(path.pop())
+                path.popitem()
         if len(found) >= k or pruned == math.inf:
             break
         floor = budget
