@@ -269,8 +269,9 @@ def load_topology(
         raise TopologyError(f"topology document missing field {exc}") from exc
 
 
-#: Factor by which each round of the km-budgeted search at least grows its
-#: budget, so that a long run of near-equal path lengths takes few rounds.
+#: Least factor by which a round of the km-budgeted search raises its budget.
+#: Path lengths in km are nearly all distinct, so raising the budget only to
+#: the next pruned estimate would take about one round per path.
 _KM_BUDGET_GROWTH = 1.1
 
 
@@ -346,9 +347,9 @@ def _budgeted_paths(
     Iterative-deepening A* (Korf 1985): a depth-first search extends a
     prefix only while its cost plus the exact distance to ``dst`` stays
     within a budget.  The first budget is the shortest distance; each
-    round raises it to at least the smallest estimate it pruned (by one
-    hop, or by ``_KM_BUDGET_GROWTH`` in km) and records only the paths
-    above the last budget.  Rounds stop once k paths are recorded or
+    round raises it to the smallest estimate it pruned (at least one hop
+    more), or in km to at least ``_KM_BUDGET_GROWTH`` times the last
+    budget, and records only the paths above the last budget.  Rounds stop once k paths are recorded or
     nothing was pruned, when every loopless path has been seen.
     Returns ``(hops, km, node_seq)`` entries in no particular order.
     """
