@@ -161,7 +161,7 @@ def _sim_config(args, preset, topology, load0: float):
 
         try:
             overrides["modulation"] = ModulationTable.from_json(args.modulation_file)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"bad --modulation-file {args.modulation_file}: {exc!r}") from None
     return preset.sim_config(
         topology,

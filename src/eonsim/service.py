@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .topology import CandidatePath, _Lookup
+from .topology import CandidatePath, _Lookup, _is_number
 
 SLOT_WIDTH_GHZ = 12.5
 
@@ -80,12 +81,17 @@ class ModulationTable:
     @classmethod
     def from_json(cls, source: str | Path) -> "ModulationTable":
         doc = json.loads(Path(source).read_text())
-        return cls(
-            [
-                ModulationFormat(r["name"], int(r["bits_per_symbol"]), float(r["max_reach_km"]))
-                for r in doc["formats"]
-            ]
-        )
+        formats = []
+        for r in doc["formats"]:
+            bits, reach = r["bits_per_symbol"], r["max_reach_km"]
+            # a number is taken as written: no bool, string or fractional bits
+            if not (_is_number(bits, numbers.Integral) and _is_number(reach, numbers.Real)):
+                raise ValueError(
+                    f"format {r['name']!r} needs an integer bits_per_symbol and a number "
+                    f"max_reach_km, got {bits!r} and {reach!r}"
+                )
+            formats.append(ModulationFormat(r["name"], bits, float(reach)))
+        return cls(formats)
 
 
 def slots_required(rate_gbps: float, bits_per_symbol: int) -> int:

@@ -11,31 +11,25 @@ ascending km length with hop-count tiebreak, or ascending hop count
 with km tiebreak.  Remaining ties are broken by the lexicographic node
 sequence so results are deterministic across runs and platforms.
 
-When every link length is an integer (all bundled topologies), path
-costs are exact whatever the order they are summed in, and a pair's
-paths come from a budgeted depth-first search, iterative-deepening A*
-(Korf 1985).  It walks loopless paths out of the source and prunes a
-prefix once its cost plus the exact full-graph distance to the
-destination exceeds the budget; the distances come from one search out
-of the destination per (destination, weighting), cached on the
-topology.  The budget starts at the shortest distance and each round
-raises it, until the paths within it include every path whose primary
-cost is at most the k-th smallest, ties included.  A path and its
-reverse have the same hop count and km length, so one enumeration
-serves both directions of a node pair.
+Path costs are exact.  Every finite float is an integer multiple of a
+power of two, so the topology stores each link length as an int in
+units of ``1 / scale``, where ``scale`` is the largest denominator
+among the lengths (1 when every length is an integer, as in all
+bundled topologies).  Sums of those ints do not depend on the order of
+addition, and a path's ``length_km`` is its unit sum divided by
+``scale``, rounded once.
 
-With non-integer lengths, float sums depend on the order of addition,
-and only Yen's root-plus-spur sums round as they always have.  Those
-paths come from Yen's algorithm with Lawler's refinement and plain
-Dijkstra spur searches, one run per ordered pair.  A prefix map from
-each found path's prefixes to the next nodes taken after them gives a
-spur node its banned edges in one lookup, and an accepted path spurs
-only from its deviation index, the node where it left the path it was
-spurred from: an earlier spur would see the same banned edges as the
-last spur from that root and rediscover a path already queued.
-
-Either way, the list is the best k of the collected paths under the
-full key.
+A pair's paths come from a budgeted depth-first search,
+iterative-deepening A* (Korf 1985).  It walks loopless paths out of the
+source and prunes a prefix once its cost plus the exact full-graph
+distance to the destination exceeds the budget; the distances come from
+one Dijkstra search out of the destination per (destination,
+weighting), cached on the topology.  The budget starts at the shortest
+distance and each round raises it, until the paths within it include
+every path whose primary cost is at most the k-th smallest, ties
+included.  The list is the best k of them under the full key.  A path
+and its reverse have the same hop count and km length, so one
+enumeration serves both directions of a node pair.
 """
 from __future__ import annotations
 
@@ -43,6 +37,7 @@ import enum
 import heapq
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -118,6 +113,8 @@ class Topology:
         slots_per_fiber: int,
         fiber_mode: str = "dual",
     ):
+        if not _is_number(slots_per_fiber, numbers.Integral):
+            raise TopologyError(f"slots_per_fiber must be an integer, got {slots_per_fiber!r}")
         if slots_per_fiber < 1:
             raise TopologyError(f"slots_per_fiber must be >= 1, got {slots_per_fiber}")
         if fiber_mode not in FIBER_MODES:
@@ -142,6 +139,12 @@ class Topology:
                 raise TopologyError(f"link ({src}, {dst}) references unknown node")
             if src == dst:
                 raise TopologyError(f"self-loop on node {src}")
+            if not _is_number(length, numbers.Real):
+                raise TopologyError(f"link ({src}, {dst}) has non-numeric length {length!r}")
+            try:
+                length = float(length)
+            except OverflowError:  # an int past the float range
+                length = math.inf
             if not math.isfinite(length):
                 raise TopologyError(f"link ({src}, {dst}) has non-finite length {length}")
             if length <= 0:
@@ -150,25 +153,26 @@ class Topology:
             if pair in seen_pairs:
                 raise TopologyError(f"duplicate link between {src} and {dst}")
             seen_pairs.add(pair)
-            link_records.append(Link(len(link_records), src, dst, float(length)))
+            link_records.append(Link(len(link_records), src, dst, length))
         self.links: tuple[Link, ...] = tuple(link_records)
 
-        adjacency: dict[str, list[tuple[str, int, float]]] = {n: [] for n in nodes}
-        # (from node, to node) -> (link id, fiber id, length) of that hop
-        hops: dict[tuple[str, str], tuple[int, int, float]] = {}
-        for link in self.links:
-            adjacency[link.src].append((link.dst, link.index, link.length_km))
-            adjacency[link.dst].append((link.src, link.index, link.length_km))
+        # each length is n / d with d a power of two, so d divides the largest d
+        ratios = [link.length_km.as_integer_ratio() for link in self.links]
+        self._scale = max((d for _n, d in ratios), default=1)
+        adjacency: dict[str, list[tuple[str, int, int]]] = {n: [] for n in nodes}
+        # (from node, to node) -> (link id, fiber id) of that hop
+        hops: dict[tuple[str, str], tuple[int, int]] = {}
+        for link, (n, d) in zip(self.links, ratios):
+            units = n * (self._scale // d)  # the length in 1 / scale km, exactly
+            adjacency[link.src].append((link.dst, link.index, units))
+            adjacency[link.dst].append((link.src, link.index, units))
             for a, b in ((link.src, link.dst), (link.dst, link.src)):
-                hops[a, b] = (link.index, self.fiber_id(link.index, a), link.length_km)
+                hops[a, b] = (link.index, self.fiber_id(link.index, a))
         for lst in adjacency.values():
             lst.sort()
         self._adjacency = adjacency
         self._hops = hops
         self._path_cache: dict[tuple[str, str, int, PathOrdering], tuple[CandidatePath, ...]] = {}
-        lengths = [link.length_km for link in self.links]
-        # every path length is then an exactly representable integer
-        self._integral = all(x.is_integer() for x in lengths) and sum(lengths) < 2**53
         self._successors: dict[tuple[str, bool], dict[str, list[tuple]]] = {}
 
     @property
@@ -253,10 +257,16 @@ def load_topology(
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise TopologyError(f"cannot parse topology file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise TopologyError(f"topology document must be a JSON object, got {type(doc).__name__}")
     schema = doc.get("schema")
     if schema != TOPOLOGY_SCHEMA:
         raise TopologyError(f"unsupported topology schema {schema!r}")
     try:
+        if not isinstance(doc["nodes"], list) or not isinstance(doc["links"], list):
+            raise TopologyError("topology nodes and links must be JSON lists")
+        if not all(isinstance(l, dict) for l in doc["links"]):
+            raise TopologyError("each topology link must be a JSON object")
         links = [(l["src"], l["dst"], l["length_km"]) for l in doc["links"]]
         return Topology(
             name=doc.get("name", "unnamed"),
@@ -269,10 +279,9 @@ def load_topology(
         raise TopologyError(f"topology document missing field {exc}") from exc
 
 
-#: Least factor by which a round of the km-budgeted search raises its budget.
-#: Path lengths in km are nearly all distinct, so raising the budget only to
-#: the next pruned estimate would take about one round per path.
-_KM_BUDGET_GROWTH = 1.1
+def _is_number(value, kind: type) -> bool:
+    """Whether ``value`` is a number of ``kind``; a bool is not one."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _sort_key(ordering: PathOrdering):
@@ -281,36 +290,21 @@ def _sort_key(ordering: PathOrdering):
     return lambda p: (p[1], p[0], p[2])  # (km, hops, node_seq)
 
 
-def _search(
-    adjacency: dict[str, list[tuple[str, int, float]]],
-    src: str,
-    hop_weighted: bool,
-    banned_nodes: set[str] | tuple = (),
-    banned_next: set[str] | tuple = (),
-):
-    """Yield ``(cost, km, node_path)`` for each node reachable from ``src``.
-
-    Nodes settle in Dijkstra's order.  Paths avoid ``banned_nodes``, and
-    ``src`` is not left through ``banned_next``.  Heap entries carry the
-    node sequence so equal-cost expansions stay deterministic.
-    """
-    best: dict[str, float] = {src: 0.0}
-    heap: list[tuple[float, float, tuple[str, ...]]] = [(0.0, 0.0, (src,))]
-    banned_here = banned_next  # ``src`` settles first, and only once
+def _distances(
+    adjacency: dict[str, list[tuple[str, int, int]]], src: str, hop_weighted: bool
+) -> dict[str, int]:
+    """Shortest distance from ``src`` to each node it reaches (Dijkstra)."""
+    dist: dict[str, int] = {}
+    heap = [(0, src)]
     while heap:
-        cost, km, path = heapq.heappop(heap)
-        node = path[-1]
-        if cost > best[node]:
+        cost, node = heapq.heappop(heap)
+        if node in dist:
             continue
-        yield cost, km, path
+        dist[node] = cost
         for nbr, _link, length in adjacency[node]:
-            if nbr in banned_nodes or nbr in banned_here:
-                continue
-            ncost = cost + (1.0 if hop_weighted else length)
-            if ncost < best.get(nbr, math.inf):
-                best[nbr] = ncost
-                heapq.heappush(heap, (ncost, km + length, path + (nbr,)))
-        banned_here = ()
+            if nbr not in dist:
+                heapq.heappush(heap, (cost + (1 if hop_weighted else length), nbr))
+    return dist
 
 
 def _successors(topology: Topology, dst: str, hop_weighted: bool):
@@ -321,19 +315,18 @@ def _successors(topology: Topology, dst: str, hop_weighted: bool):
     node's first entry holds its own distance.  Nodes cut off from
     ``dst`` have no entry and are never stepped to.  Computed once per
     (destination, weighting) from one search out of ``dst`` and cached
-    on the topology; only valid with integral lengths, where a reversed
-    path costs the same.
+    on the topology; a reversed path costs the same.
     """
     key = (dst, hop_weighted)
     steps = topology._successors.get(key)
     if steps is None:
         adjacency = topology._adjacency
-        dist = {path[-1]: cost for cost, _km, path in _search(adjacency, dst, hop_weighted)}
+        dist = _distances(adjacency, dst, hop_weighted)
         steps = topology._successors[key] = {}
         for node in dist:
             node_steps = []
             for nbr, _link, length in adjacency[node]:
-                cost = 1.0 if hop_weighted else length
+                cost = 1 if hop_weighted else length
                 node_steps.append((cost + dist[nbr], cost, length, nbr))
             steps[node] = sorted(node_steps)
     return steps
@@ -341,28 +334,31 @@ def _successors(topology: Topology, dst: str, hop_weighted: bool):
 
 def _budgeted_paths(
     topology: Topology, src: str, dst: str, k: int, hop_weighted: bool
-) -> list[tuple[int, float, tuple[str, ...]]]:
+) -> list[tuple[int, int, tuple[str, ...]]]:
     """Every loopless path whose primary cost is at most the k-th smallest.
 
     Iterative-deepening A* (Korf 1985): a depth-first search extends a
     prefix only while its cost plus the exact distance to ``dst`` stays
     within a budget.  The first budget is the shortest distance; each
     round raises it to the smallest estimate it pruned (at least one hop
-    more), or in km to at least ``_KM_BUDGET_GROWTH`` times the last
-    budget, and records only the paths above the last budget.  Rounds stop once k paths are recorded or
-    nothing was pruned, when every loopless path has been seen.
-    Returns ``(hops, km, node_seq)`` entries in no particular order.
+    more), or in km to at least the last budget times 1.1, rounded down
+    to whole units, and records only the paths above the last budget.
+    Path lengths in km are nearly all distinct, so raising a km budget
+    only to the next pruned estimate would take about one round per
+    path.  Rounds stop once k paths are recorded or nothing was pruned,
+    when every loopless path has been seen.  Returns ``(hops, km units,
+    node_seq)`` entries in no particular order.
     """
     successors = _successors(topology, dst, hop_weighted)
     if src not in successors:
         return []
-    found: list[tuple[float, int, float, tuple[str, ...]]] = []
-    floor, budget = -1.0, successors[src][0][0]
+    found: list[tuple[int, int, int, tuple[str, ...]]] = []
+    floor, budget = -1, successors[src][0][0]
     while True:
         pruned = math.inf
         path = {src: None}  # the prefix's nodes; popitem() drops the last one
         # per node of the prefix: its steps not yet taken, cost and km to it
-        stack = [(iter(successors[src]), 0.0, 0.0)]
+        stack = [(iter(successors[src]), 0, 0)]
         while stack:
             depth = len(stack)
             steps, cost, km = stack[-1]
@@ -387,64 +383,11 @@ def _budgeted_paths(
         if len(found) >= k or pruned == math.inf:
             break
         floor = budget
-        budget = pruned if hop_weighted else max(pruned, budget * _KM_BUDGET_GROWTH)
+        budget = pruned if hop_weighted else max(pruned, budget * 11 // 10)
     if len(found) > k:
         kth_primary = sorted(entry[0] for entry in found)[k - 1]
         found = [entry for entry in found if entry[0] <= kth_primary]
     return [(hops, km, node_seq) for _primary, hops, km, node_seq in found]
-
-
-def _yen_paths(topology: Topology, src: str, dst: str, ordering: PathOrdering):
-    """Yield loopless node paths in non-decreasing primary cost.
-
-    Yen's algorithm over the primary criterion of the ordering (hop
-    count or km length), with Lawler's refinement.  Ties are yielded in
-    a deterministic but not fully sorted order; callers re-sort with the
-    complete key.
-    """
-    adjacency = topology._adjacency
-    hops = topology._hops
-    hop_weighted = ordering is PathOrdering.HOPS_THEN_KM
-
-    def shortest_from(spur, banned_nodes, banned_next):
-        for found in _search(adjacency, spur, hop_weighted, banned_nodes, banned_next):
-            if found[2][-1] == dst:
-                return found
-        return None
-
-    first = shortest_from(src, set(), ())
-    if first is None:
-        return
-    cost, km, path = first
-    deviation = 0
-    # next nodes the found paths take after each of their prefixes
-    next_after: dict[tuple[str, ...], set[str]] = {}
-    # candidate heap entries: (primary, km, node_seq, deviation index) with
-    # node_seq, unique among candidates, as deterministic tiebreak and payload
-    candidates: list[tuple[float, float, tuple[str, ...], int]] = []
-    seen: set[tuple[str, ...]] = {path}
-
-    while True:
-        yield cost, km, path
-        # prefixes before the deviation index, and the next nodes taken
-        # after them, are those of the path this one was spurred from
-        root_km = sum(hops[path[j], path[j + 1]][2] for j in range(deviation))
-        for i in range(deviation, len(path) - 1):
-            spur = path[i]
-            banned = next_after.setdefault(path[: i + 1], set())
-            banned.add(path[i + 1])
-            res = shortest_from(spur, set(path[:i]), banned)
-            if res is not None:
-                spur_cost, spur_km, spur_path = res
-                total = path[:i] + spur_path
-                if total not in seen:
-                    seen.add(total)
-                    root_cost = float(i) if hop_weighted else root_km
-                    heapq.heappush(candidates, (root_cost + spur_cost, root_km + spur_km, total, i))
-            root_km += hops[spur, path[i + 1]][2]
-        if not candidates:
-            return
-        cost, km, path, deviation = heapq.heappop(candidates)
 
 
 def k_shortest_paths(
@@ -457,9 +400,8 @@ def k_shortest_paths(
     criterion, secondary criterion, node sequence).  A disconnected
     pair yields an empty list.
 
-    With integral link lengths the same enumeration also gives the
-    ``(dst, src)`` list, which is stored in the topology's path cache
-    unless one is cached already.
+    The same enumeration also gives the ``(dst, src)`` list, which is
+    stored in the topology's path cache unless one is cached already.
     """
     if src == dst:
         raise TopologyError("src and dst must differ")
@@ -468,45 +410,35 @@ def k_shortest_paths(
     if k < 1:
         raise TopologyError(f"k must be >= 1, got {k}")
 
-    if topology._integral:
-        hop_weighted = ordering is PathOrdering.HOPS_THEN_KM
-        enumerated = _budgeted_paths(topology, src, dst, k, hop_weighted)
-        # every (dst, src) path up to the same k-th primary cost
-        reverse = [(hops, km, node_path[::-1]) for hops, km, node_path in enumerated]
-        topology._path_cache.setdefault(
-            (dst, src, k, ordering), tuple(_ranked(topology, reverse, k, ordering))
-        )
-        return _ranked(topology, enumerated, k, ordering)
-
-    enumerated = []
-    kth_primary: float | None = None
-    for cost, km, node_path in _yen_paths(topology, src, dst, ordering):
-        if kth_primary is not None and cost > kth_primary:
-            break
-        enumerated.append((len(node_path) - 1, km, node_path))
-        if len(enumerated) == k:
-            kth_primary = cost
+    hop_weighted = ordering is PathOrdering.HOPS_THEN_KM
+    enumerated = _budgeted_paths(topology, src, dst, k, hop_weighted)
+    # every (dst, src) path up to the same k-th primary cost
+    reverse = [(hops, km, node_path[::-1]) for hops, km, node_path in enumerated]
+    topology._path_cache.setdefault(
+        (dst, src, k, ordering), tuple(_ranked(topology, reverse, k, ordering))
+    )
     return _ranked(topology, enumerated, k, ordering)
 
 
 def _ranked(
     topology: Topology,
-    enumerated: list[tuple[int, float, tuple[str, ...]]],
+    enumerated: list[tuple[int, int, tuple[str, ...]]],
     k: int,
     ordering: PathOrdering,
 ) -> list[CandidatePath]:
-    """The best k of ``(hops, km, node_seq)`` entries under the full key."""
+    """The best k of ``(hops, km units, node_seq)`` entries under the full key."""
     enumerated.sort(key=_sort_key(ordering))
     hop_table = topology._hops
+    scale = topology._scale
     out: list[CandidatePath] = []
-    for rank, (hops, _km, node_seq) in enumerate(enumerated[:k]):
-        link_ids, fiber_ids, lengths = zip(*map(hop_table.get, zip(node_seq, node_seq[1:])))
+    for rank, (hops, km, node_seq) in enumerate(enumerated[:k]):
+        link_ids, fiber_ids = zip(*map(hop_table.get, zip(node_seq, node_seq[1:])))
         out.append(
             CandidatePath(
                 node_seq=node_seq,
                 link_ids=link_ids,
                 hop_count=hops,
-                length_km=sum(lengths),
+                length_km=km / scale,  # int / int rounds once, correctly
                 rank=rank,
                 fiber_ids=fiber_ids,
             )

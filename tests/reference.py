@@ -66,14 +66,17 @@ def ksp_oracle(links, src, dst, k, ordering_name):
 # The path layer's original Yen implementation, kept as a differential oracle
 # for the optimized one: every found path is rescanned for banned edges and
 # every root length is re-summed at every spur node.  The adjacency is
-# rebuilt from the public link list the way ``Topology`` builds its own.
+# rebuilt from the public link list, with each length exact (an int, or a
+# Fraction when it is not integral), so every path cost is exact too.
 
 
 def _reference_adjacency(topology):
     adjacency = {n: [] for n in topology.nodes}
     for link in topology.links:
-        adjacency[link.src].append((link.dst, link.index, link.length_km))
-        adjacency[link.dst].append((link.src, link.index, link.length_km))
+        x = link.length_km
+        length = int(x) if x.is_integer() else Fraction(x)
+        adjacency[link.src].append((link.dst, link.index, length))
+        adjacency[link.dst].append((link.src, link.index, length))
     for lst in adjacency.values():
         lst.sort()
     return adjacency
@@ -86,8 +89,8 @@ def _reference_sort_key(ordering):
 
 
 def _reference_dijkstra(adjacency, src, dst, hop_weighted, banned_nodes, banned_edges):
-    best = {src: 0.0}
-    heap = [(0.0, 0.0, (src,))]
+    best = {src: 0}
+    heap = [(0, 0, (src,))]
     while heap:
         cost, km, path = heapq.heappop(heap)
         node = path[-1]
@@ -98,7 +101,7 @@ def _reference_dijkstra(adjacency, src, dst, hop_weighted, banned_nodes, banned_
         for nbr, _link, length in adjacency[node]:
             if nbr in banned_nodes or (node, nbr) in banned_edges:
                 continue
-            step = 1.0 if hop_weighted else length
+            step = 1 if hop_weighted else length
             ncost = cost + step
             if ncost < best.get(nbr, float("inf")):
                 best[nbr] = ncost
@@ -147,7 +150,7 @@ def _reference_yen_paths(adjacency, src, dst, ordering):
             if total in seen:
                 continue
             seen.add(total)
-            root_cost = float(i) if hop_weighted else root_km
+            root_cost = i if hop_weighted else root_km
             heapq.heappush(candidates, (root_cost + spur_cost, root_km + spur_km, total))
         if not candidates:
             return
@@ -187,13 +190,12 @@ def reference_k_shortest_paths(topology, src, dst, k, ordering):
         fiber_ids = tuple(
             topology.fiber_id(link_ids[j], node_seq[j]) for j in range(hops)
         )
-        length = sum(topology.links[l].length_km for l in link_ids)
         out.append(
             CandidatePath(
                 node_seq=node_seq,
                 link_ids=link_ids,
                 hop_count=hops,
-                length_km=length,
+                length_km=float(km),
                 rank=rank,
                 fiber_ids=fiber_ids,
             )

@@ -526,6 +526,20 @@ BAD_MODULATION_FILES = {
     "nan-reach.json": (
         '{"formats": [{"name": "lone", "bits_per_symbol": 2, "max_reach_km": NaN}]}'
     ),
+    # each once read as a number it does not state: 2, 1 and 1.0
+    "fractional-bits.json": (
+        '{"formats": [{"name": "lone", "bits_per_symbol": 2.7, "max_reach_km": 9000}]}'
+    ),
+    "boolean-bits.json": (
+        '{"formats": [{"name": "lone", "bits_per_symbol": true, "max_reach_km": 9000}]}'
+    ),
+    "boolean-reach.json": (
+        '{"formats": [{"name": "lone", "bits_per_symbol": 2, "max_reach_km": true}]}'
+    ),
+    # an integer past the float range
+    "huge-reach.json": (
+        '{"formats": [{"name": "lone", "bits_per_symbol": 2, "max_reach_km": 1%s}]}' % ("0" * 400)
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,11 +61,21 @@ def test_load_topology_from_file(tmp_path):
         # written as the JSON literals NaN and Infinity, which json.loads accepts
         (lambda d: d["links"][0].update(length_km=float("nan")), "non-finite length nan"),
         (lambda d: d["links"][0].update(length_km=float("inf")), "non-finite length inf"),
+        (lambda d: d["links"][0].update(length_km=10**400), r"\(A, B\) has non-finite length inf"),
+        (lambda d: d["links"][0].update(length_km="100"), "non-numeric length '100'"),
+        (lambda d: d["links"][0].update(length_km=None), "non-numeric length None"),
+        (lambda d: d["links"][0].update(length_km=True), "non-numeric length True"),
+        (lambda d: d.update(slots_per_fiber="80"), "an integer, got '80'"),
+        (lambda d: d.update(slots_per_fiber=80.5), "an integer, got 80.5"),
+        (lambda d: d.update(links={"A-B": d["links"][0]}), "must be JSON lists"),
+        (lambda d: d.update(links=[["A", "B", 100]]), "link must be a JSON object"),
+        (lambda d: [d], "must be a JSON object, got list"),
         (lambda d: d.__setitem__("schema", "nope/9"), "schema"),
         (lambda d: d.update(nodes=["A"], links=[]), "two nodes"),
     ],
 )
 def test_load_topology_rejects_bad_documents(tmp_path, mutate, match):
+    """``mutate`` edits the document in place, or returns one to write instead."""
     doc = {
         "schema": "eonsim-topology/1",
         "name": "pair",
@@ -73,9 +84,9 @@ def test_load_topology_rejects_bad_documents(tmp_path, mutate, match):
         "nodes": ["A", "B"],
         "links": [{"src": "A", "dst": "B", "length_km": 100}],
     }
-    mutate(doc)
+    replaced = mutate(doc)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc if replaced is None else replaced))
     with pytest.raises(TopologyError, match=match):
         load_topology(path)
 
@@ -222,8 +233,7 @@ def test_warm_cache_matches_unoptimized_yen_on_bundled(name, k, ordering):
 
 # SHA-256 of every ordered pair's candidate node sequences, in rank order, for
 # tables the unoptimized reference is too slow to check in full.  Recorded with
-# Yen's algorithm, before the budgeted depth-first enumeration replaced it for
-# integral lengths.
+# Yen's algorithm, before the budgeted depth-first enumeration replaced it.
 CANDIDATE_TABLE_SHA256 = {
     ("usnet", 50, PathOrdering.HOPS_THEN_KM):
         "5294f9ed2e2dfd5e06da431f3a9396a614400ca185346ea5dbffbf3376f5bbd2",
@@ -269,6 +279,38 @@ def fractional_graph(rng):
 @settings(max_examples=200, deadline=None)
 def test_ksp_matches_unoptimized_yen_with_fractional_lengths(seed, k, ordering):
     _all_pairs_equal_reference(fractional_graph(np.random.default_rng(seed)), k, ordering)
+
+
+def test_tied_routes_report_one_length_in_both_directions():
+    """B-F-G-E and B-G-D-E both sum to 0.7 + 0.3 + 0.3 in exact arithmetic,
+    whose nearest float is 1.2999999999999998; a left-to-right float sum
+    gives 1.3 for one order of addition and 1.2999999999999998 for another."""
+    links = [("B", "F", 0.7), ("F", "G", 0.3), ("G", "E", 0.3),
+             ("B", "G", 0.3), ("G", "D", 0.3), ("D", "E", 0.7)]
+    topo = Topology("six", list("BDEFG"), links, 8)
+    forward = k_shortest_paths(topo, "B", "E", 3, PathOrdering.KM_THEN_HOPS)
+    backward = k_shortest_paths(topo, "E", "B", 3, PathOrdering.KM_THEN_HOPS)
+    three_hop = {p.node_seq: p.length_km for p in forward if p.hop_count == 3}
+    assert set(three_hop) == {("B", "F", "G", "E"), ("B", "G", "D", "E")}
+    assert set(three_hop.values()) == {float(Fraction(0.7) + Fraction(0.3) + Fraction(0.3))}
+    for p in backward:
+        assert p.length_km == {q.node_seq: q.length_km for q in forward}[p.node_seq[::-1]]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 10))
+@settings(max_examples=100, deadline=None)
+def test_km_lengths_are_exact_and_ordered_with_fractional_lengths(seed, k):
+    topo = fractional_graph(np.random.default_rng(seed))
+    topo.warm_path_cache(k, PathOrdering.KM_THEN_HOPS)
+    for src in topo.nodes:
+        for dst in topo.nodes:
+            if src != dst:
+                paths = topo.candidate_paths(src, dst, k, PathOrdering.KM_THEN_HOPS)
+                kms = [p.length_km for p in paths]
+                assert kms == sorted(kms), (src, dst)
+                for p in paths:
+                    exact = sum(Fraction(topo.links[l].length_km) for l in p.link_ids)
+                    assert p.length_km == float(exact), (src, dst, p.node_seq)
 
 
 def integral_graph(rng):
@@ -323,10 +365,8 @@ def test_fewer_loopless_paths_than_k_are_all_returned(ordering, shape, paths_per
 
 
 @pytest.mark.parametrize("ordering", list(PathOrdering))
-@pytest.mark.parametrize("offset,runs", [(0.0, 91), (0.5, 182)])
-def test_one_yen_run_per_unordered_pair_only_with_integral_lengths(
-    monkeypatch, ordering, offset, runs
-):
+@pytest.mark.parametrize("offset", [0.0, 0.5, 0.1])
+def test_one_enumeration_per_unordered_pair(monkeypatch, ordering, offset):
     nsfnet = load_topology("nsfnet")
     links = [(l.src, l.dst, l.length_km + offset) for l in nsfnet.links]
     topo = Topology("shifted", nsfnet.nodes, links, 8)
@@ -336,7 +376,7 @@ def test_one_yen_run_per_unordered_pair_only_with_integral_lengths(
         topology_module, "k_shortest_paths", lambda *args: calls.append(args) or real(*args)
     )
     topo.warm_path_cache(5, ordering)
-    assert len(calls) == runs
+    assert len(calls) == 91
     assert len(topo._path_cache) == 14 * 13
 
 
