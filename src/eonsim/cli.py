@@ -474,7 +474,9 @@ def _add_common_run_flags(sub):
     sub.add_argument("--modulation-file", default=None,
                      help="JSON file overriding the default modulation table")
     sub.add_argument("--jobs", type=positive_int, default=_available_cpus(),
-                     help="parallel trial workers (default: available CPUs)")
+                     help="most trials run at once, this process being one of them, "
+                          "so JOBS-1 workers are forked (none for a one-trial run); "
+                          "results do not depend on it (default: available CPUs)")
     sub.add_argument("--out", required=True, help="output directory for artifacts")
 
 

@@ -21,9 +21,12 @@ import multiprocessing
 import os
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from multiprocessing.connection import wait
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -242,8 +245,8 @@ def summarize_trials(load: float, results: Sequence[TrialResult]) -> LoadPoint:
     return LoadPoint(load, mean, std, tuple(results))
 
 
-_WORKER_CONFIG: SimConfig | None = None
-_WORKER_RUNNER: Callable[[SimConfig, int], TrialResult] | None = None
+#: ``(config, runner, counter, tasks)`` of this pool worker's sweep
+_WORKER_SHARE: tuple | None = None
 
 
 def _exit_with_parent() -> None:
@@ -252,18 +255,49 @@ def _exit_with_parent() -> None:
     os._exit(1)
 
 
-def _init_worker(config: SimConfig, runner) -> None:
-    global _WORKER_CONFIG, _WORKER_RUNNER
-    _WORKER_CONFIG = config
-    _WORKER_RUNNER = runner
+def _init_worker(config: SimConfig, runner, counter, tasks) -> None:
+    global _WORKER_SHARE
+    _WORKER_SHARE = (config, runner, counter, tasks)
     # a worker whose sweeping process was killed would otherwise run on
     threading.Thread(target=_exit_with_parent, daemon=True).start()
 
 
-def _sweep_task(args: tuple[float, int]) -> tuple[float, int, TrialResult]:
-    load, seed = args
-    cfg = _WORKER_CONFIG.with_load(load)
-    return load, seed, _WORKER_RUNNER(cfg, seed)
+def _drain(
+    config: SimConfig,
+    runner: Callable[[SimConfig, int], TrialResult],
+    counter,
+    tasks: Sequence[tuple[float, int]],
+) -> list[tuple[int, TrialResult]]:
+    """Run ``tasks[i]`` for each index ``i`` taken from ``counter`` until none is left.
+
+    ``counter`` holds the next untaken index in ``.value`` under
+    ``get_lock()``.  A raising trial moves it past the last task, so every
+    other drain stops after its current trial.
+    """
+    done = []
+    try:
+        while True:
+            with counter.get_lock():
+                index = counter.value
+                if index >= len(tasks):
+                    return done
+                counter.value = index + 1
+            load, seed = tasks[index]
+            done.append((index, runner(config.with_load(load), seed)))
+    except BaseException:
+        with counter.get_lock():
+            counter.value = len(tasks)
+        raise
+
+
+def _drain_worker_share() -> list[tuple[int, TrialResult]]:
+    return _drain(*_WORKER_SHARE)
+
+
+def _stop_if_failed(counter, end: int, share: Future) -> None:
+    # a worker that died without raising could not move the counter itself
+    if share.exception() is not None:
+        counter.value = end
 
 
 def check_loads(loads: Sequence[float]) -> None:
@@ -292,31 +326,41 @@ def sweep(
     ``MIN_BLOCKING_EVENTS``, too few for a stable SBP estimate; it names
     ``curve`` when one is given, for callers that sweep several curves.
 
-    With ``jobs > 1`` trials run in worker processes; ``trial_runner``
-    must then pickle: a module-level function, or a ``functools.partial``
-    of one.
+    ``jobs`` is the most trials run at once, the calling process being
+    one of them: ``jobs > 1`` forks up to ``jobs - 1`` worker processes,
+    never more than there are trials beyond the first, so a one-trial
+    sweep forks none.  ``trial_runner`` must then pickle: a module-level
+    function, or a ``functools.partial`` of one.  Results are placed by
+    trial, so they do not depend on ``jobs`` or on which process ran a
+    trial.  A trial that raises, or a worker that dies, stops every other
+    process after its current trial, and the error propagates.
     """
     check_loads(loads)
     seeds = [config.base_seed + t for t in range(config.trials)]
-
-    by_load: dict[float, list[TrialResult]] = {load: [] for load in loads}
-    if jobs > 1:
+    tasks = [(load, seed) for load in loads for seed in seeds]
+    workers = min(jobs, len(tasks)) - 1
+    if workers > 0:
         config.topology.warm_path_cache(config.k, config.ordering)
-        tasks = [(load, seed) for load in loads for seed in seeds]
+        counter = multiprocessing.Value("q", 0)
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(config, trial_runner)
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(config, trial_runner, counter, tasks),
         ) as pool:
-            for load, seed, result in pool.map(_sweep_task, tasks, chunksize=1):
-                by_load[load].append(result)
-    else:
-        for load in loads:
-            cfg = config.with_load(load)
-            for seed in seeds:
-                by_load[load].append(trial_runner(cfg, seed))
+            shares = [pool.submit(_drain_worker_share) for _ in range(workers)]
+            for share in shares:
+                share.add_done_callback(partial(_stop_if_failed, counter, len(tasks)))
+            done = _drain(config, trial_runner, counter, tasks)
+            for share in shares:
+                done += share.result()
+    else:  # one process: a plain counter, no shared memory and no lock
+        done = _drain(config, trial_runner, SimpleNamespace(value=0, get_lock=nullcontext), tasks)
+    results = [result for _index, result in sorted(done, key=lambda pair: pair[0])]
 
+    n = len(seeds)
     points = []
-    for load in loads:
-        point = summarize_trials(load, by_load[load])
+    for i, load in enumerate(loads):
+        point = summarize_trials(load, results[i * n : (i + 1) * n])
         if point.blocked_total < MIN_BLOCKING_EVENTS:
             label = f" ({curve})" if curve else ""
             warnings.warn(

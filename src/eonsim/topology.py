@@ -142,18 +142,22 @@ class Topology:
             if not _is_number(length, numbers.Real):
                 raise TopologyError(f"link ({src}, {dst}) has non-numeric length {length!r}")
             try:
-                length = float(length)
+                km = float(length)
             except OverflowError:  # an int past the float range
-                length = math.inf
-            if not math.isfinite(length):
-                raise TopologyError(f"link ({src}, {dst}) has non-finite length {length}")
-            if length <= 0:
-                raise TopologyError(f"link ({src}, {dst}) has non-positive length {length}")
+                km = math.inf
+            if not math.isfinite(km):
+                raise TopologyError(f"link ({src}, {dst}) has non-finite length {km}")
+            if km <= 0:
+                raise TopologyError(f"link ({src}, {dst}) has non-positive length {km}")
+            if isinstance(length, numbers.Integral) and km != int(length):
+                raise TopologyError(
+                    f"link ({src}, {dst}) has length {length}, which a float cannot hold exactly"
+                )
             pair = frozenset((src, dst))
             if pair in seen_pairs:
                 raise TopologyError(f"duplicate link between {src} and {dst}")
             seen_pairs.add(pair)
-            link_records.append(Link(len(link_records), src, dst, length))
+            link_records.append(Link(len(link_records), src, dst, km))
         self.links: tuple[Link, ...] = tuple(link_records)
 
         # each length is n / d with d a power of two, so d divides the largest d

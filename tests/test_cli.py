@@ -415,6 +415,21 @@ def test_paths_on_a_one_node_topology_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_paths_on_a_length_no_float_holds_exits_2(tmp_path, capsys):
+    # 2**53 + 1 km would be read as 2**53 km without a word
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({
+        "schema": "eonsim-topology/1", "name": "pair", "fiber_mode": "dual",
+        "slots_per_fiber": 10, "nodes": ["A", "B"],
+        "links": [{"src": "A", "dst": "B", "length_km": 2**53 + 1}],
+    }))
+    out = tmp_path / "never"
+    assert run(f"paths --topology {pair} --k 2 --out {out}".split()) == 2
+    err = capsys.readouterr().err
+    assert "(A, B) has length 9007199254740993" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # SHA-256 of ``paths --k 5 --out`` for every bundled topology and ordering,
 # recorded with the unoptimized Yen implementation that
 # ``reference.reference_k_shortest_paths`` keeps.

@@ -1,3 +1,5 @@
+import functools
+import importlib
 import math
 import os
 import signal
@@ -6,11 +8,13 @@ import sys
 import textwrap
 import time
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eonsim import simulator
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
 from eonsim.simulator import (
@@ -299,13 +303,107 @@ def test_parallel_sweep_matches_serial():
         warnings.simplefilter("ignore")
         serial = sweep(cfg, [320, 340], jobs=1)
         parallel = sweep(cfg, [320, 340], jobs=2)
+        parallel3 = sweep(cfg, [320, 340], jobs=3)
         bound_serial = sweep(cfg, [320, 340], jobs=1, trial_runner=defrag_bound_trial)
         bound_parallel = sweep(
             cfg, [320, 340], jobs=2, trial_runner=defrag_bound_trial
         )
-    assert serial == parallel
+    assert serial == parallel == parallel3
     assert bound_serial == bound_parallel
     assert sum(r.defrag_count for p in bound_serial.points for r in p.results) > 0
+
+
+def test_one_trial_sweep_starts_no_pool(monkeypatch):
+    """With a single trial ``jobs=2`` runs it in the calling process."""
+    cfg = nsfnet_config(320, trials=1, measured_requests=500, warmup_requests=100)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-trial sweep must not start a pool")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        serial = sweep(cfg, [320], jobs=1)
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(simulator.multiprocessing, "Value", refuse)
+        assert sweep(cfg, [320], jobs=2) == serial
+
+
+# Trial runners for pooled sweeps, written to a file so that workers import
+# them by name.  Each trial creates a marker file named "load-seed" in
+# ``started_dir`` as it starts, and fails if that file exists already.
+# The trial of ``failing_seed`` raises, or with ``exits`` ends its worker
+# process as a kill would; in the sweeping process it always raises.
+_MARKED_TRIALS = textwrap.dedent("""
+    import multiprocessing, os, time
+    from pathlib import Path
+
+    from eonsim.simulator import TrialResult
+
+    def run(started_dir, failing_seed, exits, sleep_s, config, seed):
+        Path(started_dir, f"{config.traffic.load_erlangs:g}-{seed}").open("x").close()
+        if seed == failing_seed:
+            if exits and multiprocessing.parent_process() is not None:
+                os._exit(1)
+            raise RuntimeError(f"trial {seed} failed")
+        time.sleep(sleep_s)
+        return TrialResult(seed, seed % 3, 3, seed % 3 / 3)
+""")
+
+
+def _marked_trials(tmp_path, monkeypatch):
+    (tmp_path / "marked_trials.py").write_text(_MARKED_TRIALS)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    return importlib.import_module("marked_trials")
+
+
+@pytest.mark.parametrize(
+    "failing,exits,error,match",
+    [
+        (0, False, RuntimeError, "trial 5 failed"),
+        (1, False, RuntimeError, "trial 6 failed"),
+        (1, True, BrokenProcessPool, "terminated abruptly"),
+    ],
+    ids=["sweeping-process", "worker", "worker-exits"],
+)
+def test_a_failing_trial_stops_a_pooled_sweep(tmp_path, monkeypatch, failing, exits, error, match):
+    """The error propagates, and no process starts a trial after it.
+
+    The sweeping process takes the first trial and the worker, started
+    while that trial runs, the second; ``failing`` picks which fails.
+    Every other trial takes long enough that the other process is still
+    in its current one when the failure stops the sweep.
+    """
+    marked = _marked_trials(tmp_path, monkeypatch)
+    started = tmp_path / "started"
+    started.mkdir()
+    cfg = nsfnet_config(100, trials=20, base_seed=5)
+    runner = functools.partial(marked.run, str(started), 5 + failing, exits, 0.5)
+    with pytest.raises(error, match=match):
+        sweep(cfg, [100.0], jobs=2, trial_runner=runner)
+    names = sorted(p.name for p in started.iterdir())
+    assert f"100-{5 + failing}" in names
+    assert len(names) <= 2, names  # the failing trial and the other process's current one
+
+
+def test_pooled_sweep_runs_every_trial_once(tmp_path, monkeypatch):
+    """More processes than cores share the task counter without losing an update.
+
+    A trial taken twice fails on its marker file, and one never taken
+    leaves a marker missing.
+    """
+    marked = _marked_trials(tmp_path, monkeypatch)
+    cfg = nsfnet_config(100, trials=40)
+    loads = [100.0, 200.0, 300.0]
+    results = []
+    for jobs in (1, 6):
+        started = tmp_path / f"jobs{jobs}"
+        started.mkdir()
+        runner = functools.partial(marked.run, str(started), -1, False, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results.append(sweep(cfg, loads, jobs=jobs, trial_runner=runner))
+        assert len(list(started.iterdir())) == 120
+    assert results[0] == results[1]
 
 
 def _running(pid: int) -> bool:
@@ -319,11 +417,12 @@ def _running(pid: int) -> bool:
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_pool_workers_end_with_their_sweeping_process(tmp_path):
-    """A SIGTERM to a two-worker sweep leaves no worker running.
+    """A SIGTERM to a ``jobs=2`` sweep leaves no worker running.
 
-    Each worker's trial spins until it is stopped, so only the worker's
-    own watch on its parent can end it.  The spin gives up after 60 s,
-    so a failing run leaves no process behind for long.
+    The two trials run in the sweeping process and in its one worker.
+    Each spins until it is stopped, so only the worker's own watch on its
+    parent can end the worker.  The spin gives up after 60 s, so a
+    failing run leaves no process behind for long.
     """
     (tmp_path / "spin_trial.py").write_text(textwrap.dedent("""
         import os, time
@@ -361,7 +460,8 @@ def test_pool_workers_end_with_their_sweeping_process(tmp_path):
         while len(pids) < 2 and proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.05)
             pids = [int(p.name) for p in pid_dir.iterdir()]
-        assert len(pids) == 2, f"workers did not start (exit code {proc.poll()})"
+        assert len(pids) == 2, f"trials did not start (exit code {proc.poll()})"
+        assert [pid == proc.pid for pid in pids].count(True) == 1, (pids, proc.pid)
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=10)
         deadline = time.monotonic() + 10

@@ -432,6 +432,14 @@ def test_constructor_validation():
         Topology("bad", ["A", "A"], [], 8)
 
 
+@pytest.mark.parametrize("length", [2**53 + 1, np.int64(2**53 + 1), 10**20 + 1])
+def test_an_integral_length_a_float_cannot_hold_is_rejected(length):
+    with pytest.raises(TopologyError, match=rf"\(A, B\) has length {length}, which a float"):
+        Topology("x", ["A", "B"], [("A", "B", length)], 8)
+    # a large integer that a float holds exactly is kept
+    assert Topology("x", ["A", "B"], [("A", "B", 2**60)], 8).links[0].length_km == 2**60
+
+
 def test_zero_overrides_are_rejected_not_ignored():
     from eonsim.presets import get_preset
 
