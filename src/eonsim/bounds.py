@@ -39,6 +39,7 @@ from .simulator import (
     SimConfig,
     SimConfigError,
     TrialResult,
+    _write_trials,
     run_stream,
     sweep,
 )
@@ -122,13 +123,12 @@ def defrag_bound_trial(
         outcomes[i] = OUTCOME_BLOCKED
         return False
 
-    result = run_stream(config, stream, on_block=on_block, sort_key=sort_key)
+    blocked = run_stream(config, stream, on_block=on_block, sort_key=sort_key)
     measured = outcomes[config.warmup_requests :]
     return DefragTrialResult(
         seed=seed,
-        blocked_count=result.blocked_count,
-        total_measured=result.total_measured,
-        sbp=result.sbp,
+        blocked_count=blocked,
+        total_measured=len(measured),
         direct_count=measured.count(OUTCOME_DIRECT),
         defrag_count=measured.count(OUTCOME_DEFRAG),
         outcomes=tuple(outcomes) if record_outcomes else None,
@@ -279,25 +279,7 @@ def bound_sweep(
 
 def write_bound_trials_csv(result: LoadSweepResult, path) -> None:
     """Sweep schema plus per-trial direct/defrag counts."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["load_erlangs", "trial", "seed", "blocked", "total", "sbp", "direct", "defrag"]
-        )
-        for point in result.points:
-            for trial, r in enumerate(point.results):
-                writer.writerow(
-                    [
-                        f"{point.load_erlangs:.12g}",
-                        trial,
-                        r.seed,
-                        r.blocked_count,
-                        r.total_measured,
-                        f"{r.sbp:.12g}",
-                        getattr(r, "direct_count", ""),
-                        getattr(r, "defrag_count", ""),
-                    ]
-                )
+    _write_trials(result, path, {"direct": "direct_count", "defrag": "defrag_count"})
 
 
 def write_outcomes_csv(result: LoadSweepResult, path) -> None:

@@ -37,6 +37,8 @@ class ModulationTable:
 
     def __init__(self, formats: Sequence[ModulationFormat]):
         rows = sorted(formats, key=lambda f: f.bits_per_symbol, reverse=True)
+        if not rows:
+            raise ValueError("need at least one modulation format")
         for hi, lo in zip(rows, rows[1:]):
             if hi.bits_per_symbol == lo.bits_per_symbol:
                 raise ValueError(f"duplicate bits_per_symbol {hi.bits_per_symbol}")

@@ -88,13 +88,16 @@ class TrialResult:
     seed: int
     blocked_count: int
     total_measured: int
-    sbp: float
 
     def __post_init__(self):
+        if self.total_measured < 1:
+            raise ValueError(f"total_measured must be >= 1, got {self.total_measured}")
         if not 0 <= self.blocked_count <= self.total_measured:
             raise ValueError("blocked_count out of range")
-        if not 0.0 <= self.sbp <= 1.0:
-            raise ValueError(f"sbp out of range: {self.sbp}")
+
+    @property
+    def sbp(self) -> float:
+        return self.blocked_count / self.total_measured
 
 
 class ActiveLightpaths:
@@ -164,8 +167,11 @@ def run_stream(
     on_block: Callable[[int, ServiceRequest, Sequence[CandidatePath], ActiveLightpaths], bool]
     | None = None,
     sort_key: Callable[[ServiceRequest, Sequence[CandidatePath]], tuple] | None = None,
-) -> TrialResult:
+) -> int:
     """Run the event loop over an explicit request stream.
+
+    Returns how many requests after the first ``config.warmup_requests``
+    were blocked.
 
     ``on_block(index, request, candidates, active)`` is called when the
     policy blocks a request, and returns True if it admitted the request
@@ -175,8 +181,7 @@ def run_stream(
     ``on_event`` is called after each arrival is resolved; tests use it
     to assert conservation invariants at every event.
     """
-    measured = len(stream) - config.warmup_requests
-    if measured < 1:
+    if len(stream) <= config.warmup_requests:
         raise SimConfigError("stream shorter than the warm-up period")
     state = SpectrumState.for_topology(config.topology)
     active = ActiveLightpaths(state)
@@ -200,12 +205,7 @@ def run_stream(
         if on_event is not None:
             on_event(state, active)
 
-    return TrialResult(
-        seed=-1,
-        blocked_count=blocked,
-        total_measured=measured,
-        sbp=blocked / measured,
-    )
+    return blocked
 
 
 def run_trial(config: SimConfig, seed: int) -> TrialResult:
@@ -213,15 +213,12 @@ def run_trial(config: SimConfig, seed: int) -> TrialResult:
     stream = generate_stream(
         config.traffic, config.total_requests, config.topology.nodes, seed
     )
-    result = run_stream(config, stream)
-    return replace(result, seed=seed)
+    return TrialResult(seed, run_stream(config, stream), config.measured_requests)
 
 
 @dataclass(frozen=True)
 class LoadPoint:
     load_erlangs: float
-    mean_sbp: float
-    std_sbp: float
     results: tuple[TrialResult, ...]
 
     @property
@@ -232,17 +229,21 @@ class LoadPoint:
     def blocked_total(self) -> int:
         return sum(r.blocked_count for r in self.results)
 
+    @property
+    def mean_sbp(self) -> float:
+        return float(np.mean([r.sbp for r in self.results]))
+
+    @property
+    def std_sbp(self) -> float:
+        """Sample standard deviation of the trial SBPs; NaN for one trial."""
+        if len(self.results) < 2:
+            return math.nan
+        return float(np.std([r.sbp for r in self.results], ddof=1))
+
 
 @dataclass(frozen=True)
 class LoadSweepResult:
     points: tuple[LoadPoint, ...]
-
-
-def summarize_trials(load: float, results: Sequence[TrialResult]) -> LoadPoint:
-    sbps = [r.sbp for r in results]
-    mean = float(np.mean(sbps))
-    std = float(np.std(sbps, ddof=1)) if len(sbps) >= 2 else math.nan
-    return LoadPoint(load, mean, std, tuple(results))
 
 
 #: ``(config, runner, counter, tasks)`` of this pool worker's sweep
@@ -360,7 +361,7 @@ def sweep(
     n = len(seeds)
     points = []
     for i, load in enumerate(loads):
-        point = summarize_trials(load, results[i * n : (i + 1) * n])
+        point = LoadPoint(load, tuple(results[i * n : (i + 1) * n]))
         if point.blocked_total < MIN_BLOCKING_EVENTS:
             label = f" ({curve})" if curve else ""
             warnings.warn(
@@ -374,21 +375,20 @@ def sweep(
 
 def write_trials_csv(result: LoadSweepResult, path) -> None:
     """One row per (load, trial): load_erlangs, trial, seed, blocked, total, sbp."""
+    _write_trials(result, path, {})
+
+
+def _write_trials(result: LoadSweepResult, path, extra: dict[str, str]) -> None:
+    """``write_trials_csv``'s rows, then a column per ``extra`` name: the
+    value of the result attribute it maps to."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["load_erlangs", "trial", "seed", "blocked", "total", "sbp"])
+        writer.writerow(["load_erlangs", "trial", "seed", "blocked", "total", "sbp", *extra])
         for point in result.points:
+            load = f"{point.load_erlangs:.12g}"
             for trial, r in enumerate(point.results):
-                writer.writerow(
-                    [
-                        f"{point.load_erlangs:.12g}",
-                        trial,
-                        r.seed,
-                        r.blocked_count,
-                        r.total_measured,
-                        f"{r.sbp:.12g}",
-                    ]
-                )
+                row = [load, trial, r.seed, r.blocked_count, r.total_measured, f"{r.sbp:.12g}"]
+                writer.writerow(row + [getattr(r, attr) for attr in extra.values()])
 
 
 def write_summary_csv(result: LoadSweepResult, path) -> None:

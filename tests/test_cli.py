@@ -238,6 +238,10 @@ def test_sweep_loads_row_count(tmp_path):
     assert len(summary) == 1 + 7  # header + one row per swept load
 
 
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_manifest_rerun_reproduces_outputs_byte_for_byte(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -245,6 +249,13 @@ def test_manifest_rerun_reproduces_outputs_byte_for_byte(tmp_path):
     assert run(["rerun", "--manifest", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
     for name in ("trials.csv", "summary.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # pinned, so a change to the trial records or writers cannot alter a byte
+    assert sha256(out1 / "trials.csv") == (
+        "8d61804e22cc1bd05835c424f9f8ef182ee45ab0170a689623b50c74c7a2ff4b"
+    )
+    assert sha256(out1 / "summary.csv") == (
+        "32e9fadabad39a8946951e452040f54e39d8c3847199dbb1276eeaffc29a36ee"
+    )
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["args"].keys() == m2["args"].keys()
@@ -473,6 +484,17 @@ def test_warmup_subcommand(tmp_path, capsys):
 
 # --- bound ------------------------------------------------------------------------------
 
+BOUND_ARGS = (
+    "bound --preset ptrnet-40 --topology nsfnet --heuristic ksp-ff --k 3 "
+    "--ordering hops --loads 220,260,300 --trials 2 --seed 1 "
+    "--warmup 200 --measured 900 --jobs 1 --target-sbp 0.01 --record-outcomes"
+)
+BOUND_OUTPUTS = (
+    "heuristic_trials.csv", "heuristic_summary.csv", "bound_trials.csv",
+    "bound_summary.csv", "gain_report.json", "outcomes.csv",
+)
+
+
 def test_bound_subcommand_writes_gain(tmp_path, capsys, monkeypatch):
     calls = []
     real_trial = bounds.defrag_bound_trial
@@ -483,17 +505,9 @@ def test_bound_subcommand_writes_gain(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(bounds, "defrag_bound_trial", counted_trial)
     out = tmp_path / "bound"
-    code = run(
-        "bound --preset ptrnet-40 --topology nsfnet --heuristic ksp-ff --k 3 "
-        "--ordering hops --loads 220,260,300 --trials 2 --seed 1 "
-        f"--warmup 200 --measured 900 --jobs 1 --target-sbp 0.01 "
-        f"--record-outcomes --out {out}".split()
-    )
+    code = run(f"{BOUND_ARGS} --out {out}".split())
     assert code == 0
-    for name in (
-        "heuristic_trials.csv", "heuristic_summary.csv", "bound_trials.csv",
-        "bound_summary.csv", "gain_report.json", "outcomes.csv", "manifest.json",
-    ):
+    for name in (*BOUND_OUTPUTS, "manifest.json"):
         assert (out / name).is_file(), name
     gain = json.loads((out / "gain_report.json").read_text())
     assert gain["bound_load_erlangs"] >= gain["heuristic_load_erlangs"]
@@ -502,6 +516,19 @@ def test_bound_subcommand_writes_gain(tmp_path, capsys, monkeypatch):
     assert len(outcomes) == 1 + 3 * 2 * 1100  # loads x trials x requests
     # the outcomes come from the bound sweep itself: one run per (load, trial)
     assert calls == [{"record_outcomes": True}] * (3 * 2)
+
+
+def test_bound_manifest_rerun_reproduces_outputs_byte_for_byte(tmp_path, capsys):
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    assert run(f"{BOUND_ARGS} --out {out1}".split()) == 0
+    assert run(["rerun", "--manifest", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+    for name in BOUND_OUTPUTS:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    # pinned, so a change to the trial records or writers cannot alter a byte
+    assert sha256(out1 / "bound_trials.csv") == (
+        "0a09a5a379ac776f1bcfe719e6d21357ea6fe1104184f74803a573562c3232be"
+    )
 
 
 def test_bound_subcommand_unbracketed_exits_3(tmp_path, capsys):
@@ -535,6 +562,8 @@ def test_bound_with_scan_all_policy_exits_2_before_any_trial(tmp_path, capsys, m
 BAD_MODULATION_FILES = {
     "invalid.json": "{not json",
     "no-formats.json": '{"rates": []}',
+    # no format at all would block every request
+    "empty-formats.json": '{"formats": []}',
     "negative-reach.json": (
         '{"formats": [{"name": "lone", "bits_per_symbol": 2, "max_reach_km": -5}]}'
     ),

@@ -75,10 +75,11 @@ def package_events(config, stream, bound):
         )
 
     if not bound:
-        run_stream(config, stream, on_event=record)
+        blocked = run_stream(config, stream, on_event=record)
         outcomes = [
             "direct" if r.id in placed else "blocked" for r, placed in zip(stream, placements)
         ]
+        assert blocked == outcomes[config.warmup_requests :].count("blocked")
         return outcomes, occupancies, placements
 
     real_run_stream = bounds.run_stream

@@ -18,14 +18,15 @@ from eonsim import simulator
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
 from eonsim.simulator import (
+    LoadPoint,
     SimConfig,
     SimConfigError,
+    TrialResult,
     estimate_warmup,
     mser5_truncation,
     nonblocking_active_series,
     run_stream,
     run_trial,
-    summarize_trials,
     sweep,
     warmup_slope,
     write_summary_csv,
@@ -69,7 +70,7 @@ def nsfnet_config(load, **kw):
 
 
 def run_with_peak(cfg, stream):
-    """run_stream's result and the most lightpaths active after any arrival."""
+    """run_stream's measured block count and the most lightpaths active after any arrival."""
     peak = 0
 
     def record(state, active):
@@ -101,10 +102,8 @@ def test_capacity_exhaustion_single_link(single_link):
         for i in range(11)
     ]
     cfg = small_config(single_link, measured_requests=11)
-    result, peak = run_with_peak(cfg, stream)
-    assert result.blocked_count == 1
-    assert result.total_measured == 11
-    assert result.sbp == pytest.approx(1 / 11)
+    blocked, peak = run_with_peak(cfg, stream)
+    assert blocked == 1
     assert peak == 10
 
 
@@ -115,8 +114,7 @@ def test_expiry_strictly_before_arrival(single_link):
                                            holding_time=hold, slots=10)
     # r0 holds the whole grid over (1, 3]; r1 at t=3 sees it still active
     stream = [mk(0, 1.0, 2.0), mk(1, 3.0, 1.0), mk(2, 3.5, 1.0)]
-    result = run_stream(cfg, stream)
-    assert result.blocked_count == 1  # r1 blocked, r2 admitted after expiry
+    assert run_stream(cfg, stream) == 1  # r1 blocked, r2 admitted after expiry
 
 
 def test_blocked_requests_consume_nothing(single_link):
@@ -124,9 +122,9 @@ def test_blocked_requests_consume_nothing(single_link):
     mk = lambda i, t, slots: ServiceRequest(i, "A", "B", arrival_time=t,
                                             holding_time=100.0, slots=slots)
     stream = [mk(0, 1.0, 9), mk(1, 2.0, 2), mk(2, 3.0, 1)]
-    result, peak = run_with_peak(cfg, stream)
+    blocked, peak = run_with_peak(cfg, stream)
     # the 2-slot request blocks; the later 1-slot request still fits
-    assert result.blocked_count == 1
+    assert blocked == 1
     assert peak == 2
 
 
@@ -145,11 +143,8 @@ def test_warmup_blocks_not_counted(single_link):
                                      holding_time=math.inf, slots=10)
     stream = [mk(0, 1.0), mk(1, 2.0), mk(2, 3.0)]
     cfg = small_config(single_link, warmup_requests=2, measured_requests=1)
-    result = run_stream(cfg, stream)
     # request 1 blocks during warm-up (grid held by request 0), request 2 in window
-    assert result.total_measured == 1
-    assert result.blocked_count == 1
-    assert result.sbp == 1.0
+    assert run_stream(cfg, stream) == 1
 
 
 def test_state_persists_across_warmup_boundary(single_link):
@@ -157,8 +152,7 @@ def test_state_persists_across_warmup_boundary(single_link):
                                      holding_time=math.inf, slots=10)
     stream = [mk(0, 1.0), mk(1, 2.0)]
     cfg = small_config(single_link, warmup_requests=1, measured_requests=1)
-    result = run_stream(cfg, stream)
-    assert result.blocked_count == 1  # warm-up allocation still occupies the grid
+    assert run_stream(cfg, stream) == 1  # warm-up allocation still occupies the grid
 
 
 def test_conservation_invariant_fuzz(diamond):
@@ -183,9 +177,9 @@ def test_conservation_invariant_fuzz(diamond):
     from eonsim.traffic import generate_stream
 
     stream = generate_stream(cfg.traffic, 3000, diamond.nodes, seed=3)
-    result = run_stream(cfg, stream, on_event=check)
+    blocked = run_stream(cfg, stream, on_event=check)
     assert checked == 3000
-    assert result.blocked_count > 0  # the fuzz load actually stresses the grid
+    assert blocked > 0  # the fuzz load actually stresses the grid
 
 
 def test_all_slots_free_after_all_expiries(diamond):
@@ -283,11 +277,32 @@ def test_sweep_single_load_statistics():
     assert 0.0 <= point.mean_sbp <= 1.0
 
 
-def test_summarize_single_trial_has_nan_std():
+def test_single_trial_point_has_nan_std():
     cfg = nsfnet_config(300)
     r = run_trial(cfg, 0)
-    point = summarize_trials(300, [r])
+    point = LoadPoint(300, (r,))
     assert math.isnan(point.std_sbp)
+
+
+def test_trial_sbp_is_blocked_over_measured():
+    assert TrialResult(seed=4, blocked_count=3, total_measured=8).sbp == 3 / 8
+
+
+@pytest.mark.parametrize("blocked,total", [(0, 0), (0, -1), (-1, 5), (6, 5)])
+def test_trial_result_rejects_impossible_counts(blocked, total):
+    # nothing measured leaves SBP undefined; the others cannot be counted
+    with pytest.raises(ValueError):
+        TrialResult(seed=0, blocked_count=blocked, total_measured=total)
+
+
+def test_load_point_statistics_come_from_its_trials():
+    results = tuple(TrialResult(s, b, 40) for s, b in enumerate([1, 4, 2]))
+    point = LoadPoint(250.0, results)
+    sbps = [1 / 40, 4 / 40, 2 / 40]
+    assert point.trials == 3
+    assert point.blocked_total == 7
+    assert point.mean_sbp == float(np.mean(sbps))
+    assert point.std_sbp == float(np.std(sbps, ddof=1))
 
 
 def test_parallel_sweep_matches_serial():
@@ -346,7 +361,7 @@ _MARKED_TRIALS = textwrap.dedent("""
                 os._exit(1)
             raise RuntimeError(f"trial {seed} failed")
         time.sleep(sleep_s)
-        return TrialResult(seed, seed % 3, 3, seed % 3 / 3)
+        return TrialResult(seed, seed % 3, 3)
 """)
 
 
