@@ -10,9 +10,14 @@ request counts as blocked and the pre-rebuild state is kept.
 
 Relaxing only the no-reconfiguration constraint keeps every adopted
 state physically realizable (continuity and contiguity still hold),
-and gives the estimator strictly more freedom than any online policy,
-so its SBP lower-bounds theirs.  The reallocation heuristic must be a
-strong one for the bound to be tight; ksp-ff and ff-ksp are accepted.
+and gives the estimator more freedom than any online policy, so its
+mean SBP lower-bounds theirs; the acceptance suite checks that at its
+tested loads, within two standard errors of the paired difference.  It
+does not hold per seed or per trial: the rebuild is greedy and changes
+the later trajectory, so a bound trial can block more than its inner
+heuristic on the same stream, and a short saturated run can show that
+in the mean too.  The reallocation heuristic must be a strong one for
+the bound to be tight; ksp-ff and ff-ksp are accepted.
 
 A rebuild re-places hundreds of requests, and most land first-fit on
 their rank-0 candidate.  Each request's rebuild entry, made once when it
@@ -86,7 +91,8 @@ def defrag_bound_trial(
         config.traffic, config.total_requests, config.topology.nodes, seed
     )
     table, guard = config.modulation, config.guard_slots
-    outcomes = [OUTCOME_DIRECT] * len(stream)
+    outcomes = [OUTCOME_DIRECT] * len(stream) if record_outcomes else None
+    defrag = 0  # rebuild admissions in the measured window
 
     def sort_key(request: ServiceRequest, candidates) -> tuple:
         """Rebuild entry: resource key, the request, its candidates, its rank-0 placement.
@@ -109,6 +115,7 @@ def defrag_bound_trial(
         return (*resource_key(request, slots, path0.hop_count), request, candidates, rank0)
 
     def on_block(i: int, request: ServiceRequest, candidates, active: ActiveLightpaths) -> bool:
+        nonlocal defrag
         # no rebuild can host a request that fails on an empty network
         if _ever_feasible(config, request, candidates):
             key = sort_key(request, candidates)
@@ -118,20 +125,23 @@ def defrag_bound_trial(
                 fiber_ids, block = placements.pop(request.id)
                 active.replace_placements(state, placements)
                 active.insert_allocated(request, fiber_ids, block, key)
-                outcomes[i] = OUTCOME_DEFRAG
+                defrag += i >= config.warmup_requests
+                if outcomes is not None:
+                    outcomes[i] = OUTCOME_DEFRAG
                 return True
-        outcomes[i] = OUTCOME_BLOCKED
+        if outcomes is not None:
+            outcomes[i] = OUTCOME_BLOCKED
         return False
 
     blocked = run_stream(config, stream, on_block=on_block, sort_key=sort_key)
-    measured = outcomes[config.warmup_requests :]
+    measured = len(stream) - config.warmup_requests
     return DefragTrialResult(
         seed=seed,
         blocked_count=blocked,
-        total_measured=len(measured),
-        direct_count=measured.count(OUTCOME_DIRECT),
-        defrag_count=measured.count(OUTCOME_DEFRAG),
-        outcomes=tuple(outcomes) if record_outcomes else None,
+        total_measured=measured,
+        direct_count=measured - blocked - defrag,
+        defrag_count=defrag,
+        outcomes=None if outcomes is None else tuple(outcomes),
     )
 
 

@@ -16,13 +16,19 @@ with truncation enabled experience ~31% less load than nominal.
 Each trial owns one RNG seed, split into four independent substreams
 (arrivals, holding times, demands, endpoints) so changing one
 distribution never perturbs draws from the others.
+
+A stream keeps its draws as numpy columns and builds each request
+tuple only when it is read.  So a trial holds about 19 bytes per
+request (one byte per index column below 256 nodes or demand values)
+plus its active requests, and can read its stream more than once.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,12 +111,64 @@ def sample_holding_times(
     return values
 
 
+class RequestStream(Sequence[ServiceRequest]):
+    """An immutable sequence of requests, held as numpy columns.
+
+    Each ``ServiceRequest`` is built afresh when it is indexed or reached
+    by iteration; iterating again builds equal requests.  A slice is a
+    stream over views of the same columns, keeping the requests' ids.
+    """
+
+    __slots__ = ("_ids", "_nodes", "_src", "_dst", "_arrivals", "_holdings", "_demands",
+                 "_values", "_rated")
+
+    def __init__(self, ids: range, nodes: tuple[str, ...], src: np.ndarray, dst: np.ndarray,
+                 arrivals: np.ndarray, holdings: np.ndarray, demands: np.ndarray,
+                 values: tuple, rated: bool):
+        """``src``/``dst`` index ``nodes``, and ``demands`` indexes ``values``:
+        data rates if ``rated``, else slot counts."""
+        self._ids, self._nodes, self._values, self._rated = ids, nodes, values, rated
+        self._src, self._dst, self._arrivals, self._holdings, self._demands = (
+            src, dst, arrivals, holdings, demands
+        )
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RequestStream(
+                self._ids[index], self._nodes, self._src[index], self._dst[index],
+                self._arrivals[index], self._holdings[index], self._demands[index],
+                self._values, self._rated,
+            )
+        i = range(len(self))[index]  # a negative or out-of-range index as for a list
+        return next(iter(self[i : i + 1]))
+
+    def __iter__(self) -> Iterator[ServiceRequest]:
+        # Iterating a memoryview of a column yields plain floats and ints one
+        # at a time: no numpy scalar per field, and no list per column.
+        nodes = self._nodes.__getitem__
+        demands = map(self._values.__getitem__, memoryview(self._demands))
+        rates, slots = (demands, repeat(None)) if self._rated else (repeat(None), demands)
+        rows = zip(
+            self._ids,
+            map(nodes, memoryview(self._src)),
+            map(nodes, memoryview(self._dst)),
+            memoryview(self._arrivals),
+            memoryview(self._holdings),
+            rates,
+            slots,
+        )
+        return map(ServiceRequest._make, rows)
+
+
 def generate_stream(
     config: TrafficConfig,
     n_requests: int,
     nodes: Sequence[str],
     seed: int,
-) -> list[ServiceRequest]:
+) -> RequestStream:
     """Generate ``n_requests`` requests, fully determined by the seed."""
     if n_requests < 1:
         raise TrafficConfigError(f"n_requests must be >= 1, got {n_requests}")
@@ -123,31 +181,25 @@ def generate_stream(
         HOLDING_TIME_MEAN, config.truncate_holding, hold_rng, n_requests
     )
 
-    if config.rate_gbps_range is not None:
+    # each integer column is narrowed to the least dtype holding its values
+    # as soon as it is drawn, so only one full-width draw at a time is held
+    rated = config.rate_gbps_range is not None
+    if rated:
         lo, hi = config.rate_gbps_range
-        drawn = demand_rng.integers(lo, hi + 1, n_requests)
-        rate_values = [float(rate) for rate in range(lo, hi + 1)]  # one object per rate
-        rates = map(rate_values.__getitem__, memoryview(drawn - lo))
-        slot_counts = repeat(None)
+        values = tuple(float(rate) for rate in range(lo, hi + 1))  # one object per rate
+        demands = demand_rng.integers(lo, hi + 1, n_requests) - lo
     else:
-        choices = np.asarray(config.fixed_slot_choices)
-        slot_counts = memoryview(choices[demand_rng.integers(0, len(choices), n_requests)])
-        rates = repeat(None)
+        values = tuple(np.asarray(config.fixed_slot_choices).tolist())
+        demands = demand_rng.integers(0, len(values), n_requests)
+    demands = demands.astype(np.min_scalar_type(len(values) - 1))
 
     n = len(nodes)
-    src_idx = pair_rng.integers(0, n, n_requests)
+    node_index = np.min_scalar_type(n - 1)
+    src_idx = pair_rng.integers(0, n, n_requests).astype(node_index)
     other = pair_rng.integers(0, n - 1, n_requests)
-    dst_idx = other + (other >= src_idx)
+    dst_idx = (other + (other >= src_idx)).astype(node_index)
 
-    # Iterating a memoryview of a draw yields plain floats and ints one at
-    # a time: no numpy scalar per field, and no list per column.
-    rows = zip(
-        range(n_requests),
-        map(nodes.__getitem__, memoryview(src_idx)),
-        map(nodes.__getitem__, memoryview(dst_idx)),
-        memoryview(arrivals),
-        memoryview(holdings),
-        rates,
-        slot_counts,
+    return RequestStream(
+        range(n_requests), tuple(nodes), src_idx, dst_idx, arrivals, holdings, demands,
+        values, rated,
     )
-    return list(map(ServiceRequest._make, rows))

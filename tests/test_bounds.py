@@ -8,6 +8,7 @@ import pytest
 from eonsim import bounds
 from eonsim.bounds import (
     CrossingNotBracketedError,
+    DefragTrialResult,
     OUTCOME_BLOCKED,
     OUTCOME_DEFRAG,
     OUTCOME_DIRECT,
@@ -28,6 +29,7 @@ from eonsim.simulator import (
     SimConfigError,
     TrialResult,
     run_stream,
+    run_trial,
     sweep,
 )
 from eonsim.topology import PathOrdering, Topology
@@ -283,6 +285,56 @@ def test_defrag_counts_partition_measured_window():
     assert result.direct_count + result.defrag_count + result.blocked_count == 2000
     assert len(result.outcomes) == 2500
     assert result.defrag_count > 0
+
+
+@pytest.mark.parametrize("load", [300.0, 380.0])
+def test_counted_outcomes_match_recorded_ones(load):
+    """Without ``record_outcomes`` the trial counts its measured outcomes
+    itself; the counts must equal those read off the recorded outcomes.
+
+    The warm-up is long enough to see rebuilds, which must not count.
+    """
+    preset = get_preset("deeprmsa")
+    topo = preset.load_topology("nsfnet")
+    cfg = preset.sim_config(
+        topo, HeuristicKind.KSP_FF, 5, ORDER, load,
+        warmup_requests=1000, measured_requests=800,
+    )
+    warmup_defrags = 0
+    for seed in (0, 1, 2):
+        counted = defrag_bound_trial(cfg, seed)
+        recorded = defrag_bound_trial(cfg, seed, record_outcomes=True)
+        measured = recorded.outcomes[cfg.warmup_requests :]
+        assert counted.outcomes is None
+        assert (counted.blocked_count, counted.direct_count, counted.defrag_count) == (
+            measured.count(OUTCOME_BLOCKED),
+            measured.count(OUTCOME_DIRECT),
+            measured.count(OUTCOME_DEFRAG),
+        )
+        assert recorded == DefragTrialResult(
+            counted.seed, counted.blocked_count, counted.total_measured,
+            counted.direct_count, counted.defrag_count, recorded.outcomes,
+        )
+        warmup_defrags += recorded.outcomes[: cfg.warmup_requests].count(OUTCOME_DEFRAG)
+    assert warmup_defrags > 0
+
+
+def test_a_bound_trial_can_block_more_than_its_heuristic():
+    """The bound holds for mean SBP, not per seed: a pinned counterexample.
+
+    This is the tiny ``eonsim bound`` run of CI (nsfnet on 8 slots, k=2,
+    10 + 50 requests).  On seed 0 one rebuild is adopted, and the greedy
+    rebuild's state then blocks more later requests than ksp-ff does on
+    the same stream.  The ``bounds`` module docstring and the README
+    state the bound for the mean over trials only.
+    """
+    preset = get_preset("deeprmsa")
+    topo = preset.load_topology("nsfnet", slots_per_fiber=8)
+    cfg = preset.sim_config(
+        topo, HeuristicKind.KSP_FF, 2, ORDER, 300.0, warmup_requests=10, measured_requests=50
+    )
+    heuristic, bound = run_trial(cfg, 0), defrag_bound_trial(cfg, 0)
+    assert (heuristic.blocked_count, bound.blocked_count, bound.defrag_count) == (22, 23, 1)
 
 
 def test_no_blocking_means_bound_equals_heuristic():

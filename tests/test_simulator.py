@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import math
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from eonsim import simulator
+from eonsim.bounds import defrag_bound_trial
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
 from eonsim.simulator import (
@@ -135,6 +138,29 @@ def test_trial_determinism():
     assert a == b
     c = run_trial(cfg, seed=8)
     assert a != c
+
+
+@pytest.mark.parametrize("trial", [run_trial, defrag_bound_trial], ids=["ksp-ff", "bound"])
+def test_trial_memory_does_not_grow_with_stream_length(trial):
+    """A trial builds each request as its loop reaches it, so its peak
+    allocation is far below a request tuple per request (about 248 B each
+    when the whole stream was built up front)."""
+    preset = get_preset("deeprmsa")
+    topo = preset.load_topology("nsfnet")
+    cfg = preset.sim_config(
+        topo, HeuristicKind.KSP_FF, 5, ORDER, 300.0,
+        warmup_requests=3000, measured_requests=50_000,
+    )
+    # paths and compiled demands are cached across trials; fill them first
+    topo.warm_path_cache(cfg.k, cfg.ordering)
+    trial(dataclasses.replace(cfg, warmup_requests=100, measured_requests=500), 0)
+    tracemalloc.start()
+    try:
+        trial(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cfg.total_requests < 120, f"{peak / cfg.total_requests:.0f} B per request"
 
 
 def test_warmup_blocks_not_counted(single_link):

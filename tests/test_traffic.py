@@ -1,4 +1,5 @@
 import math
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from eonsim.traffic import (
     HOLDING_TIME_MEAN,
     TRUNCATED_MEAN_RATIO,
+    RequestStream,
     ServiceRequest,
     TrafficConfig,
     TrafficConfigError,
@@ -96,9 +98,9 @@ def test_stream_deterministic_by_seed():
     cfg = config()
     a = generate_stream(cfg, 500, NODES, seed=9)
     b = generate_stream(cfg, 500, NODES, seed=9)
-    assert a == b
+    assert list(a) == list(b)
     c = generate_stream(cfg, 500, NODES, seed=10)
-    assert a != c
+    assert list(a) != list(c)
 
 
 @pytest.mark.parametrize(
@@ -113,10 +115,44 @@ def test_stream_equals_per_element_reference(demands):
     cfg = config(**demands)
     stream = generate_stream(cfg, 2000, NODES, seed=11)
     expected = reference_stream(cfg, 2000, NODES, seed=11)
-    assert stream == expected
+    assert list(stream) == expected
     for got, want in zip(stream, expected):
         for field in ("id", "src", "dst", "arrival_time", "holding_time", "rate_gbps", "slots"):
             assert type(getattr(got, field)) is type(getattr(want, field)), field
+
+
+@pytest.mark.parametrize(
+    "demands",
+    [
+        dict(rate_gbps_range=(25, 100)),
+        dict(rate_gbps_range=None, fixed_slot_choices=(3, 1, 2)),
+    ],
+    ids=["rate", "fixed-slots"],
+)
+def test_request_stream_is_a_re_iterable_sequence(demands):
+    cfg = config(**demands)
+    stream = generate_stream(cfg, 300, NODES, seed=12)
+    expected = reference_stream(cfg, 300, NODES, seed=12)
+    assert isinstance(stream, RequestStream) and isinstance(stream, Sequence)
+    assert len(stream) == 300
+    first, second = list(stream), list(stream)
+    assert first == second == expected
+    assert all(a is not b for a, b in zip(first, second))  # built afresh each pass
+    assert stream[0] == expected[0] and stream[137] == expected[137]
+    assert stream[-1] == expected[-1] and stream[-300] == expected[0]
+    for index in (300, -301):
+        with pytest.raises(IndexError):
+            stream[index]
+    for cut in (slice(10, 20), slice(None, None, -7), slice(250, None), slice(5, 5),
+                slice(-40, -10, 3)):
+        part = stream[cut]
+        assert isinstance(part, RequestStream)
+        assert len(part) == len(expected[cut])
+        assert list(part) == list(part) == expected[cut]  # ids kept from the whole stream
+        assert list(part[::2]) == expected[cut][::2]
+    assert list(reversed(stream)) == expected[::-1]
+    with pytest.raises(TypeError):
+        stream[0] = expected[1]
 
 
 def test_arrivals_strictly_increasing_and_ids_monotone():
