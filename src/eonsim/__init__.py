@@ -1,6 +1,6 @@
 """eonsim: elastic optical network RMSA simulation and benchmarking."""
 
-from .bounds import bound_sweep, defrag_bound_trial
+from .bounds import bound_sweep, capacity_gain, defrag_bound_trial
 from .heuristics import HeuristicKind, decide
 from .presets import PRESETS, get_preset
 from .service import ModulationTable
@@ -19,6 +19,7 @@ __all__ = [
     "Topology",
     "TrafficConfig",
     "bound_sweep",
+    "capacity_gain",
     "decide",
     "defrag_bound_trial",
     "estimate_warmup",

@@ -64,9 +64,13 @@ class CrossingNotBracketedError(RuntimeError):
 
 @dataclass(frozen=True)
 class DefragTrialResult(TrialResult):
-    direct_count: int = 0
     defrag_count: int = 0
     outcomes: tuple[str, ...] | None = None
+
+    @property
+    def direct_count(self) -> int:
+        """Measured requests admitted without a rebuild."""
+        return self.total_measured - self.blocked_count - self.defrag_count
 
 
 def resource_key(request: ServiceRequest, slots: int, hops: int) -> tuple[int, float, int]:
@@ -119,12 +123,9 @@ def defrag_bound_trial(
         # no rebuild can host a request that fails on an empty network
         if _ever_feasible(config, request, candidates):
             key = sort_key(request, candidates)
-            rebuilt = _rebuild(config, [rec[3] for rec in active.records.values()] + [key])
+            rebuilt = _rebuild(config, [rec[2] for rec in active.records.values()] + [key])
             if rebuilt is not None:
-                state, placements = rebuilt
-                fiber_ids, block = placements.pop(request.id)
-                active.replace_placements(state, placements)
-                active.insert_allocated(request, fiber_ids, block, key)
+                active.adopt_rebuild(*rebuilt, request, key)
                 defrag += i >= config.warmup_requests
                 if outcomes is not None:
                     outcomes[i] = OUTCOME_DEFRAG
@@ -134,12 +135,10 @@ def defrag_bound_trial(
         return False
 
     blocked = run_stream(config, stream, on_block=on_block, sort_key=sort_key)
-    measured = len(stream) - config.warmup_requests
     return DefragTrialResult(
         seed=seed,
         blocked_count=blocked,
-        total_measured=measured,
-        direct_count=measured - blocked - defrag,
+        total_measured=len(stream) - config.warmup_requests,
         defrag_count=defrag,
         outcomes=None if outcomes is None else tuple(outcomes),
     )
@@ -245,24 +244,19 @@ def crossing_load(
     return loads[i] + t * (loads[i + 1] - loads[i])
 
 
-@dataclass(frozen=True)
-class BoundSweepResult:
-    heuristic: LoadSweepResult
-    bound: LoadSweepResult
-    target_sbp: float
+def capacity_gain(
+    heuristic: LoadSweepResult, bound: LoadSweepResult, target_sbp: float
+) -> CapacityGainReport:
+    """Extra load the bound supports over the heuristic at ``target_sbp``.
 
-    @property
-    def gain(self) -> CapacityGainReport:
-        """Extra load the bound supports at the target SBP.
-
-        Raises :class:`CrossingNotBracketedError` when the swept loads do
-        not bracket the target on either curve.
-        """
-        return CapacityGainReport(
-            target_sbp=self.target_sbp,
-            heuristic_load=crossing_load(self.heuristic.points, self.target_sbp, label="heuristic"),
-            bound_load=crossing_load(self.bound.points, self.target_sbp, label="bound"),
-        )
+    Raises :class:`CrossingNotBracketedError` when the swept loads do
+    not bracket the target on either curve.
+    """
+    return CapacityGainReport(
+        target_sbp=target_sbp,
+        heuristic_load=crossing_load(heuristic.points, target_sbp, label="heuristic"),
+        bound_load=crossing_load(bound.points, target_sbp, label="bound"),
+    )
 
 
 def bound_sweep(
@@ -270,21 +264,21 @@ def bound_sweep(
     loads: Sequence[float],
     *,
     jobs: int = 1,
-    target_sbp: float = 1e-3,
     record_outcomes: bool = False,
-) -> BoundSweepResult:
+) -> tuple[LoadSweepResult, LoadSweepResult]:
     """Paired-seed sweeps of the inner heuristic and the bound estimator.
 
-    The result's ``gain`` reports the relative extra load the bound
-    supports at the target SBP (default 0.1%).  With ``record_outcomes``
-    every bound trial also keeps its per-request outcomes.  A heuristic
-    the bound cannot use is rejected before any trial runs.
+    Returns the ``(heuristic, bound)`` curves, for :func:`capacity_gain`.
+    With ``record_outcomes`` every bound trial also keeps its
+    per-request outcomes.  A heuristic the bound cannot use is rejected
+    before any trial runs.
     """
     require_inner_heuristic(config)
     bound_trial = partial(defrag_bound_trial, record_outcomes=record_outcomes)
-    heuristic_result = sweep(config, loads, jobs=jobs, curve="heuristic")
-    bound_result = sweep(config, loads, jobs=jobs, trial_runner=bound_trial, curve="bound")
-    return BoundSweepResult(heuristic_result, bound_result, target_sbp)
+    return (
+        sweep(config, loads, jobs=jobs, curve="heuristic"),
+        sweep(config, loads, jobs=jobs, trial_runner=bound_trial, curve="bound"),
+    )
 
 
 def write_bound_trials_csv(result: LoadSweepResult, path) -> None:

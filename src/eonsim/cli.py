@@ -36,6 +36,7 @@ from . import __version__
 from .bounds import (
     CrossingNotBracketedError,
     bound_sweep,
+    capacity_gain,
     require_inner_heuristic,
     write_bound_trials_csv,
     write_gain_report,
@@ -48,6 +49,7 @@ from .simulator import (
     check_loads,
     estimate_warmup,
     sweep,
+    warmup_horizon,
     warmup_slope,
     write_summary_csv,
     write_trials_csv,
@@ -222,27 +224,26 @@ def cmd_bound(args) -> int:
     require_inner_heuristic(config)
     out = _out_dir(args)
     paths_s = _warm_paths(config.topology, config.k, config.ordering)
-    result = bound_sweep(
-        config, loads, jobs=args.jobs, target_sbp=args.target_sbp,
-        record_outcomes=args.record_outcomes,
+    heuristic, bound = bound_sweep(
+        config, loads, jobs=args.jobs, record_outcomes=args.record_outcomes
     )
-    write_trials_csv(result.heuristic, out / "heuristic_trials.csv")
-    write_summary_csv(result.heuristic, out / "heuristic_summary.csv")
-    write_bound_trials_csv(result.bound, out / "bound_trials.csv")
-    write_summary_csv(result.bound, out / "bound_summary.csv")
+    write_trials_csv(heuristic, out / "heuristic_trials.csv")
+    write_summary_csv(heuristic, out / "heuristic_summary.csv")
+    write_bound_trials_csv(bound, out / "bound_trials.csv")
+    write_summary_csv(bound, out / "bound_summary.csv")
     if args.record_outcomes:
-        write_outcomes_csv(result.bound, out / "outcomes.csv")
+        write_outcomes_csv(bound, out / "outcomes.csv")
 
     _write_manifest(out, "bound", _manifest_args(args))
     _write_meta(out, started, paths_s)
 
-    for hp, bp in zip(result.heuristic.points, result.bound.points):
+    for hp, bp in zip(heuristic.points, bound.points):
         print(
             f"load {hp.load_erlangs:g}: heuristic SBP {hp.mean_sbp:.4g}, "
             f"bound SBP {bp.mean_sbp:.4g}"
         )
     try:
-        report = result.gain
+        report = capacity_gain(heuristic, bound, args.target_sbp)
     except CrossingNotBracketedError as exc:
         print(f"capacity gain unavailable: {exc}", file=sys.stderr)
         return 3
@@ -257,6 +258,11 @@ def cmd_bound(args) -> int:
 def cmd_warmup(args) -> int:
     started = time.time()
     loads = parse_loads(args.loads)
+    try:
+        for load in loads:
+            warmup_horizon(load)
+    except SimConfigError as exc:
+        raise CliError(f"bad --loads {args.loads!r}: {exc}") from None
     out = _out_dir(args)
     estimates = [
         estimate_warmup(load, args.trials, seed=args.seed) for load in loads
@@ -379,8 +385,18 @@ def cmd_rerun(args) -> int:
         doc = json.loads(Path(args.manifest).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read manifest {args.manifest}: {exc}") from None
-    sub = doc.get("subcommand")
-    stored = doc.get("args", {})
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("args"), dict)
+        and isinstance(doc.get("input_sha256", {}), dict)
+    ):
+        raise CliError(
+            f"malformed manifest {args.manifest}: need an object with an args object "
+            "and, if any, an input_sha256 object"
+        )
+    sub, stored = doc.get("subcommand"), doc["args"]
+    if sub not in ("sweep", "bound", "warmup", "paths"):  # those that write a manifest
+        raise CliError(f"manifest {args.manifest} names subcommand {sub!r}, which writes none")
     recorded, current = doc.get("input_sha256", {}), _input_hashes(stored)
     changed = sorted(k for k in recorded.keys() | current.keys() if recorded.get(k) != current.get(k))
     if changed:

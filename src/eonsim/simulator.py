@@ -109,26 +109,17 @@ class ActiveLightpaths:
         self._state = state
         # heap of (expiry time, request id)
         self.expiries: list[tuple[float, int]] = []
-        # request id -> (request, fiber_ids, block, sort key or None)
-        self.records: dict[int, tuple[ServiceRequest, tuple[int, ...], SlotBlock, tuple | None]] = {}
+        # request id -> (fiber_ids, block, sort key or None), in admission order
+        self.records: dict[int, tuple[tuple[int, ...], SlotBlock, tuple | None]] = {}
 
     def __len__(self) -> int:
         return len(self.records)
 
     def add(self, request: ServiceRequest, decision: Decision, key: tuple | None = None) -> None:
         path, block = decision
-        self._state.allocate(path.fiber_ids, block)
-        self.insert_allocated(request, path.fiber_ids, block, key)
-
-    def insert_allocated(
-        self,
-        request: ServiceRequest,
-        fiber_ids: tuple[int, ...],
-        block: SlotBlock,
-        key: tuple | None = None,
-    ) -> None:
-        """Record a lightpath whose slots are already held in the state."""
-        self.records[request.id] = (request, fiber_ids, block, key)
+        fiber_ids = path.fiber_ids
+        self._state.allocate(fiber_ids, block)
+        self.records[request.id] = (fiber_ids, block, key)
         heapq.heappush(self.expiries, (request.expiry_time, request.id))
 
     def release_due(self, now: float) -> int:
@@ -137,26 +128,33 @@ class ActiveLightpaths:
         heap, records, release = self.expiries, self.records, self._state.release
         while heap and heap[0][0] < now:
             _expiry, req_id = heapq.heappop(heap)
-            _request, fiber_ids, block, _key = records.pop(req_id)
+            fiber_ids, block, _key = records.pop(req_id)
             release(fiber_ids, block)
             released += 1
         return released
 
-    def replace_placements(
-        self, state: SpectrumState, placements: dict[int, tuple[tuple[int, ...], SlotBlock]]
+    def adopt_rebuild(
+        self,
+        state: SpectrumState,
+        placements: dict[int, tuple[tuple[int, ...], SlotBlock]],
+        request: ServiceRequest,
+        key: tuple,
     ) -> None:
-        """Adopt a rebuilt network state with new placements for the same set.
+        """Adopt a rebuilt network state that also hosts the blocked ``request``.
 
-        Expiry bookkeeping and sort keys are untouched: the heap references
-        request ids, and the rebuilt placements cover exactly the active ids.
+        ``placements`` must cover exactly the active ids plus the request's;
+        it is consumed.  Active records keep their sort keys and their
+        admission order, and the request is recorded last with ``key``.
         """
         records = self.records
-        if placements.keys() != records.keys():
-            raise ValueError("rebuilt placements do not cover the active set")
+        placed = placements.pop(request.id, None)
+        if placed is None or placements.keys() != records.keys():
+            raise ValueError("rebuilt placements do not cover the active set and the request")
         self._state.occ = state.occ
         for req_id, (fiber_ids, block) in placements.items():
-            request, _fibers, _block, key = records[req_id]
-            records[req_id] = (request, fiber_ids, block, key)
+            records[req_id] = (fiber_ids, block, records[req_id][2])
+        records[request.id] = (*placed, key)
+        heapq.heappush(self.expiries, (request.expiry_time, request.id))
 
 
 def run_stream(
@@ -416,6 +414,9 @@ def write_summary_csv(result: LoadSweepResult, path) -> None:
 #: and calibrates the whisker-max fit to about 7 requests per Erlang.
 WARMUP_HORIZON_FACTOR = 16.0
 
+#: Most requests a warm-up trial may simulate (1000 E, the top of the README's study, needs 16k)
+MAX_WARMUP_REQUESTS = 10_000_000
+
 
 def nonblocking_active_series(
     load_erlangs: float, n_requests: int, rng: np.random.Generator
@@ -450,6 +451,20 @@ def mser5_truncation(series: Sequence[float]) -> int:
     return batch * int(np.argmin(g[:limit]))
 
 
+def warmup_horizon(load_erlangs: float) -> int:
+    """Requests ``estimate_warmup`` simulates per trial at a finite load > 0,
+    at most :data:`MAX_WARMUP_REQUESTS`; :class:`SimConfigError` otherwise."""
+    if not (math.isfinite(load_erlangs) and load_erlangs > 0):
+        raise SimConfigError(f"load must be finite and > 0, got {load_erlangs}")
+    if WARMUP_HORIZON_FACTOR * load_erlangs > MAX_WARMUP_REQUESTS:
+        raise SimConfigError(
+            f"load {load_erlangs:g} needs more than {MAX_WARMUP_REQUESTS} requests "
+            "per warm-up trial"
+        )
+    n = max(1000, int(math.ceil(WARMUP_HORIZON_FACTOR * load_erlangs)))
+    return n + (-n) % 5
+
+
 @dataclass(frozen=True)
 class WarmupEstimate:
     load_erlangs: float
@@ -472,12 +487,9 @@ def estimate_warmup(
     the upper whisker (largest point within 1.5 IQR above the third
     quartile), the statistic the warm-up rule-of-thumb fit uses.
     """
-    if not (math.isfinite(load_erlangs) and load_erlangs > 0):
-        raise SimConfigError(f"load must be finite and > 0, got {load_erlangs}")
+    n = warmup_horizon(load_erlangs)
     if trials < 1:
         raise SimConfigError(f"trials must be >= 1, got {trials}")
-    n = max(1000, int(math.ceil(WARMUP_HORIZON_FACTOR * load_erlangs)))
-    n += (-n) % 5
     children = np.random.SeedSequence([seed, int(load_erlangs * 1000)]).spawn(trials)
     points = []
     for child in children:

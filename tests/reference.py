@@ -270,7 +270,7 @@ def occupied_slot_count(state):
 
 def active_slot_links(active):
     """(fiber, slot) pairs the active lightpaths hold: fibers x block size each."""
-    return sum(len(fibers) * block.size for _req, fibers, block, _key in active.records.values())
+    return sum(len(fibers) * block.size for fibers, block, _key in active.records.values())
 
 
 def erlang_b(n, load):

@@ -13,6 +13,7 @@ from eonsim.bounds import (
     OUTCOME_DEFRAG,
     OUTCOME_DIRECT,
     bound_sweep,
+    capacity_gain,
     crossing_load,
     defrag_bound_trial,
     resource_key,
@@ -313,7 +314,7 @@ def test_counted_outcomes_match_recorded_ones(load):
         )
         assert recorded == DefragTrialResult(
             counted.seed, counted.blocked_count, counted.total_measured,
-            counted.direct_count, counted.defrag_count, recorded.outcomes,
+            counted.defrag_count, recorded.outcomes,
         )
         warmup_defrags += recorded.outcomes[: cfg.warmup_requests].count(OUTCOME_DEFRAG)
     assert warmup_defrags > 0
@@ -502,21 +503,22 @@ def test_bound_sweep_end_to_end_tiny():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = bound_sweep(cfg, [1.0, 1.5, 2.0], target_sbp=0.1)
-    assert result.gain.bound_load >= result.gain.heuristic_load
-    assert result.gain.relative_gain >= 0.0
-    for hp, bp in zip(result.heuristic.points, result.bound.points):
+        heuristic, bound = bound_sweep(cfg, [1.0, 1.5, 2.0])
+    gain = capacity_gain(heuristic, bound, 0.1)
+    assert gain.bound_load >= gain.heuristic_load
+    assert gain.relative_gain >= 0.0
+    for hp, bp in zip(heuristic.points, bound.points):
         assert bp.mean_sbp <= hp.mean_sbp + 1e-12
 
 
 def test_bound_sweep_keeps_sweeps_when_crossing_not_bracketed():
     cfg = wire_config(wire(8), n_measured=200, trials=2)
     with pytest.warns(UserWarning, match="noisy"):
-        result = bound_sweep(cfg, [0.5, 1.0], target_sbp=0.1)
-    assert [p.trials for p in result.bound.points] == [2, 2]
-    assert [p.load_erlangs for p in result.heuristic.points] == [0.5, 1.0]
+        heuristic, bound = bound_sweep(cfg, [0.5, 1.0])
+    assert [p.trials for p in bound.points] == [2, 2]
+    assert [p.load_erlangs for p in heuristic.points] == [0.5, 1.0]
     with pytest.raises(CrossingNotBracketedError, match="heuristic"):
-        result.gain
+        capacity_gain(heuristic, bound, 0.1)
 
 
 def test_bound_sweep_rejects_scan_all_policy_before_any_trial(monkeypatch):

@@ -356,6 +356,27 @@ def test_rerun_of_a_manifest_without_numpy_version_warns_once(tmp_path, capsys):
     assert (out / "trials.csv").read_bytes() == (tmp_path / "old" / "trials.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ({}, "malformed manifest"),
+        ([1, 2], "malformed manifest"),
+        ({"subcommand": "sweep", "args": [1]}, "malformed manifest"),
+        ({"subcommand": "paths", "args": {"topology": "nsfnet"}, "input_sha256": [1]},
+         "malformed manifest"),
+        # a manifest that replays itself would recurse without end
+        ({"subcommand": "rerun", "args": {"manifest": "{manifest}"}}, "subcommand 'rerun'"),
+    ],
+)
+def test_rerun_refuses_a_malformed_manifest(tmp_path, capsys, doc, reason):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc).replace("{manifest}", str(manifest)))
+    out = tmp_path / "never"
+    assert run(["rerun", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_on_a_topology_file_runs_on_the_preset_grid(tmp_path):
     """A file under a preset gets the preset's slots and fibers, as a bundled name does.
 
@@ -525,10 +546,15 @@ def test_bound_manifest_rerun_reproduces_outputs_byte_for_byte(tmp_path, capsys)
     assert run(["rerun", "--manifest", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
     for name in BOUND_OUTPUTS:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-    # pinned, so a change to the trial records or writers cannot alter a byte
-    assert sha256(out1 / "bound_trials.csv") == (
-        "0a09a5a379ac776f1bcfe719e6d21357ea6fe1104184f74803a573562c3232be"
-    )
+    # pinned, so a change to the trial records, the gain or the writers cannot alter a byte
+    assert {name: sha256(out1 / name) for name in BOUND_OUTPUTS} == {
+        "heuristic_trials.csv": "387469802314485144b2aec30f4aa5fa11177dfa2227d4fc3d06a01af30b8b29",
+        "heuristic_summary.csv": "692f0a073b60ce24c328c629902c37d10d4c982994935570aeb4706bcd82c2db",
+        "bound_trials.csv": "0a09a5a379ac776f1bcfe719e6d21357ea6fe1104184f74803a573562c3232be",
+        "bound_summary.csv": "0c0b31f2a366e875ec0ba909181f57ac4f37accadbf94a46ba8d8cec0c4a8b47",
+        "gain_report.json": "e0d49e060f14d9d7e082d55a70be079f9dec461be14adb4059133f855bffb53c",
+        "outcomes.csv": "4b5ef1699f5ed444177aa0cbb7c53506a6819c2b378cd5b73bed9757f099867a",
+    }
 
 
 def test_bound_subcommand_unbracketed_exits_3(tmp_path, capsys):
@@ -627,6 +653,8 @@ def exit_code(argv):
         "sweep --preset deeprmsa --topology nsfnet --loads 100,inf --trials 1 --jobs 1",
         "sweep --preset deeprmsa --topology nsfnet --loads nan,100 --trials 1 --jobs 1",
         "warmup --loads nan",
+        # a horizon of 1.6e301 requests per trial cannot be allocated
+        "warmup --loads 1e300",
         # every load must be > 0, whichever subcommand parses it
         "sweep --preset deeprmsa --topology nsfnet --k 2 --loads -1 --trials 1 --jobs 1",
         "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 0:40:20 --trials 1 --jobs 1",
@@ -649,6 +677,8 @@ def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     if "--modulation-file" in argv:
         assert "--modulation-file" in err
+    if argv == "warmup --loads 1e300":
+        assert "bad --loads" in err
     if argv in BAD_INT_FLAGS:
         assert f"argument {BAD_INT_FLAGS[argv]}:" in err
 

@@ -71,7 +71,7 @@ def package_events(config, stream, bound):
     def record(state, active):
         occupancies.append(list(state.occ))
         placements.append(
-            {rid: (rec[1], rec[2].start, rec[2].size) for rid, rec in active.records.items()}
+            {rid: (rec[0], rec[1].start, rec[1].size) for rid, rec in active.records.items()}
         )
 
     if not bound:

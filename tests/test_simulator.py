@@ -237,6 +237,36 @@ def test_all_slots_free_after_all_expiries(diamond):
     assert len(active) == 0
 
 
+def test_adopt_rebuild_needs_the_active_set_plus_the_request(diamond):
+    """A rebuild is adopted only when it places every active lightpath and
+    the blocked request; each record keeps its key and place, the request comes last."""
+    from eonsim.simulator import ActiveLightpaths
+    from eonsim.spectrum import SpectrumState, slot_block
+
+    path = diamond.candidate_paths("A", "D", 1, ORDER)[0]
+    first, second, new = (ServiceRequest(i, "A", "D", float(i), 10.0, slots=1) for i in range(3))
+    state = SpectrumState.for_topology(diamond)
+    active = ActiveLightpaths(state)
+    active.add(first, (path, slot_block(0, 1)), "k0")
+    active.add(second, (path, slot_block(1, 1)), "k1")
+    rebuilt = SpectrumState.for_topology(diamond)
+    for f in path.fiber_ids:
+        rebuilt.occ[f] = 0b111
+    # in the rebuild's placement order, not in admission order
+    placed = {i: (path.fiber_ids, slot_block(2 - i, 1)) for i in (1, 2, 0)}
+    for missing in (new.id, first.id):
+        with pytest.raises(ValueError, match="do not cover"):
+            short = {i: p for i, p in placed.items() if i != missing}
+            active.adopt_rebuild(rebuilt, short, new, "k2")
+    active.adopt_rebuild(rebuilt, dict(placed), new, "k2")
+    assert list(active.records.items()) == [
+        (i, (path.fiber_ids, slot_block(2 - i, 1), f"k{i}")) for i in range(3)
+    ]
+    assert sorted(active.expiries) == [(10.0 + i, i) for i in range(3)]
+    active.release_due(math.inf)
+    assert len(active) == 0 and occupied_slot_count(state) == 0
+
+
 # --- sweeps ---------------------------------------------------------------------
 
 def test_sbp_increases_with_load():
@@ -666,6 +696,11 @@ def test_estimate_warmup_deterministic():
 def test_estimate_warmup_rejects_a_load_that_is_not_finite_and_positive(load):
     with pytest.raises(SimConfigError, match="load"):
         estimate_warmup(load, trials=2)
+
+
+def test_estimate_warmup_rejects_a_horizon_above_the_cap():
+    with pytest.raises(SimConfigError, match="warm-up trial"):
+        estimate_warmup(1e300, trials=1)
 
 
 def test_warmup_slope_small_scale():
