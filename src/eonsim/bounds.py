@@ -4,9 +4,11 @@ The bound trial runs the ordinary event loop, but whenever direct
 allocation fails it is allowed one full reconfiguration: rebuild an
 empty network and re-place every active request, plus the newly blocked
 one, in descending order of resource footprint (slot demand times
-shortest-path hop count).  If the rebuild hosts everything, the trial
-adopts the rebuilt state and the request is admitted; otherwise the
-request counts as blocked and the pre-rebuild state is kept.
+shortest-path hop count), ties to the earlier arrival.  If the rebuild
+hosts everything, the trial adopts the rebuilt state and the request is
+admitted; otherwise the request counts as blocked and the pre-rebuild
+state is kept.  A request the inner heuristic cannot place even on an
+empty network blocks without a rebuild.
 
 Relaxing only the no-reconfiguration constraint keeps every adopted
 state physically realizable (continuity and contiguity still hold),
@@ -73,11 +75,6 @@ class DefragTrialResult(TrialResult):
         return self.total_measured - self.blocked_count - self.defrag_count
 
 
-def resource_key(request: ServiceRequest, slots: int, hops: int) -> tuple[int, float, int]:
-    """Rebuild order key: descending slots x hops, then earlier arrival."""
-    return (-slots * hops, request.arrival_time, request.id)
-
-
 def require_inner_heuristic(config: SimConfig) -> None:
     if config.heuristic not in INNER_HEURISTICS:
         raise SimConfigError(
@@ -95,19 +92,21 @@ def defrag_bound_trial(
         config.traffic, config.total_requests, config.topology.nodes, seed
     )
     table, guard = config.modulation, config.guard_slots
+    empty = SpectrumState.for_topology(config.topology)  # never written
     outcomes = [OUTCOME_DIRECT] * len(stream) if record_outcomes else None
     defrag = 0  # rebuild admissions in the measured window
 
     def sort_key(request: ServiceRequest, candidates) -> tuple:
-        """Rebuild entry: resource key, the request, its candidates, its rank-0 placement.
+        """Rebuild entry: negated footprint, the request, its candidates, its rank-0 placement.
 
-        The footprint comes from the rank-0 candidate.  A rate request's
-        demand is pinned to that path's modulation; when even that path
-        is beyond every reach, the lowest-order format stands in so the
-        key stays defined, and the rank-0 placement is None: the request
-        cannot use that path.  Otherwise the placement is the path's
-        fiber ids, the demand, ``run_shifts(demand)`` and the demand's
-        unshifted slot mask, for ``_rebuild``'s rank-0 first fit.
+        The footprint is the slot demand on the rank-0 candidate times
+        its hop count.  A rate request's demand is pinned to that path's
+        modulation; when even that path is beyond every reach, the
+        lowest-order format stands in so the footprint stays defined,
+        and the rank-0 placement is None: the request cannot use that
+        path.  Otherwise the placement is the path's fiber ids, the
+        demand and ``run_shifts(demand)``, for ``_rebuild``'s rank-0
+        first fit.
         """
         path0 = candidates[0]
         slots = demand_for_path(request, path0, table, guard)
@@ -115,13 +114,13 @@ def defrag_bound_trial(
             slots = slots_required(request.rate_gbps, table.formats[-1].bits_per_symbol) + guard
             rank0 = None
         else:
-            rank0 = (path0.fiber_ids, slots, run_shifts(slots), (1 << slots) - 1)
-        return (*resource_key(request, slots, path0.hop_count), request, candidates, rank0)
+            rank0 = (path0.fiber_ids, slots, run_shifts(slots))
+        return (-slots * path0.hop_count, request, candidates, rank0)
 
     def on_block(i: int, request: ServiceRequest, candidates, active: ActiveLightpaths) -> bool:
         nonlocal defrag
         # no rebuild can host a request that fails on an empty network
-        if _ever_feasible(config, request, candidates):
+        if decide(config.heuristic, request, candidates, empty, table, guard) is not None:
             key = sort_key(request, candidates)
             rebuilt = _rebuild(config, [rec[2] for rec in active.records.values()] + [key])
             if rebuilt is not None:
@@ -144,57 +143,48 @@ def defrag_bound_trial(
     )
 
 
-def _ever_feasible(config: SimConfig, request: ServiceRequest, candidates) -> bool:
-    for path in candidates:
-        slots = demand_for_path(request, path, config.modulation, config.guard_slots)
-        if slots is not None and slots <= config.topology.slots_per_fiber:
-            return True
-    return False
-
-
 def _rebuild(
     config: SimConfig, entries: list[tuple]
 ) -> tuple[SpectrumState, dict[int, tuple[tuple[int, ...], SlotBlock]]] | None:
     """Re-place every request on an empty network, largest footprint first.
 
-    ``entries`` are the requests' sort keys from ``defrag_bound_trial``,
-    in admission order with the blocked request last.  Requests arrive
-    in stream order, so that is ascending ``(arrival, id)``, and a
-    stable sort on the footprint alone gives the full key's order.
-    Returns the rebuilt state and per-request placements, or None as
-    soon as any request cannot be hosted.
+    ``entries`` are the requests' rebuild entries from
+    ``defrag_bound_trial``, in admission order with the blocked request
+    last.  Requests are admitted in arrival order, so a stable sort on
+    the footprint alone breaks its ties to the earlier arrival.
+    Returns the rebuilt state and the placements keyed by request id,
+    in placement order, or None as soon as any request cannot be hosted.
 
     Each request first runs ``first_fit`` on its rank-0 candidate with
     the entry's precompiled fibers and shifts.  Under ksp-ff any fit
     there is the decision; under ff-ksp only a fit at slot 0 is, since a
     later candidate may start lower.  Every other request gets the inner
-    heuristic's ``decide``, so both paths place exactly as ``decide``
-    does.
+    heuristic's ``decide``, so each block is the one ``decide`` would
+    choose, and one loop places it.
     """
     temp = SpectrumState.for_topology(config.topology)
     occ, full = temp.occ, temp.full_mask
     kind, table, guard = config.heuristic, config.modulation, config.guard_slots
-    start_zero_only = kind is HeuristicKind.FF_KSP
+    # a rank-0 fit is decide's choice when it starts below this: under ff-ksp, only at 0
+    rank0_limit = 1 if kind is HeuristicKind.FF_KSP else temp.n_slots
     placements: dict[int, tuple[tuple[int, ...], SlotBlock]] = {}
     entries.sort(key=itemgetter(0))
-    for _footprint, _arrival, req_id, request, candidates, rank0 in entries:
+    for _footprint, request, candidates, rank0 in entries:
+        start = -1
         if rank0 is not None:
-            fiber_ids, demand, shifts, low_mask = rank0
+            fiber_ids, demand, shifts = rank0
             start = first_fit(occ, fiber_ids, full, shifts)
-            if start == 0 or (start > 0 and not start_zero_only):
-                mask = low_mask << start
-                for f in fiber_ids:
-                    occ[f] |= mask
-                placements[req_id] = (fiber_ids, slot_block(start, demand))
-                continue
-        decision = decide(kind, request, candidates, temp, table, guard)
-        if decision is None:
-            return None
-        path, block = decision
-        fiber_ids, mask = path.fiber_ids, block.mask
-        for f in fiber_ids:  # decide found the block free on every fiber
+        if 0 <= start < rank0_limit:
+            block = slot_block(start, demand)
+        else:
+            decision = decide(kind, request, candidates, temp, table, guard)
+            if decision is None:
+                return None
+            fiber_ids, block = decision.path.fiber_ids, decision.block
+        mask = block.mask
+        for f in fiber_ids:  # the block is free on every fiber
             occ[f] |= mask
-        placements[req_id] = (fiber_ids, block)
+        placements[request.id] = (fiber_ids, block)
     return temp, placements
 
 

@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -259,6 +260,7 @@ def cmd_warmup(args) -> int:
     started = time.time()
     loads = parse_loads(args.loads)
     try:
+        check_loads(loads)
         for load in loads:
             warmup_horizon(load)
     except SimConfigError as exc:
@@ -351,9 +353,9 @@ def cmd_paths(args) -> int:
     if args.out:
         out = _out_dir(args)
         with open(out / "paths.csv", "w", newline="") as fh:
-            fh.write("src,dst,paths,best_hops,best_km\n")
-            for src, dst, n, hops, km in rows:
-                fh.write(f"{src},{dst},{n},{hops},{km:.12g}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["src", "dst", "paths", "best_hops", "best_km"])
+            writer.writerows((src, dst, n, hops, f"{km:.12g}") for src, dst, n, hops, km in rows)
         _write_manifest(out, "paths", _manifest_args(args))
         _write_meta(out, started, paths_s)
         print(f"wrote {out / 'paths.csv'}")

@@ -16,7 +16,6 @@ from eonsim.bounds import (
     capacity_gain,
     crossing_load,
     defrag_bound_trial,
-    resource_key,
     write_bound_trials_csv,
     write_gain_report,
     write_outcomes_csv,
@@ -33,6 +32,7 @@ from eonsim.simulator import (
     run_trial,
     sweep,
 )
+from eonsim.spectrum import run_shifts
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import ServiceRequest, TrafficConfig, generate_stream
 from reference import dominance_gap, pack_bits, reference_rebuild
@@ -94,19 +94,33 @@ def active_counts(trial, cfg, stream):
 
 # --- rebuild order -----------------------------------------------------------
 
+def rebuild_entry(topology, request):
+    """The rebuild entry ``defrag_bound_trial`` makes for a fixed-slot request, with k=1."""
+    candidates = topology.candidate_paths(request.src, request.dst, 1, ORDER)
+    path0, slots = candidates[0], request.slots
+    rank0 = (path0.fiber_ids, slots, run_shifts(slots))
+    return (-slots * path0.hop_count, request, candidates, rank0)
+
+
+def placed_blocks(cfg, requests):
+    """``_rebuild`` on the requests' entries in arrival order: [(id, start, size)] as placed."""
+    rebuilt = bounds._rebuild(cfg, [rebuild_entry(cfg.topology, r) for r in requests])
+    return [(rid, block.start, block.size) for rid, (_f, block) in rebuilt[1].items()]
+
+
 def test_sort_descending_by_product():
-    a = req(0, 0.0)  # 4 slots x 3 hops = 12
-    b = req(1, 1.0)  # 2 slots x 2 hops = 4
-    resources = {0: (4, 3), 1: (2, 2)}
-    out = sorted([b, a], key=lambda r: resource_key(r, *resources[r.id]))
-    assert [r.id for r in out] == [0, 1]
+    line = Topology("line", ["A", "B", "C"], [("A", "B", 100), ("B", "C", 100)],
+                    slots_per_fiber=8, fiber_mode="single")
+    b = req(0, 1.0, slots=3)  # 3 slots x 1 hop = 3
+    a = req(1, 2.0, slots=2, dst="C")  # 2 slots x 2 hops = 4
+    assert placed_blocks(wire_config(line, 1), [b, a]) == [(1, 0, 2), (0, 2, 3)]
 
 
 def test_sort_tie_breaks_on_arrival():
-    a = req(0, 5.0)
-    b = req(1, 2.0)
-    out = sorted([a, b], key=lambda r: resource_key(r, 2, 3))
-    assert [r.id for r in out] == [1, 0]
+    x = req(0, 1.0, slots=1)
+    b = req(1, 2.0, slots=2)
+    a = req(2, 5.0, slots=2)
+    assert placed_blocks(wire_config(wire(8), 1), [x, b, a]) == [(1, 0, 2), (2, 2, 2), (0, 4, 1)]
 
 
 # --- defrag trial semantics ------------------------------------------------------
@@ -173,7 +187,7 @@ def rebuilds_checked_against_reference(cfg, stream, formats):
         return topo.candidate_paths(request.src, request.dst, cfg.k, cfg.ordering)
 
     def checked_rebuild(config, entries):
-        requests = [entry[3] for entry in entries]
+        requests = [entry[1] for entry in entries]
         rebuilt = real_rebuild(config, entries)
         expected = reference_rebuild(
             cfg.heuristic.value, requests, candidates_of, topo.num_fibers,
@@ -259,13 +273,38 @@ def test_first_request_on_empty_network_is_direct():
     assert result.defrag_count == 0
 
 
+def trial_without_rebuild(cfg, stream):
+    """A bound trial on ``stream`` that fails if it calls ``_rebuild``."""
+    with mock.patch("eonsim.bounds.generate_stream", return_value=stream), mock.patch(
+        "eonsim.bounds._rebuild", side_effect=AssertionError("a rebuild ran")
+    ):
+        return defrag_bound_trial(cfg, seed=0, record_outcomes=True)
+
+
 def test_oversized_request_blocks_without_rebuild():
     """A request larger than the whole grid cannot trigger useless rebuilds."""
     topo = wire(4)
     cfg = wire_config(topo, n_measured=2)
     stream = [req(0, 1.0, slots=1), req(1, 2.0, slots=5)]
-    with mock.patch("eonsim.bounds.generate_stream", return_value=stream):
-        result = defrag_bound_trial(cfg, seed=0, record_outcomes=True)
+    result = trial_without_rebuild(cfg, stream)
+    assert result.outcomes == (OUTCOME_DIRECT, OUTCOME_BLOCKED)
+
+
+@pytest.mark.parametrize("heuristic", bounds.INNER_HEURISTICS)
+def test_request_beyond_every_reach_blocks_without_rebuild(heuristic):
+    """A rate request no candidate path can carry blocks without a rebuild."""
+    topo = Topology("tri", ["A", "B", "D"], [("A", "B", 100), ("A", "D", 5000), ("B", "D", 5000)],
+                    slots_per_fiber=8, fiber_mode="single")
+    table = ModulationTable([ModulationFormat("m1", 1, 1000.0), ModulationFormat("m2", 2, 500.0)])
+    cfg = wire_config(topo, n_measured=2, k=2, heuristic=heuristic, modulation=table,
+                      traffic=TrafficConfig(1.0, rate_gbps_range=(25, 100)))
+    stream = [
+        ServiceRequest(id=0, src="A", dst="B", arrival_time=1.0, holding_time=50.0,
+                       rate_gbps=50.0),  # A-B is in reach
+        ServiceRequest(id=1, src="A", dst="D", arrival_time=2.0, holding_time=50.0,
+                       rate_gbps=50.0),  # A-D and A-B-D are both beyond 1000 km
+    ]
+    result = trial_without_rebuild(cfg, stream)
     assert result.outcomes == (OUTCOME_DIRECT, OUTCOME_BLOCKED)
 
 
@@ -381,7 +420,7 @@ def test_rebuild_entries_arrive_in_arrival_order():
     orders = []
 
     def recorded_rebuild(config, entries):
-        orders.append([(entry[1], entry[2]) for entry in entries])
+        orders.append([(entry[1].arrival_time, entry[1].id) for entry in entries])
         return real_rebuild(config, entries)
 
     with mock.patch("eonsim.bounds._rebuild", recorded_rebuild):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import itertools
 import json
@@ -435,6 +436,24 @@ def test_path_statistics_are_population_mean_and_std(tmp_path, capsys):
     )
 
 
+def test_paths_csv_quotes_a_node_id_with_a_comma(tmp_path):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({
+        "schema": "eonsim-topology/1", "name": "pair", "fiber_mode": "dual",
+        "slots_per_fiber": 10, "nodes": ["A, north", "B"],
+        "links": [{"src": "A, north", "dst": "B", "length_km": 100}],
+    }))
+    out = tmp_path / "paths"
+    assert run(f"paths --topology {pair} --k 2 --out {out}".split()) == 0
+    with open(out / "paths.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [
+        ["src", "dst", "paths", "best_hops", "best_km"],
+        ["A, north", "B", "1", "1", "100"],
+        ["B", "A, north", "1", "1", "100"],
+    ]
+
+
 def test_paths_on_a_one_node_topology_exits_2(tmp_path, capsys):
     solo = tmp_path / "solo.json"
     solo.write_text(json.dumps({
@@ -655,6 +674,9 @@ def exit_code(argv):
         "warmup --loads nan",
         # a horizon of 1.6e301 requests per trial cannot be allocated
         "warmup --loads 1e300",
+        # one rule for every subcommand: loads strictly increase, so a fit sees distinct loads
+        "warmup --loads 100,100",
+        "warmup --loads 200,100",
         # every load must be > 0, whichever subcommand parses it
         "sweep --preset deeprmsa --topology nsfnet --k 2 --loads -1 --trials 1 --jobs 1",
         "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 0:40:20 --trials 1 --jobs 1",
@@ -677,7 +699,7 @@ def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     if "--modulation-file" in argv:
         assert "--modulation-file" in err
-    if argv == "warmup --loads 1e300":
+    if argv in ("warmup --loads 1e300", "warmup --loads 100,100", "warmup --loads 200,100"):
         assert "bad --loads" in err
     if argv in BAD_INT_FLAGS:
         assert f"argument {BAD_INT_FLAGS[argv]}:" in err
