@@ -564,11 +564,8 @@ def main(argv=None) -> int:
     except (CliError, PresetError, TopologyError, TrafficConfigError, SimConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CrossingNotBracketedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CrossingNotBracketedError, OSError, MemoryError) as exc:  # failed while running
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

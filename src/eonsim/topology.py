@@ -77,14 +77,13 @@ class CandidatePath:
     """A loopless route plus cached geometry and fiber bindings.
 
     ``fiber_ids`` are resolved for the traversal direction implied by
-    ``node_seq`` and index into the owning topology's fiber grids.
+    ``node_seq`` and index into the owning topology's fiber grids.  A
+    path's rank is its index in its candidate list.
     """
 
     node_seq: tuple[str, ...]
-    link_ids: tuple[int, ...]
     hop_count: int
     length_km: float
-    rank: int
     fiber_ids: tuple[int, ...]
 
 
@@ -164,14 +163,14 @@ class Topology:
         ratios = [link.length_km.as_integer_ratio() for link in self.links]
         self._scale = max((d for _n, d in ratios), default=1)
         adjacency: dict[str, list[tuple[str, int, int]]] = {n: [] for n in nodes}
-        # (from node, to node) -> (link id, fiber id) of that hop
-        hops: dict[tuple[str, str], tuple[int, int]] = {}
+        # (from node, to node) -> fiber id of that hop
+        hops: dict[tuple[str, str], int] = {}
         for link, (n, d) in zip(self.links, ratios):
             units = n * (self._scale // d)  # the length in 1 / scale km, exactly
             adjacency[link.src].append((link.dst, link.index, units))
             adjacency[link.dst].append((link.src, link.index, units))
             for a, b in ((link.src, link.dst), (link.dst, link.src)):
-                hops[a, b] = (link.index, self.fiber_id(link.index, a))
+                hops[a, b] = self.fiber_id(link.index, a)
         for lst in adjacency.values():
             lst.sort()
         self._adjacency = adjacency
@@ -434,20 +433,15 @@ def _ranked(
     enumerated.sort(key=_sort_key(ordering))
     hop_table = topology._hops
     scale = topology._scale
-    out: list[CandidatePath] = []
-    for rank, (hops, km, node_seq) in enumerate(enumerated[:k]):
-        link_ids, fiber_ids = zip(*map(hop_table.get, zip(node_seq, node_seq[1:])))
-        out.append(
-            CandidatePath(
-                node_seq=node_seq,
-                link_ids=link_ids,
-                hop_count=hops,
-                length_km=km / scale,  # int / int rounds once, correctly
-                rank=rank,
-                fiber_ids=fiber_ids,
-            )
+    return [
+        CandidatePath(
+            node_seq=node_seq,
+            hop_count=hops,
+            length_km=km / scale,  # int / int rounds once, correctly
+            fiber_ids=tuple(map(hop_table.get, zip(node_seq, node_seq[1:]))),
         )
-    return out
+        for hops, km, node_seq in enumerated[:k]
+    ]
 
 
 def ordering_overlap(topology: Topology, src: str, dst: str, k: int) -> float:

@@ -183,20 +183,16 @@ def reference_k_shortest_paths(topology, src, dst, k, ordering):
 
     enumerated.sort(key=_reference_sort_key(ordering))
     out = []
-    for rank, (hops, km, node_seq) in enumerate(enumerated[:k]):
-        link_ids = tuple(
-            _reference_edge(adjacency, node_seq[j], node_seq[j + 1])[0] for j in range(hops)
-        )
+    for hops, km, node_seq in enumerated[:k]:
         fiber_ids = tuple(
-            topology.fiber_id(link_ids[j], node_seq[j]) for j in range(hops)
+            topology.fiber_id(_reference_edge(adjacency, a, b)[0], a)
+            for a, b in zip(node_seq, node_seq[1:])
         )
         out.append(
             CandidatePath(
                 node_seq=node_seq,
-                link_ids=link_ids,
                 hop_count=hops,
                 length_km=float(km),
-                rank=rank,
                 fiber_ids=fiber_ids,
             )
         )

@@ -603,6 +603,25 @@ def test_bound_with_scan_all_policy_exits_2_before_any_trial(tmp_path, capsys, m
     assert "inner heuristic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub,loads", [("sweep", "300"), ("bound", "5,40")])
+def test_a_stream_that_cannot_be_allocated_exits_3_with_one_line(
+    tmp_path, capsys, monkeypatch, sub, loads
+):
+    """numpy raises MemoryError for a stream too long to allocate; the run
+    reports it as a runtime failure, not a traceback."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array")
+
+    monkeypatch.setattr(simulator, "generate_stream", no_memory)
+    monkeypatch.setattr(bounds, "generate_stream", no_memory)
+    code = run(
+        f"{sub} --preset deeprmsa --topology nsfnet --k 2 --loads {loads} --trials 1 "
+        f"--warmup 10 --measured 50 --jobs 1 --out {tmp_path / 'run'}".split()
+    )
+    assert code == 3
+    assert capsys.readouterr().err == "error: Unable to allocate 14.9 GiB for an array\n"
+
+
 
 BAD_MODULATION_FILES = {
     "invalid.json": "{not json",

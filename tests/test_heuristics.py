@@ -44,7 +44,7 @@ def test_empty_network_all_kinds_pick_rank0(diamond):
     for kind in HeuristicKind:
         decision = decide(kind, request(slots=2), cands, state)
         assert decision is not None, kind
-        assert decision.path.rank == 0, kind
+        assert cands.index(decision.path) == 0, kind
         assert decision.block == SlotBlock(0, 2), kind
 
 
@@ -68,10 +68,10 @@ def test_ksp_ff_vs_ff_ksp(two_route_topo):
     state.allocate(p1.fiber_ids, SlotBlock(0, 2))
 
     ksp = decide(HeuristicKind.KSP_FF, request(slots=2), cands, state)
-    assert ksp.path.rank == 0 and ksp.block.start == 7
+    assert cands.index(ksp.path) == 0 and ksp.block.start == 7
 
     ff = decide(HeuristicKind.FF_KSP, request(slots=2), cands, state)
-    assert ff.path.rank == 1 and ff.block.start == 2
+    assert cands.index(ff.path) == 1 and ff.block.start == 2
 
 
 def test_all_paths_occupied_blocks(two_route_topo):
@@ -97,7 +97,7 @@ def test_ksp_bf_takes_first_path_best_fit(two_route_topo):
     # path0 runs: 3 free at 0, 2 free at 8; best fit for 2 is at 8
     state.allocate(p0.fiber_ids, SlotBlock(3, 5))
     decision = decide(HeuristicKind.KSP_BF, request(slots=2), cands, state)
-    assert decision.path.rank == 0
+    assert cands.index(decision.path) == 0
     assert decision.block == SlotBlock(8, 2)
 
 
@@ -111,7 +111,7 @@ def test_bf_ksp_prefers_tightest_run_across_paths(two_route_topo):
     state.allocate(p1.fiber_ids, SlotBlock(0, 4))   # runs: 6 at 4
     state.allocate(p1.fiber_ids, SlotBlock(6, 2))   # runs: 2 at 4, 2 at 8
     decision = decide(HeuristicKind.BF_KSP, request(slots=2), cands, state)
-    assert decision.path.rank == 1
+    assert cands.index(decision.path) == 1
     assert decision.block == SlotBlock(4, 2)  # size-2 run, lowest start, over rank
 
 
@@ -126,7 +126,7 @@ def test_bf_ksp_tie_ladder_prefers_lower_start_then_rank(two_route_topo):
     state.allocate(p1.fiber_ids, SlotBlock(0, 2))   # p1 runs: ...
     state.allocate(p1.fiber_ids, SlotBlock(4, 6))   # p1 run: 2 at 2
     decision = decide(HeuristicKind.BF_KSP, request(slots=2), cands, state)
-    assert (decision.path.rank, decision.block.start) == (1, 2)
+    assert (cands.index(decision.path), decision.block.start) == (1, 2)
 
 
 def test_kme_ff_minimizes_post_allocation_entropy(two_route_topo):
@@ -140,7 +140,7 @@ def test_kme_ff_minimizes_post_allocation_entropy(two_route_topo):
     decision = decide(HeuristicKind.KME_FF, request(slots=2), cands, state)
     # p0 first-fit at 0 leaves runs {2 at 2, 4 at 6} per link (entropy high);
     # p1 first-fit at 4 leaves one run {4 at 6} per link (entropy low)
-    assert decision.path.rank == 1
+    assert cands.index(decision.path) == 1
     assert decision.block == SlotBlock(4, 2)
 
 
@@ -149,7 +149,7 @@ def kme_ff_against_reference(topo, cands, state, req):
     grids = [[bool(occ >> i & 1) for i in range(state.n_slots)] for occ in state.occ]
     path, start, size = reference_decision("kme-ff", req, cands, grids, [], 12.5, 0)
     decision = decide(HeuristicKind.KME_FF, req, cands, state)
-    return (decision.path.rank, decision.block), (path.rank, SlotBlock(start, size))
+    return (cands.index(decision.path), decision.block), (cands.index(path), SlotBlock(start, size))
 
 
 def test_kme_ff_exact_tie_goes_to_the_earlier_rank(two_route_topo):
@@ -212,7 +212,7 @@ def test_kca_ff_picks_least_congested_path(two_route_topo):
     state.allocate(p0.fiber_ids, SlotBlock(0, 6))  # 60% occupied
     state.allocate(p1.fiber_ids, SlotBlock(0, 2))  # 20% occupied
     decision = decide(HeuristicKind.KCA_FF, request(slots=2), cands, state)
-    assert decision.path.rank == 1
+    assert cands.index(decision.path) == 1
     assert decision.block == SlotBlock(2, 2)  # first fit on the chosen path
 
 
