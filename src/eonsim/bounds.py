@@ -26,7 +26,8 @@ their rank-0 candidate.  Each request's rebuild entry, made once when it
 is admitted, therefore carries that candidate's fibers, demand and
 ``run_shifts``; the rebuild runs ``spectrum.first_fit`` on it, the same
 routine ``decide`` uses, and calls the inner heuristic's ``decide``
-only for the requests that placement cannot settle.
+only for the requests that placement cannot settle.  It returns
+active-lightpath records, entry included, for the trial to adopt.
 """
 from __future__ import annotations
 
@@ -96,8 +97,8 @@ def defrag_bound_trial(
     outcomes = [OUTCOME_DIRECT] * len(stream) if record_outcomes else None
     defrag = 0  # rebuild admissions in the measured window
 
-    def sort_key(request: ServiceRequest, candidates) -> tuple:
-        """Rebuild entry: negated footprint, the request, its candidates, its rank-0 placement.
+    def rebuild_entry(request: ServiceRequest, candidates) -> tuple:
+        """Negated footprint, the request, its candidates, its rank-0 placement.
 
         The footprint is the slot demand on the rank-0 candidate times
         its hop count.  A rate request's demand is pinned to that path's
@@ -121,10 +122,10 @@ def defrag_bound_trial(
         nonlocal defrag
         # no rebuild can host a request that fails on an empty network
         if decide(config.heuristic, request, candidates, empty, table, guard) is not None:
-            key = sort_key(request, candidates)
-            rebuilt = _rebuild(config, [rec[2] for rec in active.records.values()] + [key])
+            entry = rebuild_entry(request, candidates)
+            rebuilt = _rebuild(config, [rec[2] for rec in active.records.values()] + [entry])
             if rebuilt is not None:
-                active.adopt_rebuild(*rebuilt, request, key)
+                active.adopt_rebuild(*rebuilt, request)
                 defrag += i >= config.warmup_requests
                 if outcomes is not None:
                     outcomes[i] = OUTCOME_DEFRAG
@@ -133,7 +134,7 @@ def defrag_bound_trial(
             outcomes[i] = OUTCOME_BLOCKED
         return False
 
-    blocked = run_stream(config, stream, on_block=on_block, sort_key=sort_key)
+    blocked = run_stream(config, stream, on_block=on_block, rebuild_entry=rebuild_entry)
     return DefragTrialResult(
         seed=seed,
         blocked_count=blocked,
@@ -145,15 +146,16 @@ def defrag_bound_trial(
 
 def _rebuild(
     config: SimConfig, entries: list[tuple]
-) -> tuple[SpectrumState, dict[int, tuple[tuple[int, ...], SlotBlock]]] | None:
+) -> tuple[SpectrumState, dict[int, tuple[tuple[int, ...], SlotBlock, tuple]]] | None:
     """Re-place every request on an empty network, largest footprint first.
 
     ``entries`` are the requests' rebuild entries from
     ``defrag_bound_trial``, in admission order with the blocked request
     last.  Requests are admitted in arrival order, so a stable sort on
     the footprint alone breaks its ties to the earlier arrival.
-    Returns the rebuilt state and the placements keyed by request id,
-    in placement order, or None as soon as any request cannot be hosted.
+    Returns the rebuilt state and the active-lightpath records keyed by
+    request id, each ``(fiber_ids, block, entry)`` in placement order,
+    or None as soon as any request cannot be hosted.
 
     Each request first runs ``first_fit`` on its rank-0 candidate with
     the entry's precompiled fibers and shifts.  Under ksp-ff any fit
@@ -167,9 +169,10 @@ def _rebuild(
     kind, table, guard = config.heuristic, config.modulation, config.guard_slots
     # a rank-0 fit is decide's choice when it starts below this: under ff-ksp, only at 0
     rank0_limit = 1 if kind is HeuristicKind.FF_KSP else temp.n_slots
-    placements: dict[int, tuple[tuple[int, ...], SlotBlock]] = {}
+    records: dict[int, tuple[tuple[int, ...], SlotBlock, tuple]] = {}
     entries.sort(key=itemgetter(0))
-    for _footprint, request, candidates, rank0 in entries:
+    for entry in entries:
+        _footprint, request, candidates, rank0 = entry
         start = -1
         if rank0 is not None:
             fiber_ids, demand, shifts = rank0
@@ -184,8 +187,8 @@ def _rebuild(
         mask = block.mask
         for f in fiber_ids:  # the block is free on every fiber
             occ[f] |= mask
-        placements[request.id] = (fiber_ids, block)
-    return temp, placements
+        records[request.id] = (fiber_ids, block, entry)
+    return temp, records
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ import os
 import sys
 import time
 import warnings
+from contextlib import suppress
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -554,19 +556,33 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _missing_dirs(out: str | None) -> list[Path]:
+    """The directories ``out`` needs that do not exist yet, deepest first."""
+    out = Path(out or ".")
+    return list(takewhile(lambda d: not d.exists(), (out, *out.parents)))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    made = _missing_dirs(getattr(args, "out", None))
+    status = 1  # an exception neither handler below catches
     try:
         with warnings.catch_warnings():  # one plain line per warning, no source location
             warnings.showwarning = _print_warning
-            return args.func(args)
+            status = args.func(args)
     except (CliError, PresetError, TopologyError, TrafficConfigError, SimConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        status = 2
     except (CrossingNotBracketedError, OSError, MemoryError) as exc:  # failed while running
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 3
+        status = 3
+    finally:
+        if status:  # remove the --out directories this run made, unless it wrote into them
+            with suppress(OSError):  # stops at the first one written into, or never made
+                for d in made:
+                    d.rmdir()
+    return status
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from .heuristics import Decision, HeuristicKind, decide
 from .service import ModulationTable
 from .spectrum import SlotBlock, SpectrumState
 from .topology import CandidatePath, PathOrdering, Topology
-from .traffic import HOLDING_TIME_MEAN, ServiceRequest, TrafficConfig, generate_stream
+from .traffic import HOLDING_TIME_MEAN, RequestStream, ServiceRequest, TrafficConfig, generate_stream
 
 #: ``sweep`` warns when a load pools fewer blocking events than this
 MIN_BLOCKING_EVENTS = 100
@@ -109,17 +109,14 @@ class ActiveLightpaths:
         self._state = state
         # heap of (expiry time, request id)
         self.expiries: list[tuple[float, int]] = []
-        # request id -> (fiber_ids, block, sort key or None), in admission order
+        # request id -> (fiber_ids, block, rebuild entry or None), in admission order
         self.records: dict[int, tuple[tuple[int, ...], SlotBlock, tuple | None]] = {}
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def add(self, request: ServiceRequest, decision: Decision, key: tuple | None = None) -> None:
+    def add(self, request: ServiceRequest, decision: Decision, entry: tuple | None = None) -> None:
         path, block = decision
         fiber_ids = path.fiber_ids
         self._state.allocate(fiber_ids, block)
-        self.records[request.id] = (fiber_ids, block, key)
+        self.records[request.id] = (fiber_ids, block, entry)
         heapq.heappush(self.expiries, (request.expiry_time, request.id))
 
     def release_due(self, now: float) -> int:
@@ -128,43 +125,36 @@ class ActiveLightpaths:
         heap, records, release = self.expiries, self.records, self._state.release
         while heap and heap[0][0] < now:
             _expiry, req_id = heapq.heappop(heap)
-            fiber_ids, block, _key = records.pop(req_id)
+            fiber_ids, block, _entry = records.pop(req_id)
             release(fiber_ids, block)
             released += 1
         return released
 
     def adopt_rebuild(
-        self,
-        state: SpectrumState,
-        placements: dict[int, tuple[tuple[int, ...], SlotBlock]],
-        request: ServiceRequest,
-        key: tuple,
+        self, state: SpectrumState, records: dict[int, tuple], request: ServiceRequest
     ) -> None:
         """Adopt a rebuilt network state that also hosts the blocked ``request``.
 
-        ``placements`` must cover exactly the active ids plus the request's;
-        it is consumed.  Active records keep their sort keys and their
-        admission order, and the request is recorded last with ``key``.
+        ``records`` must hold exactly the active ids plus the request's,
+        which must not be active.  Active records keep their admission
+        order, and the request's is recorded last.
         """
-        records = self.records
-        placed = placements.pop(request.id, None)
-        if placed is None or placements.keys() != records.keys():
-            raise ValueError("rebuilt placements do not cover the active set and the request")
+        active = self.records
+        if request.id in active or records.keys() != active.keys() | {request.id}:
+            raise ValueError("rebuilt records do not cover the active set and the request")
         self._state.occ = state.occ
-        for req_id, (fiber_ids, block) in placements.items():
-            records[req_id] = (fiber_ids, block, records[req_id][2])
-        records[request.id] = (*placed, key)
+        active.update(records)
         heapq.heappush(self.expiries, (request.expiry_time, request.id))
 
 
 def run_stream(
     config: SimConfig,
-    stream: Sequence[ServiceRequest],
+    stream: RequestStream | Sequence[ServiceRequest],
     *,
     on_event: Callable[[SpectrumState, ActiveLightpaths], None] | None = None,
     on_block: Callable[[int, ServiceRequest, Sequence[CandidatePath], ActiveLightpaths], bool]
     | None = None,
-    sort_key: Callable[[ServiceRequest, Sequence[CandidatePath]], tuple] | None = None,
+    rebuild_entry: Callable[[ServiceRequest, Sequence[CandidatePath]], tuple] | None = None,
 ) -> int:
     """Run the event loop over an explicit request stream.
 
@@ -174,7 +164,7 @@ def run_stream(
     ``on_block(index, request, candidates, active)`` is called when the
     policy blocks a request, and returns True if it admitted the request
     itself; the defragmentation bound rebuilds the network there.
-    ``sort_key(request, candidates)`` is evaluated once per admitted
+    ``rebuild_entry(request, candidates)`` is evaluated once per admitted
     request and kept on its active record for ``on_block`` to read.
     ``on_event`` is called after each arrival is resolved; tests use it
     to assert conservation invariants at every event.
@@ -196,7 +186,7 @@ def run_stream(
         candidates = routes[request.src, request.dst]
         decision = decide(kind, request, candidates, state, table, guard)
         if decision is not None:
-            add(request, decision, sort_key(request, candidates) if sort_key else None)
+            add(request, decision, rebuild_entry(request, candidates) if rebuild_entry else None)
         elif on_block is None or not on_block(i, request, candidates, active):
             if i >= warmup:
                 blocked += 1

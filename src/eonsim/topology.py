@@ -162,13 +162,13 @@ class Topology:
         # each length is n / d with d a power of two, so d divides the largest d
         ratios = [link.length_km.as_integer_ratio() for link in self.links]
         self._scale = max((d for _n, d in ratios), default=1)
-        adjacency: dict[str, list[tuple[str, int, int]]] = {n: [] for n in nodes}
+        adjacency: dict[str, list[tuple[str, int]]] = {n: [] for n in nodes}
         # (from node, to node) -> fiber id of that hop
         hops: dict[tuple[str, str], int] = {}
         for link, (n, d) in zip(self.links, ratios):
             units = n * (self._scale // d)  # the length in 1 / scale km, exactly
-            adjacency[link.src].append((link.dst, link.index, units))
-            adjacency[link.dst].append((link.src, link.index, units))
+            adjacency[link.src].append((link.dst, units))
+            adjacency[link.dst].append((link.src, units))
             for a, b in ((link.src, link.dst), (link.dst, link.src)):
                 hops[a, b] = self.fiber_id(link.index, a)
         for lst in adjacency.values():
@@ -294,7 +294,7 @@ def _sort_key(ordering: PathOrdering):
 
 
 def _distances(
-    adjacency: dict[str, list[tuple[str, int, int]]], src: str, hop_weighted: bool
+    adjacency: dict[str, list[tuple[str, int]]], src: str, hop_weighted: bool
 ) -> dict[str, int]:
     """Shortest distance from ``src`` to each node it reaches (Dijkstra)."""
     dist: dict[str, int] = {}
@@ -304,7 +304,7 @@ def _distances(
         if node in dist:
             continue
         dist[node] = cost
-        for nbr, _link, length in adjacency[node]:
+        for nbr, length in adjacency[node]:
             if nbr not in dist:
                 heapq.heappush(heap, (cost + (1 if hop_weighted else length), nbr))
     return dist
@@ -328,7 +328,7 @@ def _successors(topology: Topology, dst: str, hop_weighted: bool):
         steps = topology._successors[key] = {}
         for node in dist:
             node_steps = []
-            for nbr, _link, length in adjacency[node]:
+            for nbr, length in adjacency[node]:
                 cost = 1 if hop_weighted else length
                 node_steps.append((cost + dist[nbr], cost, length, nbr))
             steps[node] = sorted(node_steps)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -111,39 +111,28 @@ def sample_holding_times(
     return values
 
 
-class RequestStream(Sequence[ServiceRequest]):
-    """An immutable sequence of requests, held as numpy columns.
+class RequestStream:
+    """A sized, re-iterable run of requests, held as numpy columns.
 
-    Each ``ServiceRequest`` is built afresh when it is indexed or reached
-    by iteration; iterating again builds equal requests.  A slice is a
-    stream over views of the same columns, keeping the requests' ids.
+    Each ``ServiceRequest`` is built afresh when iteration reaches it,
+    with ids counting from 0; iterating again builds equal requests.
     """
 
-    __slots__ = ("_ids", "_nodes", "_src", "_dst", "_arrivals", "_holdings", "_demands",
-                 "_values", "_rated")
+    __slots__ = ("_nodes", "_src", "_dst", "_arrivals", "_holdings", "_demands", "_values",
+                 "_rated")
 
-    def __init__(self, ids: range, nodes: tuple[str, ...], src: np.ndarray, dst: np.ndarray,
+    def __init__(self, nodes: tuple[str, ...], src: np.ndarray, dst: np.ndarray,
                  arrivals: np.ndarray, holdings: np.ndarray, demands: np.ndarray,
                  values: tuple, rated: bool):
         """``src``/``dst`` index ``nodes``, and ``demands`` indexes ``values``:
         data rates if ``rated``, else slot counts."""
-        self._ids, self._nodes, self._values, self._rated = ids, nodes, values, rated
+        self._nodes, self._values, self._rated = nodes, values, rated
         self._src, self._dst, self._arrivals, self._holdings, self._demands = (
             src, dst, arrivals, holdings, demands
         )
 
     def __len__(self) -> int:
-        return len(self._ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RequestStream(
-                self._ids[index], self._nodes, self._src[index], self._dst[index],
-                self._arrivals[index], self._holdings[index], self._demands[index],
-                self._values, self._rated,
-            )
-        i = range(len(self))[index]  # a negative or out-of-range index as for a list
-        return next(iter(self[i : i + 1]))
+        return len(self._arrivals)
 
     def __iter__(self) -> Iterator[ServiceRequest]:
         # Iterating a memoryview of a column yields plain floats and ints one
@@ -152,7 +141,7 @@ class RequestStream(Sequence[ServiceRequest]):
         demands = map(self._values.__getitem__, memoryview(self._demands))
         rates, slots = (demands, repeat(None)) if self._rated else (repeat(None), demands)
         rows = zip(
-            self._ids,
+            count(),
             map(nodes, memoryview(self._src)),
             map(nodes, memoryview(self._dst)),
             memoryview(self._arrivals),
@@ -200,6 +189,5 @@ def generate_stream(
     dst_idx = (other + (other >= src_idx)).astype(node_index)
 
     return RequestStream(
-        range(n_requests), tuple(nodes), src_idx, dst_idx, arrivals, holdings, demands,
-        values, rated,
+        tuple(nodes), src_idx, dst_idx, arrivals, holdings, demands, values, rated
     )

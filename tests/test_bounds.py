@@ -77,7 +77,7 @@ def active_counts(trial, cfg, stream):
     counts = []
 
     def record(state, active):
-        counts.append(len(active))
+        counts.append(len(active.records))
 
     if trial is run_stream:
         return run_stream(cfg, stream, on_event=record), counts
@@ -105,7 +105,7 @@ def rebuild_entry(topology, request):
 def placed_blocks(cfg, requests):
     """``_rebuild`` on the requests' entries in arrival order: [(id, start, size)] as placed."""
     rebuilt = bounds._rebuild(cfg, [rebuild_entry(cfg.topology, r) for r in requests])
-    return [(rid, block.start, block.size) for rid, (_f, block) in rebuilt[1].items()]
+    return [(rid, block.start, block.size) for rid, (_f, block, _entry) in rebuilt[1].items()]
 
 
 def test_sort_descending_by_product():
@@ -195,10 +195,12 @@ def rebuilds_checked_against_reference(cfg, stream, formats):
         )
         assert (rebuilt is None) == (expected is None)
         if rebuilt is not None:
-            state, placements = rebuilt
+            state, records = rebuilt
             grids, placed = expected
-            got = {rid: (f, b.start, b.size) for rid, (f, b) in placements.items()}
+            got = {rid: (f, b.start, b.size) for rid, (f, b, _entry) in records.items()}
             assert got == placed
+            by_id = {entry[1].id: entry for entry in entries}  # each record keeps its entry
+            assert all(entry is by_id[rid] for rid, (_f, _b, entry) in records.items())
             assert state.occ == [pack_bits(g) for g in grids]
             rebuilds.append(got)
         return rebuilt

@@ -603,23 +603,39 @@ def test_bound_with_scan_all_policy_exits_2_before_any_trial(tmp_path, capsys, m
     assert "inner heuristic" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sub,loads", [("sweep", "300"), ("bound", "5,40")])
+@pytest.mark.parametrize(
+    "sub,loads,existing",
+    [
+        pytest.param("sweep", "300", False, id="sweep-300"),
+        pytest.param("bound", "5,40", False, id="bound-5,40"),
+        pytest.param("sweep", "300", True, id="sweep-300-existing-out"),
+        pytest.param("bound", "5,40", True, id="bound-5,40-existing-out"),
+    ],
+)
 def test_a_stream_that_cannot_be_allocated_exits_3_with_one_line(
-    tmp_path, capsys, monkeypatch, sub, loads
+    tmp_path, capsys, monkeypatch, sub, loads, existing
 ):
     """numpy raises MemoryError for a stream too long to allocate; the run
-    reports it as a runtime failure, not a traceback."""
+    reports it as a runtime failure, not a traceback.  It removes the
+    directories it made for --out, and leaves one that existed as it was."""
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 14.9 GiB for an array")
 
     monkeypatch.setattr(simulator, "generate_stream", no_memory)
     monkeypatch.setattr(bounds, "generate_stream", no_memory)
+    out = tmp_path / "runs" / "run"
+    if existing:
+        out.mkdir(parents=True)
     code = run(
         f"{sub} --preset deeprmsa --topology nsfnet --k 2 --loads {loads} --trials 1 "
-        f"--warmup 10 --measured 50 --jobs 1 --out {tmp_path / 'run'}".split()
+        f"--warmup 10 --measured 50 --jobs 1 --out {out}".split()
     )
     assert code == 3
     assert capsys.readouterr().err == "error: Unable to allocate 14.9 GiB for an array\n"
+    if existing:
+        assert out.is_dir() and list(out.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == []
 
 
 

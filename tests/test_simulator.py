@@ -78,7 +78,7 @@ def run_with_peak(cfg, stream):
 
     def record(state, active):
         nonlocal peak
-        peak = max(peak, len(active))
+        peak = max(peak, len(active.records))
 
     return run_stream(cfg, stream, on_event=record), peak
 
@@ -234,12 +234,13 @@ def test_all_slots_free_after_all_expiries(diamond):
             active.add(req, decision)
     active.release_due(math.inf)
     assert occupied_slot_count(state) == 0
-    assert len(active) == 0
+    assert len(active.records) == 0
 
 
 def test_adopt_rebuild_needs_the_active_set_plus_the_request(diamond):
-    """A rebuild is adopted only when it places every active lightpath and
-    the blocked request; each record keeps its key and place, the request comes last."""
+    """A rebuild is adopted only when it records every active lightpath and
+    the blocked request, which must not be active; each record keeps its
+    place, the request comes last."""
     from eonsim.simulator import ActiveLightpaths
     from eonsim.spectrum import SpectrumState, slot_block
 
@@ -253,18 +254,20 @@ def test_adopt_rebuild_needs_the_active_set_plus_the_request(diamond):
     for f in path.fiber_ids:
         rebuilt.occ[f] = 0b111
     # in the rebuild's placement order, not in admission order
-    placed = {i: (path.fiber_ids, slot_block(2 - i, 1)) for i in (1, 2, 0)}
+    records = {i: (path.fiber_ids, slot_block(2 - i, 1), f"k{i}") for i in (1, 2, 0)}
     for missing in (new.id, first.id):
         with pytest.raises(ValueError, match="do not cover"):
-            short = {i: p for i, p in placed.items() if i != missing}
-            active.adopt_rebuild(rebuilt, short, new, "k2")
-    active.adopt_rebuild(rebuilt, dict(placed), new, "k2")
+            short = {i: r for i, r in records.items() if i != missing}
+            active.adopt_rebuild(rebuilt, short, new)
+    with pytest.raises(ValueError, match="do not cover"):  # the request is already active
+        active.adopt_rebuild(rebuilt, {i: records[i] for i in (0, 1)}, second)
+    active.adopt_rebuild(rebuilt, records, new)
     assert list(active.records.items()) == [
         (i, (path.fiber_ids, slot_block(2 - i, 1), f"k{i}")) for i in range(3)
     ]
     assert sorted(active.expiries) == [(10.0 + i, i) for i in range(3)]
     active.release_due(math.inf)
-    assert len(active) == 0 and occupied_slot_count(state) == 0
+    assert len(active.records) == 0 and occupied_slot_count(state) == 0
 
 
 # --- sweeps ---------------------------------------------------------------------
