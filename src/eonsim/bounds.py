@@ -39,7 +39,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .heuristics import HeuristicKind, decide
-from .service import demand_for_path, slots_required
+from .service import demand_for_path
 from .simulator import (
     ActiveLightpaths,
     LoadPoint,
@@ -112,7 +112,7 @@ def defrag_bound_trial(
         path0 = candidates[0]
         slots = demand_for_path(request, path0, table, guard)
         if slots is None:
-            slots = slots_required(request.rate_gbps, table.formats[-1].bits_per_symbol) + guard
+            slots = table._slots[request.rate_gbps, table.formats[-1].bits_per_symbol, guard]
             rank0 = None
         else:
             rank0 = (path0.fiber_ids, slots, run_shifts(slots))

@@ -27,10 +27,9 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 import warnings
-from contextlib import suppress
-from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -108,12 +107,16 @@ def parse_loads(spec: str) -> list[float]:
 
 
 def _out_dir(args) -> Path:
+    """``--out``, once the nearest part of it that exists is a writable directory.
+
+    Nothing is created here: a run makes ``--out`` just before it writes
+    its first artifact, so a run that stops before then leaves nothing.
+    """
     out = Path(args.out)
+    existing = next((d for d in (out, *out.parents) if os.path.lexists(d)), out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
+        with tempfile.TemporaryFile(dir=existing):
+            pass
     except OSError as exc:
         raise CliError(f"output path {out} is not writable: {exc}") from None
     return out
@@ -207,6 +210,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     paths_s = _warm_paths(config.topology, config.k, config.ordering)
     result = sweep(config, loads, jobs=args.jobs)
+    out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(result, out / "trials.csv")
     write_summary_csv(result, out / "summary.csv")
     _write_manifest(out, "sweep", _manifest_args(args))
@@ -230,6 +234,7 @@ def cmd_bound(args) -> int:
     heuristic, bound = bound_sweep(
         config, loads, jobs=args.jobs, record_outcomes=args.record_outcomes
     )
+    out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(heuristic, out / "heuristic_trials.csv")
     write_summary_csv(heuristic, out / "heuristic_summary.csv")
     write_bound_trials_csv(bound, out / "bound_trials.csv")
@@ -271,6 +276,7 @@ def cmd_warmup(args) -> int:
     estimates = [
         estimate_warmup(load, args.trials, seed=args.seed) for load in loads
     ]
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "warmup_points.csv", "w", newline="") as fh:
         fh.write("load_erlangs,trial,truncation_requests\n")
         for est in estimates:
@@ -321,6 +327,7 @@ def cmd_paths(args) -> int:
     started = time.time()
     topology = load_topology(args.topology)
     ordering = PathOrdering(args.ordering)
+    out = _out_dir(args) if args.out else None
     paths_s = _warm_paths(topology, args.k, ordering)
     rows = []
     counts = []
@@ -352,8 +359,8 @@ def cmd_paths(args) -> int:
             f"ordering-unique path fraction (km vs hops): mean {np.mean(overlaps):.1%}, "
             f"max {np.max(overlaps):.1%}"
         )
-    if args.out:
-        out = _out_dir(args)
+    if out:
+        out.mkdir(parents=True, exist_ok=True)
         with open(out / "paths.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["src", "dst", "paths", "best_hops", "best_km"])
@@ -420,6 +427,8 @@ def cmd_rerun(args) -> int:
             f"numpy changed since the recorded run: recorded {recorded_numpy}, "
             f"installed {np.__version__}"
         )
+    if args.out:  # redirect artifacts; --out keeps its place in the stored arguments
+        stored["out"] = args.out
     argv = [sub]
     for key, value in stored.items():
         if value is None or value is False:
@@ -429,13 +438,6 @@ def cmd_rerun(args) -> int:
             argv.append(flag)
         else:
             argv.extend([flag, str(value)])
-    if args.out:
-        # redirect artifacts without touching the stored parameters
-        try:
-            idx = argv.index("--out")
-            argv[idx + 1] = args.out
-        except ValueError:
-            argv.extend(["--out", args.out])
     print(f"rerunning: eonsim {' '.join(argv)}")
     return main(argv)
 
@@ -556,33 +558,19 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _missing_dirs(out: str | None) -> list[Path]:
-    """The directories ``out`` needs that do not exist yet, deepest first."""
-    out = Path(out or ".")
-    return list(takewhile(lambda d: not d.exists(), (out, *out.parents)))
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    made = _missing_dirs(getattr(args, "out", None))
-    status = 1  # an exception neither handler below catches
     try:
         with warnings.catch_warnings():  # one plain line per warning, no source location
             warnings.showwarning = _print_warning
-            status = args.func(args)
+            return args.func(args)
     except (CliError, PresetError, TopologyError, TrafficConfigError, SimConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        status = 2
+        return 2
     except (CrossingNotBracketedError, OSError, MemoryError) as exc:  # failed while running
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        status = 3
-    finally:
-        if status:  # remove the --out directories this run made, unless it wrote into them
-            with suppress(OSError):  # stops at the first one written into, or never made
-                for d in made:
-                    d.rmdir()
-    return status
+        return 3
 
 
 if __name__ == "__main__":

@@ -48,6 +48,8 @@ class ModulationTable:
                 )
         if not all(0 < f.max_reach_km < math.inf for f in rows):
             raise ValueError("reaches must be positive and finite")
+        if rows[-1].bits_per_symbol < 1:
+            raise ValueError(f"bits_per_symbol must be >= 1, got {rows[-1].bits_per_symbol}")
         self.formats: tuple[ModulationFormat, ...] = tuple(rows)
         # compiled lookups: path length -> format, and
         # (rate, bits per symbol, guard slots) -> slots

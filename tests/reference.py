@@ -295,6 +295,35 @@ def kaufman_roberts(n, loads):
     return {b: sum(q[n - b + 1 :]) / total for b in loads}
 
 
+def product_form_sbp(route_fibers, load):
+    """Exact SBP of a loss network with one slot per fiber and one route per request class.
+
+    ``route_fibers`` holds each route's fiber ids; requests are spread
+    uniformly over the routes, ``load`` Erlangs in all.  With unit
+    capacities a state is a set S of routes whose fibers are pairwise
+    disjoint, and its stationary probability is proportional to rho^|S|,
+    rho being one route's load (Kelly 1991).  A route blocks in every
+    state that uses one of its fibers; the SBP is the mean of the
+    routes' blocking probabilities.
+    """
+    fibers = [frozenset(f) for f in route_fibers]
+    rho = load / len(fibers)
+    states = []  # (number of routes, fibers in use) of every feasible set of routes
+
+    def visit(first, n_routes, used):
+        states.append((n_routes, used))
+        for r in range(first, len(fibers)):
+            if not fibers[r] & used:
+                visit(r + 1, n_routes + 1, used | fibers[r])
+
+    visit(0, 0, frozenset())
+    total = sum(rho**n for n, _ in states)
+    blocking = [
+        1 - sum(rho**n for n, used in states if not route & used) / total for route in fibers
+    ]
+    return sum(blocking) / len(blocking)
+
+
 def dominance_gap(heuristic_point, bound_point):
     """Mean and standard error of paired per-seed SBP differences.
 

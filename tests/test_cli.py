@@ -6,6 +6,7 @@ import os
 import re
 import resource
 import shlex
+import signal
 import string
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import pytest
 from eonsim import bounds, cli, simulator
 from eonsim.cli import CliError, build_parser, main, parse_loads
 from eonsim.presets import PRESETS, get_preset
+from eonsim.topology import Topology
 from eonsim.traffic import HOLDING_TIME_MEAN
 
 
@@ -638,6 +640,70 @@ def test_a_stream_that_cannot_be_allocated_exits_3_with_one_line(
         assert list(tmp_path.iterdir()) == []
 
 
+# ``eonsim`` that prints "trial" as each trial starts, so a test can stop a run mid-sweep.
+ANNOUNCING_MAIN = """
+import sys
+from eonsim import cli, simulator
+generate_stream = simulator.generate_stream
+def announce(*args, **kwargs):
+    print("trial", flush=True)
+    return generate_stream(*args, **kwargs)
+simulator.generate_stream = announce
+sys.exit(cli.main())
+"""
+
+
+@pytest.mark.parametrize("sub", ["sweep", "bound"])
+def test_a_run_stopped_by_sigterm_leaves_no_out(tmp_path, sub):
+    """A signal ends the process before any clean-up could run, so a run
+    that has written nothing must not have made --out either."""
+    out = tmp_path / "runs" / "run"
+    with subprocess.Popen(
+        [sys.executable, "-c", ANNOUNCING_MAIN, sub, "--preset", "deeprmsa",
+         "--topology", "nsfnet", "--k", "2", "--loads", "100:1000:100", "--trials", "2",
+         "--warmup", "10", "--measured", "200000", "--jobs", "1", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        try:
+            assert proc.stdout.readline() == "trial\n", proc.stderr.read()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == -signal.SIGTERM
+        finally:
+            proc.kill()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 300 --trials 1 --jobs 1",
+        "bound --preset deeprmsa --topology nsfnet --k 2 --loads 200,300 --trials 1 --jobs 1",
+        "warmup --loads 100 --trials 2",
+        "paths --topology nsfnet --k 2",
+    ],
+)
+@pytest.mark.parametrize("blocker", ["file", "broken-link"])
+@pytest.mark.parametrize("below", ["", "runs/run"])
+def test_an_out_that_cannot_be_a_directory_exits_2_before_any_computation(
+    tmp_path, capsys, monkeypatch, argv, blocker, below
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a trial or path computation ran")
+
+    for owner, name in [(simulator, "run_stream"), (bounds, "run_stream"),
+                        (cli, "estimate_warmup"), (Topology, "warm_path_cache"),
+                        (Topology, "candidate_paths")]:
+        monkeypatch.setattr(owner, name, no_work)
+    blocked = tmp_path / blocker
+    if blocker == "file":
+        blocked.write_text("")
+    else:
+        blocked.symlink_to(tmp_path / "nowhere")
+    assert run(f"{argv} --out {blocked / below}".split()) == 2
+    assert "is not writable" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [blocked]
+
 
 BAD_MODULATION_FILES = {
     "invalid.json": "{not json",
@@ -659,6 +725,14 @@ BAD_MODULATION_FILES = {
     ),
     "boolean-reach.json": (
         '{"formats": [{"name": "lone", "bits_per_symbol": 2, "max_reach_km": true}]}'
+    ),
+    # integers, but no slot count follows from them
+    "zero-bits.json": (
+        '{"formats": [{"name": "lone", "bits_per_symbol": 0, "max_reach_km": 9000}]}'
+    ),
+    "negative-bits.json": (
+        '{"formats": [{"name": "X", "bits_per_symbol": 2, "max_reach_km": 1000},'
+        ' {"name": "Y", "bits_per_symbol": -1, "max_reach_km": 9000}]}'
     ),
     # an integer past the float range
     "huge-reach.json": (

@@ -14,6 +14,10 @@ blocking probability:
   recursion.  An online first-fit policy fragments the spectrum and
   blocks measurably more.
 
+Across several links, with one slot per fiber and one route per node
+pair (k=1), the network is a product-form loss network whose SBP
+follows from enumerating the sets of routes with disjoint fibers.
+
 The seeds, trial counts and the tolerance in standard errors are fixed
 here once; they are not tuned to make a run pass.
 """
@@ -26,7 +30,13 @@ from eonsim.heuristics import HeuristicKind
 from eonsim.simulator import SimConfig, sweep
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import TrafficConfig
-from reference import TRUNCATED_MEAN_ANALYTIC, erlang_b, kaufman_roberts
+from reference import (
+    TRUNCATED_MEAN_ANALYTIC,
+    erlang_b,
+    kaufman_roberts,
+    product_form_sbp,
+    reference_k_shortest_paths,
+)
 
 N_SLOTS = 20
 TRIALS = 8
@@ -41,6 +51,14 @@ def link_point(kind, load, slot_choices, trial_runner=None, truncate_holding=Fal
     topology = Topology(
         "link", ["A", "B"], [("A", "B", 100)], slots_per_fiber=N_SLOTS, fiber_mode="single"
     )
+    return swept_point(topology, kind, load, slot_choices, trial_runner, truncate_holding)
+
+
+def swept_point(
+    topology, kind, load, slot_choices, trial_runner=None, truncate_holding=False,
+    trials=TRIALS, base_seed=0,
+):
+    """One swept load on ``topology``, with k=1 and fixed-width demands."""
     config = SimConfig(
         topology=topology,
         heuristic=kind,
@@ -52,8 +70,8 @@ def link_point(kind, load, slot_choices, trial_runner=None, truncate_holding=Fal
         ),
         warmup_requests=WARMUP,
         measured_requests=MEASURED,
-        trials=TRIALS,
-        base_seed=0,
+        trials=trials,
+        base_seed=base_seed,
     )
     hooks = {} if trial_runner is None else {"trial_runner": trial_runner}
     # results do not depend on jobs, so two processes only halve the wait
@@ -97,3 +115,26 @@ def test_bound_blocks_as_kaufman_roberts_and_first_fit_does_not():
     assert abs(bound.mean_sbp - expected) <= TOLERANCE_SE * standard_error(bound)
     first_fit = link_point(HeuristicKind.KSP_FF, load, sizes)
     assert first_fit.mean_sbp - expected > TOLERANCE_SE * standard_error(first_fit)
+
+
+@pytest.mark.parametrize("fiber_mode,expected", [("single", 0.43182), ("dual", 0.28806)])
+def test_ring_with_one_slot_per_fiber_blocks_as_its_product_form(fiber_mode, expected):
+    """A 4-node ring of three 100 km links and one 250 km link, 1 slot per
+    fiber, k=1: each ordered pair has one route, taken from the reference
+    KSP.  Seeds 2000-2015 were fixed before the first run."""
+    topology = Topology(
+        "ring", ["A", "B", "C", "D"],
+        [("A", "B", 100), ("B", "C", 100), ("C", "D", 100), ("D", "A", 250)],
+        slots_per_fiber=1, fiber_mode=fiber_mode,
+    )
+    routes = [
+        reference_k_shortest_paths(topology, src, dst, 1, PathOrdering.HOPS_THEN_KM)[0].fiber_ids
+        for src in topology.nodes
+        for dst in topology.nodes
+        if src != dst
+    ]
+    load = 2.0
+    exact = product_form_sbp(routes, load)
+    assert round(exact, 5) == expected
+    point = swept_point(topology, HeuristicKind.KSP_FF, load, (1,), trials=16, base_seed=2000)
+    assert abs(point.mean_sbp - exact) <= TOLERANCE_SE * standard_error(point)

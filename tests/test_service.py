@@ -66,6 +66,10 @@ def test_table_validation():
         )
     with pytest.raises(ValueError, match="positive"):
         ModulationTable([ModulationFormat("a", 1, -5)])
+    # a slot at 0 bits per symbol carries nothing: refused when the table is built,
+    # not at the first rate request's demand
+    with pytest.raises(ValueError, match="bits_per_symbol"):
+        ModulationTable([ModulationFormat("a", 0, 9000), ModulationFormat("b", 2, 1000)])
 
 
 def test_table_roundtrip_json(tmp_path):
