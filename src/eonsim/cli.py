@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -46,6 +47,7 @@ from .bounds import (
 )
 from .heuristics import HeuristicKind
 from .presets import PRESETS, PresetError, get_preset
+from .service import ModulationTable
 from .simulator import (
     SimConfigError,
     check_loads,
@@ -132,19 +134,18 @@ def _input_hashes(manifest_args: dict) -> dict:
     return hashes
 
 
-def _write_manifest(out: Path, subcommand: str, manifest_args: dict) -> None:
+def _write_records(out: Path, args, started: float, paths_s: float | None = None) -> None:
+    """``manifest.json``, holding every option of ``args.command``, then ``run_meta.json``."""
+    stored = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     doc = {
         "tool": "eonsim",
         "version": __version__,
         "numpy_version": np.__version__,
-        "subcommand": subcommand,
-        "args": manifest_args,
-        "input_sha256": _input_hashes(manifest_args),
+        "subcommand": args.command,
+        "args": stored,
+        "input_sha256": _input_hashes(stored),
     }
     (out / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_meta(out: Path, started: float, paths_s: float | None = None) -> None:
     finished = time.time()
     doc = {
         "started_unix": started,
@@ -156,34 +157,12 @@ def _write_meta(out: Path, started: float, paths_s: float | None = None) -> None
     (out / "run_meta.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _sim_config(args, preset, topology, load0: float):
-    overrides = dict(
-        warmup_requests=args.warmup,
-        measured_requests=args.measured,
-        trials=args.trials,
-        base_seed=args.seed,
-        guard_slots=args.guard_slots,
-    )
-    if args.modulation_file:
-        from .service import ModulationTable
-
-        try:
-            overrides["modulation"] = ModulationTable.from_json(args.modulation_file)
-        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CliError(f"bad --modulation-file {args.modulation_file}: {exc!r}") from None
-    return preset.sim_config(
-        topology,
-        HeuristicKind.from_name(args.heuristic),
-        args.k,
-        PathOrdering(args.ordering),
-        load0,
-        **overrides,
-    )
-
-
-def _manifest_args(args) -> dict:
-    """Every parsed option of the subcommand, as ``rerun`` replays it."""
-    return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A table of the CLI's own, each row ending in a bare newline."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _warm_paths(topology, k: int, ordering: PathOrdering) -> float:
@@ -201,7 +180,26 @@ def _run_config(args):
     )
     loads = parse_loads(args.loads)
     check_loads(loads)
-    return _sim_config(args, preset, topology, loads[0]), loads
+    overrides = {}
+    if args.modulation_file:
+        try:
+            overrides["modulation"] = ModulationTable.from_json(args.modulation_file)
+        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CliError(f"bad --modulation-file {args.modulation_file}: {exc!r}") from None
+    config = preset.sim_config(
+        topology,
+        HeuristicKind.from_name(args.heuristic),
+        args.k,
+        PathOrdering(args.ordering),
+        loads[0],
+        warmup_requests=args.warmup,
+        measured_requests=args.measured,
+        trials=args.trials,
+        base_seed=args.seed,
+        guard_slots=args.guard_slots,
+        **overrides,
+    )
+    return config, loads
 
 
 def cmd_sweep(args) -> int:
@@ -213,8 +211,7 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(result, out / "trials.csv")
     write_summary_csv(result, out / "summary.csv")
-    _write_manifest(out, "sweep", _manifest_args(args))
-    _write_meta(out, started, paths_s)
+    _write_records(out, args, started, paths_s)
     for p in result.points:
         std = "n/a" if math.isnan(p.std_sbp) else f"{p.std_sbp:.2g}"  # one trial: undefined
         print(
@@ -241,10 +238,7 @@ def cmd_bound(args) -> int:
     write_summary_csv(bound, out / "bound_summary.csv")
     if args.record_outcomes:
         write_outcomes_csv(bound, out / "outcomes.csv")
-
-    _write_manifest(out, "bound", _manifest_args(args))
-    _write_meta(out, started, paths_s)
-
+    _write_records(out, args, started, paths_s)
     for hp, bp in zip(heuristic.points, bound.points):
         print(
             f"load {hp.load_erlangs:g}: heuristic SBP {hp.mean_sbp:.4g}, "
@@ -277,18 +271,12 @@ def cmd_warmup(args) -> int:
         estimate_warmup(load, args.trials, seed=args.seed) for load in loads
     ]
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "warmup_points.csv", "w", newline="") as fh:
-        fh.write("load_erlangs,trial,truncation_requests\n")
-        for est in estimates:
-            for i, p in enumerate(est.truncation_points):
-                fh.write(f"{est.load_erlangs:.12g},{i},{p}\n")
-    with open(out / "warmup_summary.csv", "w", newline="") as fh:
-        fh.write("load_erlangs,q1,median,q3,whisker_max\n")
-        for est in estimates:
-            fh.write(
-                f"{est.load_erlangs:.12g},{est.q1:.12g},{est.median:.12g},"
-                f"{est.q3:.12g},{est.whisker_max:.12g}\n"
-            )
+    _write_csv(out / "warmup_points.csv", ["load_erlangs", "trial", "truncation_requests"],
+               ((f"{est.load_erlangs:.12g}", i, p)
+                for est in estimates for i, p in enumerate(est.truncation_points)))
+    fields = ["load_erlangs", "q1", "median", "q3", "whisker_max"]  # WarmupEstimate attributes
+    _write_csv(out / "warmup_summary.csv", fields,
+               ([f"{getattr(est, name):.12g}" for name in fields] for est in estimates))
     slope, intercept = (math.nan, math.nan)
     if len(estimates) >= 2:
         slope, intercept = warmup_slope(estimates)
@@ -296,8 +284,7 @@ def cmd_warmup(args) -> int:
             json.dumps({"slope": round(slope, 6), "intercept": round(intercept, 6)}, indent=2)
             + "\n"
         )
-    _write_manifest(out, "warmup", _manifest_args(args))
-    _write_meta(out, started)
+    _write_records(out, args, started)
     for est in estimates:
         print(
             f"load {est.load_erlangs:g}: median {est.median:g}, "
@@ -330,22 +317,18 @@ def cmd_paths(args) -> int:
     out = _out_dir(args) if args.out else None
     paths_s = _warm_paths(topology, args.k, ordering)
     rows = []
-    counts = []
     overlaps = []
     hops, kms = [], []
-    for src in topology.nodes:
-        for dst in topology.nodes:
-            if src == dst:
-                continue
-            paths = topology.candidate_paths(src, dst, args.k, ordering)
-            counts.append(len(paths))
-            hops.extend(p.hop_count for p in paths)
-            kms.extend(p.length_km for p in paths)
-            if args.diagnose_orderings:
-                overlaps.append(ordering_overlap(topology, src, dst, args.k))
-            rows.append((src, dst, len(paths), paths[0].hop_count if paths else 0,
-                         paths[0].length_km if paths else 0.0))
-    n_pairs = len(counts)
+    for src, dst in itertools.permutations(topology.nodes, 2):
+        paths = topology.candidate_paths(src, dst, args.k, ordering)
+        hops.extend(p.hop_count for p in paths)
+        kms.extend(p.length_km for p in paths)
+        if args.diagnose_orderings:
+            overlaps.append(ordering_overlap(topology, src, dst, args.k))
+        rows.append((src, dst, len(paths), paths[0].hop_count if paths else 0,
+                     paths[0].length_km if paths else 0.0))
+    counts = [n for _src, _dst, n, _hops, _km in rows]
+    n_pairs = len(rows)
     full = sum(1 for c in counts if c >= args.k)
     print(f"topology {topology.name}: {n_pairs} ordered pairs, k={args.k}, ordering={args.ordering}")
     print(f"pairs with k paths: {full}/{n_pairs}; min paths {min(counts)}, mean {np.mean(counts):.1f}")
@@ -361,12 +344,9 @@ def cmd_paths(args) -> int:
         )
     if out:
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "paths.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["src", "dst", "paths", "best_hops", "best_km"])
-            writer.writerows((src, dst, n, hops, f"{km:.12g}") for src, dst, n, hops, km in rows)
-        _write_manifest(out, "paths", _manifest_args(args))
-        _write_meta(out, started, paths_s)
+        _write_csv(out / "paths.csv", ["src", "dst", "paths", "best_hops", "best_km"],
+                   ((src, dst, n, hops, f"{km:.12g}") for src, dst, n, hops, km in rows))
+        _write_records(out, args, started, paths_s)
         print(f"wrote {out / 'paths.csv'}")
     return 0
 

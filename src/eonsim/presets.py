@@ -58,14 +58,6 @@ class ExperimentPreset:
             fiber_mode=self.fiber_mode if fiber_mode is None else fiber_mode,
         )
 
-    def traffic_config(self, load_erlangs: float) -> TrafficConfig:
-        return TrafficConfig(
-            load_erlangs,
-            rate_gbps_range=self.rate_gbps_range,
-            fixed_slot_choices=self.fixed_slot_choices,
-            truncate_holding=self.truncate_holding,
-        )
-
     def sim_config(
         self,
         topology: Topology,
@@ -83,7 +75,12 @@ class ExperimentPreset:
             heuristic=heuristic,
             k=k,
             ordering=ordering,
-            traffic=self.traffic_config(load_erlangs),
+            traffic=TrafficConfig(
+                load_erlangs,
+                rate_gbps_range=self.rate_gbps_range,
+                fixed_slot_choices=self.fixed_slot_choices,
+                truncate_holding=self.truncate_holding,
+            ),
             modulation=modulation,
             **overrides,
         )

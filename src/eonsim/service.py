@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -50,6 +51,8 @@ class ModulationTable:
             raise ValueError("reaches must be positive and finite")
         if rows[-1].bits_per_symbol < 1:
             raise ValueError(f"bits_per_symbol must be >= 1, got {rows[-1].bits_per_symbol}")
+        if rows[0].bits_per_symbol > sys.float_info.max:  # demand divides a float by it
+            raise ValueError(f"bits_per_symbol must be at most {sys.float_info.max:g}")
         self.formats: tuple[ModulationFormat, ...] = tuple(rows)
         # compiled lookups: path length -> format, and
         # (rate, bits per symbol, guard slots) -> slots

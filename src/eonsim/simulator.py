@@ -119,16 +119,13 @@ class ActiveLightpaths:
         self.records[request.id] = (fiber_ids, block, entry)
         heapq.heappush(self.expiries, (request.expiry_time, request.id))
 
-    def release_due(self, now: float) -> int:
+    def release_due(self, now: float) -> None:
         """Release every lightpath with expiry strictly before ``now``."""
-        released = 0
         heap, records, release = self.expiries, self.records, self._state.release
         while heap and heap[0][0] < now:
             _expiry, req_id = heapq.heappop(heap)
             fiber_ids, block, _entry = records.pop(req_id)
             release(fiber_ids, block)
-            released += 1
-        return released
 
     def adopt_rebuild(
         self, state: SpectrumState, records: dict[int, tuple], request: ServiceRequest
@@ -411,9 +408,15 @@ MAX_WARMUP_REQUESTS = 10_000_000
 def nonblocking_active_series(
     load_erlangs: float, n_requests: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Active-connection count after each arrival when nothing blocks."""
+    """Active-connection count after each arrival when nothing blocks.
+
+    :class:`SimConfigError` when an arrival time is past any float.
+    """
     lam = load_erlangs / HOLDING_TIME_MEAN
-    arrivals = np.cumsum(rng.exponential(1.0 / lam, n_requests))
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        arrivals = np.cumsum(rng.exponential(1.0 / lam, n_requests))
+    if not math.isfinite(arrivals[-1]):
+        raise SimConfigError(f"load {load_erlangs} gives arrival times past any float")
     expiries = arrivals + rng.exponential(HOLDING_TIME_MEAN, n_requests)
     departed = np.searchsorted(np.sort(expiries), arrivals, side="left")
     return np.arange(1, n_requests + 1) - departed
@@ -442,10 +445,13 @@ def mser5_truncation(series: Sequence[float]) -> int:
 
 
 def warmup_horizon(load_erlangs: float) -> int:
-    """Requests ``estimate_warmup`` simulates per trial at a finite load > 0,
-    at most :data:`MAX_WARMUP_REQUESTS`; :class:`SimConfigError` otherwise."""
+    """Requests ``estimate_warmup`` simulates per trial at a finite load > 0 whose
+    arrival rate is not 0, at most :data:`MAX_WARMUP_REQUESTS`;
+    :class:`SimConfigError` otherwise."""
     if not (math.isfinite(load_erlangs) and load_erlangs > 0):
         raise SimConfigError(f"load must be finite and > 0, got {load_erlangs}")
+    if load_erlangs / HOLDING_TIME_MEAN == 0:
+        raise SimConfigError(f"load {load_erlangs} gives an arrival rate of 0")
     if WARMUP_HORIZON_FACTOR * load_erlangs > MAX_WARMUP_REQUESTS:
         raise SimConfigError(
             f"load {load_erlangs:g} needs more than {MAX_WARMUP_REQUESTS} requests "

@@ -53,6 +53,8 @@ class TrafficConfig:
     def __post_init__(self):
         if not (math.isfinite(self.load_erlangs) and self.load_erlangs > 0):
             raise TrafficConfigError(f"load must be finite and > 0, got {self.load_erlangs}")
+        if self.arrival_rate == 0:
+            raise TrafficConfigError(f"load {self.load_erlangs} gives an arrival rate of 0")
         if (self.rate_gbps_range is None) == (self.fixed_slot_choices is None):
             raise TrafficConfigError(
                 "exactly one of rate_gbps_range / fixed_slot_choices must be set"
@@ -158,14 +160,20 @@ def generate_stream(
     nodes: Sequence[str],
     seed: int,
 ) -> RequestStream:
-    """Generate ``n_requests`` requests, fully determined by the seed."""
+    """Generate ``n_requests`` requests, fully determined by the seed.
+
+    :class:`TrafficConfigError` when an arrival time is past any float.
+    """
     if n_requests < 1:
         raise TrafficConfigError(f"n_requests must be >= 1, got {n_requests}")
     if len(nodes) < 2:
         raise TrafficConfigError("need at least 2 nodes to draw src/dst pairs")
 
     arr_rng, hold_rng, demand_rng, pair_rng = _substreams(seed)
-    arrivals = np.cumsum(arr_rng.exponential(1.0 / config.arrival_rate, n_requests))
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        arrivals = np.cumsum(arr_rng.exponential(1.0 / config.arrival_rate, n_requests))
+    if not math.isfinite(arrivals[-1]):
+        raise TrafficConfigError(f"load {config.load_erlangs} gives arrival times past any float")
     holdings = sample_holding_times(
         HOLDING_TIME_MEAN, config.truncate_holding, hold_rng, n_requests
     )

@@ -569,3 +569,70 @@ def reference_trial(kind, stream, candidates_of, n_fibers, n_slots, formats, wid
         placements = {rid: (fiber_ids, start, size) for rid, (_r, fiber_ids, start, size) in active.items()}
         events.append((outcome, [row[:] for row in grids], placements))
     return events
+
+
+def markov_sbp(kind, topology, k, slot_choices, load):
+    """Exact SBP of online policy ``kind`` on a tiny network, from its Markov chain.
+
+    With Poisson arrivals and exponential holding times of mean 10, the
+    set of active ``(fiber_ids, start, size)`` lightpaths is a
+    continuous-time Markov chain.  Arrivals come at ``load / 10``, spread
+    evenly over the ordered node pairs and the slot choices; each one is
+    placed by ``reference_decision`` on its ``k`` hops-ordered reference
+    candidates, or blocked.  Each lightpath departs at rate 1 / 10.
+    States are explored breadth-first from the empty network.  The
+    stationary distribution comes from power iteration on the chain
+    uniformized at twice its largest out-rate, so every state keeps a
+    self-loop; it stops once an L1 step is below 1e-13.  Arrivals see
+    time averages, so the SBP is the stationary mean of the share of
+    arrival classes a state blocks.
+    """
+    mean = 10.0
+    classes = [
+        (ServiceRequest(0, src, dst, 0.0, mean, slots=size),
+         reference_k_shortest_paths(topology, src, dst, k, PathOrdering.HOPS_THEN_KM))
+        for src in topology.nodes
+        for dst in topology.nodes
+        if src != dst
+        for size in slot_choices
+    ]
+    class_rate = load / mean / len(classes)
+    states = [frozenset()]
+    index = {states[0]: 0}
+    sources, targets, rates, blocked_share = [], [], [], []
+    for i, state in enumerate(states):  # the list grows as states are found
+        grids = [[False] * topology.slots_per_fiber for _ in range(topology.num_fibers)]
+        for fiber_ids, start, size in state:
+            for f in fiber_ids:
+                for s in range(start, start + size):
+                    grids[f][s] = True
+        moves = [(state - {lightpath}, 1.0 / mean) for lightpath in state]
+        blocked = 0
+        for request, candidates in classes:
+            choice = reference_decision(kind, request, candidates, grids, (), 12.5, 0)
+            if choice is None:
+                blocked += 1
+            else:
+                path, start, size = choice
+                moves.append((state | {(path.fiber_ids, start, size)}, class_rate))
+        blocked_share.append(blocked / len(classes))
+        for target, rate in moves:
+            if target not in index:
+                index[target] = len(states)
+                states.append(target)
+            sources.append(i)
+            targets.append(index[target])
+            rates.append(rate)
+
+    n = len(states)
+    sources, targets, rates = np.array(sources), np.array(targets), np.array(rates)
+    out_rate = np.bincount(sources, weights=rates, minlength=n)
+    uniform = 2.0 * out_rate.max()
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    while True:
+        inflow = np.bincount(targets, weights=pi[sources] * rates, minlength=n)
+        step = (inflow - pi * out_rate) / uniform
+        pi += step
+        if np.abs(step).sum() < 1e-13:
+            return float(pi @ np.array(blocked_share))

@@ -738,6 +738,9 @@ BAD_MODULATION_FILES = {
     "huge-reach.json": (
         '{"formats": [{"name": "lone", "bits_per_symbol": 2, "max_reach_km": 1%s}]}' % ("0" * 400)
     ),
+    "huge-bits.json": (
+        '{"formats": [{"name": "lone", "bits_per_symbol": 1%s, "max_reach_km": 9000}]}' % ("0" * 400)
+    ),
 }
 
 
@@ -781,6 +784,12 @@ def exit_code(argv):
         "sweep --preset deeprmsa --topology nsfnet --loads 100,inf --trials 1 --jobs 1",
         "sweep --preset deeprmsa --topology nsfnet --loads nan,100 --trials 1 --jobs 1",
         "warmup --loads nan",
+        # a load over the mean holding time that rounds to 0, and one whose arrival
+        # times overflow: neither gives a finite arrival time
+        "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 5e-324 --trials 1 --jobs 1",
+        "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 1e-310 --trials 1 --jobs 1",
+        "warmup --loads 5e-324",
+        "warmup --loads 1e-310",
         # a horizon of 1.6e301 requests per trial cannot be allocated
         "warmup --loads 1e300",
         # one rule for every subcommand: loads strictly increase, so a fit sees distinct loads
@@ -955,7 +964,8 @@ def test_run_meta_records_path_set_up_seconds(tmp_path, argv, code):
 def test_run_meta_reads_the_clock_once(tmp_path, monkeypatch):
     ticks = iter([100.0, 101.25, 102.5])
     monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: next(ticks)))
-    cli._write_meta(tmp_path, 99.0)
+    args = build_parser().parse_args(["warmup", "--loads", "100", "--out", str(tmp_path)])
+    cli._write_records(tmp_path, args, 99.0)
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert meta["finished_unix"] == 100.0
     assert meta["duration_s"] == round(meta["finished_unix"] - meta["started_unix"], 3)

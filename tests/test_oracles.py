@@ -18,9 +18,13 @@ Across several links, with one slot per fiber and one route per node
 pair (k=1), the network is a product-form loss network whose SBP
 follows from enumerating the sets of routes with disjoint fibers.
 
+On a network small enough to list every set of active lightpaths, each
+online policy's SBP is exact from the Markov chain over those sets.
+
 The seeds, trial counts and the tolerance in standard errors are fixed
 here once; they are not tuned to make a run pass.
 """
+import functools
 import math
 
 import pytest
@@ -34,6 +38,7 @@ from reference import (
     TRUNCATED_MEAN_ANALYTIC,
     erlang_b,
     kaufman_roberts,
+    markov_sbp,
     product_form_sbp,
     reference_k_shortest_paths,
 )
@@ -56,13 +61,13 @@ def link_point(kind, load, slot_choices, trial_runner=None, truncate_holding=Fal
 
 def swept_point(
     topology, kind, load, slot_choices, trial_runner=None, truncate_holding=False,
-    trials=TRIALS, base_seed=0,
+    trials=TRIALS, base_seed=0, k=1,
 ):
-    """One swept load on ``topology``, with k=1 and fixed-width demands."""
+    """One swept load on ``topology``, with ``k`` candidates and fixed-width demands."""
     config = SimConfig(
         topology=topology,
         heuristic=kind,
-        k=1,
+        k=k,
         ordering=PathOrdering.HOPS_THEN_KM,
         traffic=TrafficConfig(
             load, rate_gbps_range=None, fixed_slot_choices=slot_choices,
@@ -137,4 +142,55 @@ def test_ring_with_one_slot_per_fiber_blocks_as_its_product_form(fiber_mode, exp
     exact = product_form_sbp(routes, load)
     assert round(exact, 5) == expected
     point = swept_point(topology, HeuristicKind.KSP_FF, load, (1,), trials=16, base_seed=2000)
+    assert abs(point.mean_sbp - exact) <= TOLERANCE_SE * standard_error(point)
+
+
+#: Single-fiber networks for the Markov-chain oracle, at 2 E with demands of 1 or 2
+#: slots: name -> (topology, k, first of 16 seeds, {policy: exact SBP to 5 decimals}).
+#: The seeds were fixed before the first run.
+MARKOV_CASES = {
+    "triangle": (
+        Topology(
+            "triangle", ["A", "B", "C"], [("A", "B", 100), ("B", "C", 100), ("A", "C", 250)],
+            slots_per_fiber=3, fiber_mode="single",
+        ),
+        2,
+        4000,
+        {"ksp-ff": 0.13206, "ksp-bf": 0.13206, "kme-ff": 0.13879, "ff-ksp": 0.14825,
+         "kca-ff": 0.14938, "bf-ksp": 0.17967},
+    ),
+    "line": (
+        Topology(
+            "line", ["A", "B", "C"], [("A", "B", 100), ("B", "C", 100)],
+            slots_per_fiber=4, fiber_mode="single",
+        ),
+        1,
+        5000,
+        {"ksp-ff": 0.21401, "ksp-bf": 0.21243},
+    ),
+}
+MARKOV_LOAD, MARKOV_SLOTS = 2.0, (1, 2)
+MARKOV_POLICIES = [(case, kind) for case, spec in MARKOV_CASES.items() for kind in spec[3]]
+
+
+@functools.cache
+def markov_exact(case, kind):
+    """The chain's SBP, solved once per module run."""
+    topology, k, _seed, _sbps = MARKOV_CASES[case]
+    return markov_sbp(kind, topology, k, MARKOV_SLOTS, MARKOV_LOAD)
+
+
+@pytest.mark.parametrize("case,kind", MARKOV_POLICIES)
+def test_markov_chain_gives_the_exact_sbp(case, kind):
+    assert round(markov_exact(case, kind), 5) == MARKOV_CASES[case][3][kind]
+
+
+@pytest.mark.parametrize("case,kind", MARKOV_POLICIES)
+def test_online_policy_blocks_as_its_markov_chain(case, kind):
+    topology, k, base_seed, _sbps = MARKOV_CASES[case]
+    point = swept_point(
+        topology, HeuristicKind(kind), MARKOV_LOAD, MARKOV_SLOTS, trials=16,
+        base_seed=base_seed, k=k,
+    )
+    exact = markov_exact(case, kind)
     assert abs(point.mean_sbp - exact) <= TOLERANCE_SE * standard_error(point)

@@ -70,6 +70,9 @@ def test_table_validation():
     # not at the first rate request's demand
     with pytest.raises(ValueError, match="bits_per_symbol"):
         ModulationTable([ModulationFormat("a", 0, 9000), ModulationFormat("b", 2, 1000)])
+    # no float holds it, so no demand could divide by it
+    with pytest.raises(ValueError, match="bits_per_symbol"):
+        ModulationTable([ModulationFormat("a", 1, 9000), ModulationFormat("b", 10**400, 1000)])
 
 
 def test_table_roundtrip_json(tmp_path):

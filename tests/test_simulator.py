@@ -701,6 +701,12 @@ def test_estimate_warmup_rejects_a_load_that_is_not_finite_and_positive(load):
         estimate_warmup(load, trials=2)
 
 
+@pytest.mark.parametrize("load,reason", [(5e-324, "arrival rate of 0"), (1e-310, "arrival times")])
+def test_estimate_warmup_rejects_a_load_without_finite_arrival_times(load, reason):
+    with pytest.raises(SimConfigError, match=reason):
+        estimate_warmup(load, trials=2)
+
+
 def test_estimate_warmup_rejects_a_horizon_above_the_cap():
     with pytest.raises(SimConfigError, match="warm-up trial"):
         estimate_warmup(1e300, trials=1)

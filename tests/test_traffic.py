@@ -54,6 +54,14 @@ def test_positive_parameters_required():
         config(load_erlangs=-1.0)
 
 
+def test_a_load_without_finite_arrival_times_is_rejected():
+    # 5e-324 / 10 rounds to 0; 1e-310 / 10 does not, but its mean gap 10 / 1e-310 overflows
+    with pytest.raises(TrafficConfigError, match="arrival rate of 0"):
+        config(load_erlangs=5e-324)
+    with pytest.raises(TrafficConfigError, match="arrival times"):
+        generate_stream(config(load_erlangs=1e-310), 10, NODES, 0)
+
+
 @pytest.mark.parametrize("load", [math.nan, math.inf, -math.inf])
 def test_non_finite_load_rejected_on_every_path(load):
     with pytest.raises(TrafficConfigError, match="finite"):
