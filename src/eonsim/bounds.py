@@ -159,10 +159,10 @@ def _rebuild(
 
     Each request first runs ``first_fit`` on its rank-0 candidate with
     the entry's precompiled fibers and shifts.  Under ksp-ff any fit
-    there is the decision; under ff-ksp only a fit at slot 0 is, since a
-    later candidate may start lower.  Every other request gets the inner
-    heuristic's ``decide``, so each block is the one ``decide`` would
-    choose, and one loop places it.
+    there is ``decide``'s placement; under ff-ksp only a fit at slot 0
+    is, since a later candidate may start lower.  Every other request
+    takes the (fiber ids, slot block) pair the inner heuristic's
+    ``decide`` returns, and one loop places either.
     """
     temp = SpectrumState.for_topology(config.topology)
     occ, full = temp.occ, temp.full_mask
@@ -180,10 +180,10 @@ def _rebuild(
         if 0 <= start < rank0_limit:
             block = slot_block(start, demand)
         else:
-            decision = decide(kind, request, candidates, temp, table, guard)
-            if decision is None:
+            placement = decide(kind, request, candidates, temp, table, guard)
+            if placement is None:
                 return None
-            fiber_ids, block = decision.path.fiber_ids, decision.block
+            fiber_ids, block = placement
         mask = block.mask
         for f in fiber_ids:  # the block is free on every fiber
             occ[f] |= mask

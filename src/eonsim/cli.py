@@ -207,7 +207,10 @@ def cmd_sweep(args) -> int:
     config, loads = _run_config(args)
     out = _out_dir(args)
     paths_s = _warm_paths(config.topology, config.k, config.ordering)
-    result = sweep(config, loads, jobs=args.jobs)
+    try:
+        result = sweep(config, loads, jobs=args.jobs)
+    except TrafficConfigError as exc:  # only drawing arrivals shows that they overflow
+        raise CliError(f"bad --loads {args.loads!r}: {exc}") from None
     out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(result, out / "trials.csv")
     write_summary_csv(result, out / "summary.csv")
@@ -228,9 +231,12 @@ def cmd_bound(args) -> int:
     require_inner_heuristic(config)
     out = _out_dir(args)
     paths_s = _warm_paths(config.topology, config.k, config.ordering)
-    heuristic, bound = bound_sweep(
-        config, loads, jobs=args.jobs, record_outcomes=args.record_outcomes
-    )
+    try:
+        heuristic, bound = bound_sweep(
+            config, loads, jobs=args.jobs, record_outcomes=args.record_outcomes
+        )
+    except TrafficConfigError as exc:  # only drawing arrivals shows that they overflow
+        raise CliError(f"bad --loads {args.loads!r}: {exc}") from None
     out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(heuristic, out / "heuristic_trials.csv")
     write_summary_csv(heuristic, out / "heuristic_summary.csv")
@@ -260,16 +266,14 @@ def cmd_bound(args) -> int:
 def cmd_warmup(args) -> int:
     started = time.time()
     loads = parse_loads(args.loads)
-    try:
+    try:  # every load is checked before any is run; overflowing arrivals show only once drawn
         check_loads(loads)
         for load in loads:
             warmup_horizon(load)
+        out = _out_dir(args)
+        estimates = [estimate_warmup(load, args.trials, seed=args.seed) for load in loads]
     except SimConfigError as exc:
         raise CliError(f"bad --loads {args.loads!r}: {exc}") from None
-    out = _out_dir(args)
-    estimates = [
-        estimate_warmup(load, args.trials, seed=args.seed) for load in loads
-    ]
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "warmup_points.csv", ["load_erlangs", "trial", "truncation_requests"],
                ((f"{est.load_erlangs:.12g}", i, p)

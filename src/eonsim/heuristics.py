@@ -1,9 +1,9 @@
 """The six benchmark allocation policies over a candidate-path list.
 
 Every policy consumes the same pre-computed, pre-ordered candidate
-list and returns either a (path, slot block) decision or None when no
-candidate can host the request.  Policies differ in how they compose
-path order with spectrum search:
+list and returns the (fiber ids, slot block) placement that active
+lightpaths record, or None when no candidate can host the request.
+Policies differ in how they compose path order with spectrum search:
 
 * ksp-ff / ksp-bf: first candidate (by rank) with any fit; place
   first-fit / best-fit on that path.
@@ -21,13 +21,13 @@ path order with spectrum search:
 All six run in one candidate loop, with one fit routine per fit rule:
 ``spectrum.first_fit`` and ``spectrum.best_fit_run``.
 
-Decisions are pure functions of the borrowed state: no mutation, and
+Placements are pure functions of the borrowed state: no mutation, and
 identical inputs always produce identical outputs.
 """
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .service import ModulationTable, demand_for_path
 from .spectrum import (
@@ -69,13 +69,6 @@ class HeuristicKind(enum.Enum):
 _KSP_FF, _FF_KSP, _KSP_BF, _BF_KSP, _KME_FF, _KCA_FF = HeuristicKind
 
 
-class Decision(NamedTuple):
-    """The chosen path and slot block; ``block.size`` is the demand."""
-
-    path: CandidatePath
-    block: SlotBlock
-
-
 def decide(
     kind: HeuristicKind,
     request,
@@ -83,8 +76,8 @@ def decide(
     state: SpectrumState,
     table: ModulationTable | None = None,
     guard_slots: int = 0,
-) -> Decision | None:
-    """Apply one policy to a request; None means blocked.
+) -> tuple[tuple[int, ...], SlotBlock] | None:
+    """One policy's (fiber ids, slot block) placement of a request; None means blocked.
 
     One pass in rank order: ksp-ff and ksp-bf return the first candidate
     that fits; the others keep the smallest policy key, so ties go to
@@ -98,8 +91,9 @@ def decide(
     best_fit = kind is _KSP_BF or kind is _BF_KSP
     occ, full, n_slots = state.occ, state.full_mask, state.n_slots
     best_key = best = None
-    scored = []  # kme-ff: (estimate, path, start, demand) in rank order
+    scored = []  # kme-ff: (estimate, fiber_ids, start, demand) in rank order
     for path in candidates:
+        # exactly one call per evaluated candidate: CI gates perfbench's candidates_per_decide
         demand = demand_for_path(request, path, table, guard_slots)
         if demand is None:
             continue
@@ -113,20 +107,20 @@ def decide(
             if start < 0:
                 continue
         if kind is _KSP_FF or kind is _KSP_BF:
-            return Decision(path, slot_block(start, demand))
+            return path.fiber_ids, slot_block(start, demand)
         if kind is _FF_KSP:
             key = start
         elif kind is _BF_KSP:
             key = (run_len, start)
         elif kind is _KME_FF:
             key = entropy_estimate(state, path.fiber_ids, start, demand)
-            scored.append((key, path, start, demand))
+            scored.append((key, path.fiber_ids, start, demand))
         elif kind is _KCA_FF:
             key = path_congestion(state, path.fiber_ids)
         else:
             raise ValueError(f"unhandled heuristic kind {kind}")
         if best_key is None or key < best_key:
-            best_key, best = key, (path, start, demand)
+            best_key, best = key, (path.fiber_ids, start, demand)
             if start == 0 and kind is _FF_KSP:  # no later candidate starts lower
                 break
     if best is None:
@@ -136,9 +130,9 @@ def decide(
         near = [s[1:] for s in scored if s[0] - best_key <= margin]
         if len(near) > 1:
             best_key = None
-            for path, start, demand in near:  # a closure over state would slow every policy
-                key = entropy_after_placement(state, path.fiber_ids, start, demand)
+            for fiber_ids, start, demand in near:  # a closure over state would slow every policy
+                key = entropy_after_placement(state, fiber_ids, start, demand)
                 if best_key is None or key < best_key:
-                    best_key, best = key, (path, start, demand)
-    path, start, demand = best
-    return Decision(path, slot_block(start, demand))
+                    best_key, best = key, (fiber_ids, start, demand)
+    fiber_ids, start, demand = best
+    return fiber_ids, slot_block(start, demand)

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .heuristics import Decision, HeuristicKind, decide
+from .heuristics import HeuristicKind, decide
 from .service import ModulationTable
 from .spectrum import SlotBlock, SpectrumState
 from .topology import CandidatePath, PathOrdering, Topology
@@ -112,9 +112,9 @@ class ActiveLightpaths:
         # request id -> (fiber_ids, block, rebuild entry or None), in admission order
         self.records: dict[int, tuple[tuple[int, ...], SlotBlock, tuple | None]] = {}
 
-    def add(self, request: ServiceRequest, decision: Decision, entry: tuple | None = None) -> None:
-        path, block = decision
-        fiber_ids = path.fiber_ids
+    def add(self, request: ServiceRequest, placement: tuple, entry: tuple | None = None) -> None:
+        """Allocate ``decide``'s (fiber ids, slot block) placement and record it."""
+        fiber_ids, block = placement
         self._state.allocate(fiber_ids, block)
         self.records[request.id] = (fiber_ids, block, entry)
         heapq.heappush(self.expiries, (request.expiry_time, request.id))
@@ -181,9 +181,9 @@ def run_stream(
         if expiries and expiries[0][0] < now:  # something is due
             release_due(now)
         candidates = routes[request.src, request.dst]
-        decision = decide(kind, request, candidates, state, table, guard)
-        if decision is not None:
-            add(request, decision, rebuild_entry(request, candidates) if rebuild_entry else None)
+        placement = decide(kind, request, candidates, state, table, guard)
+        if placement is not None:
+            add(request, placement, rebuild_entry(request, candidates) if rebuild_entry else None)
         elif on_block is None or not on_block(i, request, candidates, active):
             if i >= warmup:
                 blocked += 1

@@ -772,6 +772,18 @@ def exit_code(argv):
         return exc.code
 
 
+# rejected loads whose error must name the flag, including those that fail only
+# once trials draw their arrivals
+LOADS_NAMED = (
+    "warmup --loads 1e300",
+    "warmup --loads 100,100",
+    "warmup --loads 200,100",
+    "warmup --loads 1e-310",
+    "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 1e-310 --trials 1 --jobs 1",
+    "bound --preset deeprmsa --topology nsfnet --k 2 --loads 1e-310,100 --trials 1 --jobs 1",
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -790,6 +802,7 @@ def exit_code(argv):
         "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 1e-310 --trials 1 --jobs 1",
         "warmup --loads 5e-324",
         "warmup --loads 1e-310",
+        "bound --preset deeprmsa --topology nsfnet --k 2 --loads 1e-310,100 --trials 1 --jobs 1",
         # a horizon of 1.6e301 requests per trial cannot be allocated
         "warmup --loads 1e300",
         # one rule for every subcommand: loads strictly increase, so a fit sees distinct loads
@@ -817,7 +830,7 @@ def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     if "--modulation-file" in argv:
         assert "--modulation-file" in err
-    if argv in ("warmup --loads 1e300", "warmup --loads 100,100", "warmup --loads 200,100"):
+    if argv in LOADS_NAMED:
         assert "bad --loads" in err
     if argv in BAD_INT_FLAGS:
         assert f"argument {BAD_INT_FLAGS[argv]}:" in err

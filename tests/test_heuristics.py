@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from eonsim import heuristics
 from eonsim.heuristics import HeuristicKind, decide
 from eonsim.presets import get_preset
 from eonsim.service import ModulationTable
-from eonsim.simulator import run_trial
+from eonsim.simulator import ActiveLightpaths, run_trial
 from eonsim.spectrum import SlotBlock, SpectrumState
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import ServiceRequest
@@ -38,22 +39,33 @@ def candidates_of(topo, k=4, ordering=PathOrdering.HOPS_THEN_KM):
     return topo.candidate_paths("A", "D", k, ordering)
 
 
+def rank(cands, fiber_ids):
+    """The rank of the candidate whose fibers a placement names."""
+    return [path.fiber_ids for path in cands].index(fiber_ids)
+
+
 def test_empty_network_all_kinds_pick_rank0(diamond):
     state = SpectrumState.for_topology(diamond)
     cands = candidates_of(diamond)
     for kind in HeuristicKind:
-        decision = decide(kind, request(slots=2), cands, state)
-        assert decision is not None, kind
-        assert cands.index(decision.path) == 0, kind
-        assert decision.block == SlotBlock(0, 2), kind
+        placement = decide(kind, request(slots=2), cands, state)
+        assert placement is not None, kind
+        fiber_ids, block = placement
+        assert rank(cands, fiber_ids) == 0, kind
+        assert block == SlotBlock(0, 2), kind
 
 
-def test_decision_rejects_attribute_assignment(diamond):
-    state = SpectrumState.for_topology(diamond)
-    decision = decide(HeuristicKind.KSP_FF, request(slots=2), candidates_of(diamond), state)
-    with pytest.raises(AttributeError):
-        decision.block = SlotBlock(4, 2)
-    assert decision.block == SlotBlock(0, 2)
+def test_active_lightpaths_record_and_release_the_pair_decide_returns(two_route_topo):
+    state = SpectrumState.for_topology(two_route_topo)
+    active = ActiveLightpaths(state)
+    req = request(slots=2)
+    placement = decide(HeuristicKind.KSP_FF, req, candidates_of(two_route_topo), state)
+    active.add(req, placement)
+    fiber_ids, block = placement
+    assert active.records == {req.id: (fiber_ids, block, None)}
+    assert [state.occ[f] for f in fiber_ids] == [block.mask] * len(fiber_ids)
+    active.release_due(math.inf)
+    assert active.records == {} and not any(state.occ)
 
 
 def test_ksp_ff_vs_ff_ksp(two_route_topo):
@@ -67,11 +79,11 @@ def test_ksp_ff_vs_ff_ksp(two_route_topo):
     state.allocate(p0.fiber_ids, SlotBlock(0, 7))
     state.allocate(p1.fiber_ids, SlotBlock(0, 2))
 
-    ksp = decide(HeuristicKind.KSP_FF, request(slots=2), cands, state)
-    assert cands.index(ksp.path) == 0 and ksp.block.start == 7
+    fiber_ids, block = decide(HeuristicKind.KSP_FF, request(slots=2), cands, state)
+    assert rank(cands, fiber_ids) == 0 and block.start == 7
 
-    ff = decide(HeuristicKind.FF_KSP, request(slots=2), cands, state)
-    assert cands.index(ff.path) == 1 and ff.block.start == 2
+    fiber_ids, block = decide(HeuristicKind.FF_KSP, request(slots=2), cands, state)
+    assert rank(cands, fiber_ids) == 1 and block.start == 2
 
 
 def test_all_paths_occupied_blocks(two_route_topo):
@@ -96,9 +108,9 @@ def test_ksp_bf_takes_first_path_best_fit(two_route_topo):
     p0 = cands[0]
     # path0 runs: 3 free at 0, 2 free at 8; best fit for 2 is at 8
     state.allocate(p0.fiber_ids, SlotBlock(3, 5))
-    decision = decide(HeuristicKind.KSP_BF, request(slots=2), cands, state)
-    assert cands.index(decision.path) == 0
-    assert decision.block == SlotBlock(8, 2)
+    fiber_ids, block = decide(HeuristicKind.KSP_BF, request(slots=2), cands, state)
+    assert rank(cands, fiber_ids) == 0
+    assert block == SlotBlock(8, 2)
 
 
 def test_bf_ksp_prefers_tightest_run_across_paths(two_route_topo):
@@ -110,9 +122,9 @@ def test_bf_ksp_prefers_tightest_run_across_paths(two_route_topo):
     state.allocate(p0.fiber_ids, SlotBlock(3, 7))   # run size 3 at 0
     state.allocate(p1.fiber_ids, SlotBlock(0, 4))   # runs: 6 at 4
     state.allocate(p1.fiber_ids, SlotBlock(6, 2))   # runs: 2 at 4, 2 at 8
-    decision = decide(HeuristicKind.BF_KSP, request(slots=2), cands, state)
-    assert cands.index(decision.path) == 1
-    assert decision.block == SlotBlock(4, 2)  # size-2 run, lowest start, over rank
+    fiber_ids, block = decide(HeuristicKind.BF_KSP, request(slots=2), cands, state)
+    assert rank(cands, fiber_ids) == 1
+    assert block == SlotBlock(4, 2)  # size-2 run, lowest start, over rank
 
 
 def test_bf_ksp_tie_ladder_prefers_lower_start_then_rank(two_route_topo):
@@ -125,8 +137,8 @@ def test_bf_ksp_tie_ladder_prefers_lower_start_then_rank(two_route_topo):
     state.allocate(p0.fiber_ids, SlotBlock(8, 2))   # p0 runs: 2 at 6
     state.allocate(p1.fiber_ids, SlotBlock(0, 2))   # p1 runs: ...
     state.allocate(p1.fiber_ids, SlotBlock(4, 6))   # p1 run: 2 at 2
-    decision = decide(HeuristicKind.BF_KSP, request(slots=2), cands, state)
-    assert (cands.index(decision.path), decision.block.start) == (1, 2)
+    fiber_ids, block = decide(HeuristicKind.BF_KSP, request(slots=2), cands, state)
+    assert (rank(cands, fiber_ids), block.start) == (1, 2)
 
 
 def test_kme_ff_minimizes_post_allocation_entropy(two_route_topo):
@@ -137,19 +149,19 @@ def test_kme_ff_minimizes_post_allocation_entropy(two_route_topo):
     # placing on p0 would split its free space; p1 placement stays flush
     state.allocate(p0.fiber_ids, SlotBlock(4, 2))
     state.allocate(p1.fiber_ids, SlotBlock(0, 4))
-    decision = decide(HeuristicKind.KME_FF, request(slots=2), cands, state)
+    fiber_ids, block = decide(HeuristicKind.KME_FF, request(slots=2), cands, state)
     # p0 first-fit at 0 leaves runs {2 at 2, 4 at 6} per link (entropy high);
     # p1 first-fit at 4 leaves one run {4 at 6} per link (entropy low)
-    assert cands.index(decision.path) == 1
-    assert decision.block == SlotBlock(4, 2)
+    assert rank(cands, fiber_ids) == 1
+    assert block == SlotBlock(4, 2)
 
 
 def kme_ff_against_reference(topo, cands, state, req):
     """decide's kme-ff choice and reference_decision's, as (rank, block)."""
     grids = [[bool(occ >> i & 1) for i in range(state.n_slots)] for occ in state.occ]
     path, start, size = reference_decision("kme-ff", req, cands, grids, [], 12.5, 0)
-    decision = decide(HeuristicKind.KME_FF, req, cands, state)
-    return (cands.index(decision.path), decision.block), (cands.index(path), SlotBlock(start, size))
+    fiber_ids, block = decide(HeuristicKind.KME_FF, req, cands, state)
+    return (rank(cands, fiber_ids), block), (rank(cands, path.fiber_ids), SlotBlock(start, size))
 
 
 def test_kme_ff_exact_tie_goes_to_the_earlier_rank(two_route_topo):
@@ -211,9 +223,9 @@ def test_kca_ff_picks_least_congested_path(two_route_topo):
     p0, p1 = cands[0], cands[1]
     state.allocate(p0.fiber_ids, SlotBlock(0, 6))  # 60% occupied
     state.allocate(p1.fiber_ids, SlotBlock(0, 2))  # 20% occupied
-    decision = decide(HeuristicKind.KCA_FF, request(slots=2), cands, state)
-    assert cands.index(decision.path) == 1
-    assert decision.block == SlotBlock(2, 2)  # first fit on the chosen path
+    fiber_ids, block = decide(HeuristicKind.KCA_FF, request(slots=2), cands, state)
+    assert rank(cands, fiber_ids) == 1
+    assert block == SlotBlock(2, 2)  # first fit on the chosen path
 
 
 def test_modulation_infeasible_paths_skipped():
@@ -227,12 +239,12 @@ def test_modulation_infeasible_paths_skipped():
     cands = topo.candidate_paths("A", "D", 2, PathOrdering.HOPS_THEN_KM)
     assert cands[0].hop_count == 1  # the infeasible one ranks first
     state = SpectrumState.for_topology(topo)
-    decision = decide(HeuristicKind.KSP_FF, request(rate=50), cands, state, TABLE)
-    assert decision.path.hop_count == 2
+    fiber_ids, _block = decide(HeuristicKind.KSP_FF, request(rate=50), cands, state, TABLE)
+    assert rank(cands, fiber_ids) == 1
     # the 800 km detour runs at 8QAM: 75 Gbps takes 2 slots there, 3 at QPSK
-    decision = decide(HeuristicKind.KSP_FF, request(rate=75), cands, state, TABLE)
-    assert decision.path.hop_count == 2
-    assert decision.block.size == 2
+    fiber_ids, block = decide(HeuristicKind.KSP_FF, request(rate=75), cands, state, TABLE)
+    assert rank(cands, fiber_ids) == 1
+    assert block.size == 2
 
 
 def test_ksp_ff_k1_equals_shortest_path_first_fit(diamond):
@@ -253,7 +265,7 @@ def test_ksp_ff_k1_equals_shortest_path_first_fit(diamond):
         if start < 0:
             assert got is None
         else:
-            assert got.path is shortest and got.block == SlotBlock(start, size)
+            assert got == (shortest.fiber_ids, SlotBlock(start, size))
 
 
 def test_determinism_and_purity(two_route_topo):
@@ -296,7 +308,7 @@ def test_ff_ksp_never_starts_above_ksp_ff():
         if ksp is None:
             assert ff is None
         else:
-            assert ff.block.start <= ksp.block.start
+            assert ff[1].start <= ksp[1].start
 
 
 def test_decisions_always_allocatable():
@@ -315,11 +327,11 @@ def test_decisions_always_allocatable():
             state.occ[f] = int(rng.integers(0, 2**16))
         req = request(rate=float(rng.integers(25, 101)))
         for kind in HeuristicKind:
-            decision = decide(kind, req, cands, state, TABLE)
-            if decision is not None:
+            placement = decide(kind, req, cands, state, TABLE)
+            if placement is not None:
                 trial = SpectrumState.for_topology(topo)
                 trial.occ = list(state.occ)
-                trial.allocate(decision.path.fiber_ids, decision.block)
+                trial.allocate(*placement)
 
 
 def test_heuristic_names_roundtrip():

@@ -248,8 +248,8 @@ def test_adopt_rebuild_needs_the_active_set_plus_the_request(diamond):
     first, second, new = (ServiceRequest(i, "A", "D", float(i), 10.0, slots=1) for i in range(3))
     state = SpectrumState.for_topology(diamond)
     active = ActiveLightpaths(state)
-    active.add(first, (path, slot_block(0, 1)), "k0")
-    active.add(second, (path, slot_block(1, 1)), "k1")
+    active.add(first, (path.fiber_ids, slot_block(0, 1)), "k0")
+    active.add(second, (path.fiber_ids, slot_block(1, 1)), "k1")
     rebuilt = SpectrumState.for_topology(diamond)
     for f in path.fiber_ids:
         rebuilt.occ[f] = 0b111
