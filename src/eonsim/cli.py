@@ -108,6 +108,11 @@ def parse_loads(spec: str) -> list[float]:
         raise CliError(f"malformed --loads {spec!r}: {exc}") from None
 
 
+def _bad_loads(spec: str, exc: Exception) -> CliError:
+    """The error for a ``--loads`` that parses but that a run cannot use."""
+    return CliError(f"bad --loads {spec!r}: {exc}")
+
+
 def _out_dir(args) -> Path:
     """``--out``, once the nearest part of it that exists is a writable directory.
 
@@ -179,26 +184,32 @@ def _run_config(args):
         args.topology, slots_per_fiber=args.slots, fiber_mode=args.fiber_mode
     )
     loads = parse_loads(args.loads)
-    check_loads(loads)
+    try:
+        check_loads(loads)
+    except SimConfigError as exc:
+        raise _bad_loads(args.loads, exc) from None
     overrides = {}
     if args.modulation_file:
         try:
             overrides["modulation"] = ModulationTable.from_json(args.modulation_file)
         except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"bad --modulation-file {args.modulation_file}: {exc!r}") from None
-    config = preset.sim_config(
-        topology,
-        HeuristicKind.from_name(args.heuristic),
-        args.k,
-        PathOrdering(args.ordering),
-        loads[0],
-        warmup_requests=args.warmup,
-        measured_requests=args.measured,
-        trials=args.trials,
-        base_seed=args.seed,
-        guard_slots=args.guard_slots,
-        **overrides,
-    )
+    try:
+        config = preset.sim_config(
+            topology,
+            HeuristicKind.from_name(args.heuristic),
+            args.k,
+            PathOrdering(args.ordering),
+            loads[0],
+            warmup_requests=args.warmup,
+            measured_requests=args.measured,
+            trials=args.trials,
+            base_seed=args.seed,
+            guard_slots=args.guard_slots,
+            **overrides,
+        )
+    except TrafficConfigError as exc:  # a preset's traffic is valid, so the first load is not
+        raise _bad_loads(args.loads, exc) from None
     return config, loads
 
 
@@ -210,7 +221,7 @@ def cmd_sweep(args) -> int:
     try:
         result = sweep(config, loads, jobs=args.jobs)
     except TrafficConfigError as exc:  # only drawing arrivals shows that they overflow
-        raise CliError(f"bad --loads {args.loads!r}: {exc}") from None
+        raise _bad_loads(args.loads, exc) from None
     out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(result, out / "trials.csv")
     write_summary_csv(result, out / "summary.csv")
@@ -236,7 +247,7 @@ def cmd_bound(args) -> int:
             config, loads, jobs=args.jobs, record_outcomes=args.record_outcomes
         )
     except TrafficConfigError as exc:  # only drawing arrivals shows that they overflow
-        raise CliError(f"bad --loads {args.loads!r}: {exc}") from None
+        raise _bad_loads(args.loads, exc) from None
     out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(heuristic, out / "heuristic_trials.csv")
     write_summary_csv(heuristic, out / "heuristic_summary.csv")
@@ -273,7 +284,7 @@ def cmd_warmup(args) -> int:
         out = _out_dir(args)
         estimates = [estimate_warmup(load, args.trials, seed=args.seed) for load in loads]
     except SimConfigError as exc:
-        raise CliError(f"bad --loads {args.loads!r}: {exc}") from None
+        raise _bad_loads(args.loads, exc) from None
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "warmup_points.csv", ["load_erlangs", "trial", "truncation_requests"],
                ((f"{est.load_erlangs:.12g}", i, p)

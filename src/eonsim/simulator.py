@@ -17,15 +17,12 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-import multiprocessing
 import os
 import threading
 import warnings
-from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
-from multiprocessing.connection import wait
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
@@ -237,7 +234,10 @@ _WORKER_SHARE: tuple | None = None
 
 def _exit_with_parent() -> None:
     """Wait until the parent process has ended, then end this worker."""
-    wait([multiprocessing.parent_process().sentinel])
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
+
+    wait([parent_process().sentinel])
     os._exit(1)
 
 
@@ -280,7 +280,7 @@ def _drain_worker_share() -> list[tuple[int, TrialResult]]:
     return _drain(*_WORKER_SHARE)
 
 
-def _stop_if_failed(counter, end: int, share: Future) -> None:
+def _stop_if_failed(counter, end: int, share) -> None:
     # a worker that died without raising could not move the counter itself
     if share.exception() is not None:
         counter.value = end
@@ -316,7 +316,9 @@ def sweep(
     one of them: ``jobs > 1`` forks up to ``jobs - 1`` worker processes,
     never more than there are trials beyond the first, so a one-trial
     sweep forks none.  ``trial_runner`` must then pickle: a module-level
-    function, or a ``functools.partial`` of one.  Results are placed by
+    function, or a ``functools.partial`` of one.  A sweep that forks no
+    worker loads no pool code: ``multiprocessing`` and
+    ``concurrent.futures`` are imported only to fork.  Results are placed by
     trial, so they do not depend on ``jobs`` or on which process ran a
     trial.  A trial that raises, or a worker that dies, stops every other
     process after its current trial, and the error propagates.
@@ -326,6 +328,9 @@ def sweep(
     tasks = [(load, seed) for load in loads for seed in seeds]
     workers = min(jobs, len(tasks)) - 1
     if workers > 0:
+        import multiprocessing  # about 1.5 MB of RSS, so only a forking sweep pays it
+        from concurrent.futures import ProcessPoolExecutor
+
         config.topology.warm_path_cache(config.k, config.ordering)
         counter = multiprocessing.Value("q", 0)
         with ProcessPoolExecutor(

@@ -781,6 +781,10 @@ LOADS_NAMED = (
     "warmup --loads 1e-310",
     "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 1e-310 --trials 1 --jobs 1",
     "bound --preset deeprmsa --topology nsfnet --k 2 --loads 1e-310,100 --trials 1 --jobs 1",
+    "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 5e-324 --trials 1 --jobs 1",
+    "bound --preset deeprmsa --topology nsfnet --k 2 --loads 5e-324 --trials 1 --jobs 1",
+    "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 2,1 --trials 1 --jobs 1",
+    "bound --preset deeprmsa --topology nsfnet --k 2 --loads 2,1 --trials 1 --jobs 1",
 )
 
 
@@ -800,6 +804,7 @@ LOADS_NAMED = (
         # times overflow: neither gives a finite arrival time
         "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 5e-324 --trials 1 --jobs 1",
         "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 1e-310 --trials 1 --jobs 1",
+        "bound --preset deeprmsa --topology nsfnet --k 2 --loads 5e-324 --trials 1 --jobs 1",
         "warmup --loads 5e-324",
         "warmup --loads 1e-310",
         "bound --preset deeprmsa --topology nsfnet --k 2 --loads 1e-310,100 --trials 1 --jobs 1",
@@ -808,6 +813,8 @@ LOADS_NAMED = (
         # one rule for every subcommand: loads strictly increase, so a fit sees distinct loads
         "warmup --loads 100,100",
         "warmup --loads 200,100",
+        "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 2,1 --trials 1 --jobs 1",
+        "bound --preset deeprmsa --topology nsfnet --k 2 --loads 2,1 --trials 1 --jobs 1",
         # every load must be > 0, whichever subcommand parses it
         "sweep --preset deeprmsa --topology nsfnet --k 2 --loads -1 --trials 1 --jobs 1",
         "sweep --preset deeprmsa --topology nsfnet --k 2 --loads 0:40:20 --trials 1 --jobs 1",
@@ -831,7 +838,8 @@ def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, argv):
     if "--modulation-file" in argv:
         assert "--modulation-file" in err
     if argv in LOADS_NAMED:
-        assert "bad --loads" in err
+        spec = argv.split("--loads ")[1].split()[0]
+        assert f"error: bad --loads '{spec}': " in err
     if argv in BAD_INT_FLAGS:
         assert f"argument {BAD_INT_FLAGS[argv]}:" in err
 

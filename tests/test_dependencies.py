@@ -32,3 +32,51 @@ def test_only_runtime_dependency_is_numpy():
         and not (name.startswith("__") and name.endswith("__"))
     }
     assert foreign == {"numpy"}, sorted(foreign)
+
+
+# Imports every eonsim module in a fresh, isolated interpreter, runs a bound
+# trial and sweeps that fork no worker, then one that forks a worker, and
+# prints which pool modules are loaded after each stage.
+POOL_PROBE = """
+import pkgutil, sys, warnings
+sys.path.insert(0, sys.argv[1])
+import eonsim
+for info in pkgutil.iter_modules(eonsim.__path__, "eonsim."):
+    __import__(info.name)
+from eonsim.bounds import defrag_bound_trial
+from eonsim.heuristics import HeuristicKind
+from eonsim.presets import get_preset
+from eonsim.simulator import sweep
+from eonsim.topology import PathOrdering
+
+def loaded(stage):
+    names = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
+    print(stage, *names)
+
+preset = get_preset("deeprmsa")
+config = preset.sim_config(
+    preset.load_topology("nsfnet", slots_per_fiber=8), HeuristicKind.KSP_FF, 2,
+    PathOrdering("hops"), 300, warmup_requests=10, measured_requests=50, trials=1,
+)
+warnings.simplefilter("ignore")
+loaded("imported")
+sweep(config, [300], jobs=1)
+sweep(config, [300], jobs=2)  # one trial: nothing to fork
+defrag_bound_trial(config, 0)
+loaded("unforked")
+sweep(config, [300, 330], jobs=2)
+loaded("forked")
+"""
+
+
+def test_only_a_forking_sweep_loads_the_pool():
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", POOL_PROBE, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "imported",
+        "unforked",
+        "forked multiprocessing concurrent.futures",
+    ]

@@ -1,7 +1,9 @@
+import concurrent.futures
 import dataclasses
 import functools
 import importlib
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -16,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eonsim import simulator
 from eonsim.bounds import defrag_bound_trial
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
@@ -397,8 +398,8 @@ def test_one_trial_sweep_starts_no_pool(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         serial = sweep(cfg, [320], jobs=1)
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(simulator.multiprocessing, "Value", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(multiprocessing, "Value", refuse)
         assert sweep(cfg, [320], jobs=2) == serial
 
 
