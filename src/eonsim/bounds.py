@@ -116,7 +116,7 @@ def defrag_bound_trial(
             rank0 = None
         else:
             rank0 = (path0.fiber_ids, slots, run_shifts(slots))
-        return (-slots * path0.hop_count, request, candidates, rank0)
+        return (-slots * len(path0.fiber_ids), request, candidates, rank0)
 
     def on_block(i: int, request: ServiceRequest, candidates, active: ActiveLightpaths) -> bool:
         nonlocal defrag
@@ -146,7 +146,7 @@ def defrag_bound_trial(
 
 def _rebuild(
     config: SimConfig, entries: list[tuple]
-) -> tuple[SpectrumState, dict[int, tuple[tuple[int, ...], SlotBlock, tuple]]] | None:
+) -> tuple[SpectrumState, dict[int, tuple[Sequence[int], SlotBlock, tuple]]] | None:
     """Re-place every request on an empty network, largest footprint first.
 
     ``entries`` are the requests' rebuild entries from
@@ -169,7 +169,7 @@ def _rebuild(
     kind, table, guard = config.heuristic, config.modulation, config.guard_slots
     # a rank-0 fit is decide's choice when it starts below this: under ff-ksp, only at 0
     rank0_limit = 1 if kind is HeuristicKind.FF_KSP else temp.n_slots
-    records: dict[int, tuple[tuple[int, ...], SlotBlock, tuple]] = {}
+    records: dict[int, tuple[Sequence[int], SlotBlock, tuple]] = {}
     entries.sort(key=itemgetter(0))
     for entry in entries:
         _footprint, request, candidates, rank0 = entry

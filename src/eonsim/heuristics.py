@@ -76,7 +76,7 @@ def decide(
     state: SpectrumState,
     table: ModulationTable | None = None,
     guard_slots: int = 0,
-) -> tuple[tuple[int, ...], SlotBlock] | None:
+) -> tuple[Sequence[int], SlotBlock] | None:
     """One policy's (fiber ids, slot block) placement of a request; None means blocked.
 
     One pass in rank order: ksp-ff and ksp-bf return the first candidate

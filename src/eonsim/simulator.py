@@ -107,7 +107,7 @@ class ActiveLightpaths:
         # heap of (expiry time, request id)
         self.expiries: list[tuple[float, int]] = []
         # request id -> (fiber_ids, block, rebuild entry or None), in admission order
-        self.records: dict[int, tuple[tuple[int, ...], SlotBlock, tuple | None]] = {}
+        self.records: dict[int, tuple[Sequence[int], SlotBlock, tuple | None]] = {}
 
     def add(self, request: ServiceRequest, placement: tuple, entry: tuple | None = None) -> None:
         """Allocate ``decide``'s (fiber ids, slot block) placement and record it."""

@@ -30,6 +30,11 @@ every path whose primary cost is at most the k-th smallest, ties
 included.  The list is the best k of them under the full key.  A path
 and its reverse have the same hop count and km length, so one
 enumeration serves both directions of a node pair.
+
+A cached path keeps only its km length and the fiber id of each hop,
+as one byte an id when the topology has at most 256 fibers.  Its hop
+count is the number of fiber ids.  The node sequence is built for the
+sort and then dropped: from the source, the fibers' links give it back.
 """
 from __future__ import annotations
 
@@ -74,17 +79,22 @@ class Link:
 
 @dataclass(frozen=True, slots=True)
 class CandidatePath:
-    """A loopless route plus cached geometry and fiber bindings.
+    """A loopless route: its km length and the fiber of each hop.
 
-    ``fiber_ids`` are resolved for the traversal direction implied by
-    ``node_seq`` and index into the owning topology's fiber grids.  A
-    path's rank is its index in its candidate list.
+    ``fiber_ids`` index into the owning topology's fiber grids, one per
+    hop in the direction of travel.  They are a ``bytes`` when the
+    topology has at most 256 fibers (every bundled one) and a tuple of
+    ints otherwise; either iterates as ints.  A path's rank is its index
+    in its candidate list.  From a known source, the fiber ids fix the
+    node sequence, so it is not stored.
     """
 
-    node_seq: tuple[str, ...]
-    hop_count: int
     length_km: float
-    fiber_ids: tuple[int, ...]
+    fiber_ids: bytes | tuple[int, ...]
+
+    @property
+    def hop_count(self) -> int:
+        return len(self.fiber_ids)
 
 
 class _Lookup(dict):
@@ -429,18 +439,22 @@ def _ranked(
     k: int,
     ordering: PathOrdering,
 ) -> list[CandidatePath]:
-    """The best k of ``(hops, km units, node_seq)`` entries under the full key."""
+    """The best k of ``(hops, km units, node_seq)`` entries under the full key.
+
+    Each becomes a record of its km length and fiber ids; the node
+    sequence serves only as the last tie-break.
+    """
     enumerated.sort(key=_sort_key(ordering))
     hop_table = topology._hops
     scale = topology._scale
+    # one byte a fiber id when every id fits in one, as a stream narrows its columns
+    fiber_seq = bytes if topology.num_fibers <= 256 else tuple
     return [
         CandidatePath(
-            node_seq=node_seq,
-            hop_count=hops,
             length_km=km / scale,  # int / int rounds once, correctly
-            fiber_ids=tuple(map(hop_table.get, zip(node_seq, node_seq[1:]))),
+            fiber_ids=fiber_seq(map(hop_table.get, zip(node_seq, node_seq[1:]))),
         )
-        for hops, km, node_seq in enumerated[:k]
+        for _hops, km, node_seq in enumerated[:k]
     ]
 
 
@@ -448,10 +462,12 @@ def ordering_overlap(topology: Topology, src: str, dst: str, k: int) -> float:
     """Fraction of candidate paths unique to one ordering, as a diagnostic.
 
     0.0 means both orderings select the same k routes (ignoring rank),
-    1.0 means completely disjoint route sets.
+    1.0 means completely disjoint route sets.  Routes are compared by
+    their fiber ids: from one source, a loopless path's fiber sequence
+    fixes its node sequence in either fiber mode.
     """
-    km = {p.node_seq for p in topology.candidate_paths(src, dst, k, PathOrdering.KM_THEN_HOPS)}
-    hops = {p.node_seq for p in topology.candidate_paths(src, dst, k, PathOrdering.HOPS_THEN_KM)}
+    km = {p.fiber_ids for p in topology.candidate_paths(src, dst, k, PathOrdering.KM_THEN_HOPS)}
+    hops = {p.fiber_ids for p in topology.candidate_paths(src, dst, k, PathOrdering.HOPS_THEN_KM)}
     if not km and not hops:
         return 0.0
     union = km | hops

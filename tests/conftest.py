@@ -28,3 +28,13 @@ def diamond():
 @pytest.fixture
 def single_link():
     return Topology("wire", ["A", "B"], [("A", "B", 100)], slots_per_fiber=10)
+
+
+@pytest.fixture
+def wide_ring():
+    """A 130-node dual ring: 260 fibers, more than one byte can number."""
+    n = 130
+    return Topology(
+        "ring", [str(i) for i in range(n)], [(str(i), str((i + 1) % n), 10) for i in range(n)],
+        slots_per_fiber=8,
+    )

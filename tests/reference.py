@@ -183,20 +183,34 @@ def reference_k_shortest_paths(topology, src, dst, k, ordering):
 
     enumerated.sort(key=_reference_sort_key(ordering))
     out = []
-    for hops, km, node_seq in enumerated[:k]:
+    for _hops, km, node_seq in enumerated[:k]:
         fiber_ids = tuple(
             topology.fiber_id(_reference_edge(adjacency, a, b)[0], a)
             for a, b in zip(node_seq, node_seq[1:])
         )
-        out.append(
-            CandidatePath(
-                node_seq=node_seq,
-                hop_count=hops,
-                length_km=float(km),
-                fiber_ids=fiber_ids,
-            )
-        )
+        if topology.num_fibers <= 256:  # the record's one-byte form
+            fiber_ids = bytes(fiber_ids)
+        out.append(CandidatePath(length_km=float(km), fiber_ids=fiber_ids))
     return out
+
+
+def node_seq(topology, src, path):
+    """The nodes ``path`` visits from ``src``, rebuilt by walking its fibers' links.
+
+    Each fiber id must be the one ``topology.fiber_id`` gives for its
+    link in the direction of travel.
+    """
+    per_link = 2 if topology.fiber_mode == "dual" else 1
+    nodes = [src]
+    for f in path.fiber_ids:
+        link = topology.links[f // per_link]
+        here = nodes[-1]
+        assert here in (link.src, link.dst) and topology.fiber_id(link.index, here) == f, (
+            f"fiber {f} does not leave {here}"
+        )
+        nodes.append(link.dst if here == link.src else link.src)
+    return tuple(nodes)
+
 
 def pack_bits(bits):
     """Occupancy mask of a boolean vector, bit i set when element i is."""

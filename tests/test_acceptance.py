@@ -30,6 +30,7 @@ from reference import (
     dominance_gap,
     first_fit_oracle,
     ksp_oracle,
+    node_seq,
     occupied_slot_count,
     pack_bits,
     path_free_mask,
@@ -215,7 +216,7 @@ def test_criterion_7a_ksp_oracle_thousand_instances():
         k = int(rng.integers(1, 9))
         name = "hops" if trial % 2 == 0 else "km"
         ordering = HOPS if name == "hops" else KM
-        got = [p.node_seq for p in k_shortest_paths(topo, src, dst, k, ordering)]
+        got = [node_seq(topo, src, p) for p in k_shortest_paths(topo, src, dst, k, ordering)]
         assert got == ksp_oracle(links, src, dst, k, name), f"instance {trial}"
     report(7, "KSP equals exhaustive enumeration on 1000 random instances")
 

@@ -510,6 +510,17 @@ def test_paths_csv_is_pinned(tmp_path, topology, ordering):
     assert digest == PATHS_CSV_SHA256[topology, ordering]
 
 
+# recorded when paths were compared by node sequence
+@pytest.mark.parametrize("topology,fractions", [
+    ("nsfnet", "mean 35.1%, max 88.9%"),  # dual fibers
+    ("usnet-ptrnet", "mean 27.5%, max 88.9%"),  # single fibers
+])
+def test_ordering_diagnostic_is_pinned(capsys, topology, fractions):
+    argv = f"paths --topology {topology} --k 5 --ordering hops --diagnose-orderings".split()
+    assert run(argv) == 0
+    assert f"ordering-unique path fraction (km vs hops): {fractions}\n" in capsys.readouterr().out
+
+
 # --- warmup -----------------------------------------------------------------------------
 
 def test_warmup_subcommand(tmp_path, capsys):

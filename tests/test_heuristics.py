@@ -12,7 +12,7 @@ from eonsim.simulator import ActiveLightpaths, run_trial
 from eonsim.spectrum import SlotBlock, SpectrumState
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import ServiceRequest
-from reference import reference_decision
+from reference import node_seq, reference_decision
 
 TABLE = ModulationTable.default()
 
@@ -74,7 +74,7 @@ def test_ksp_ff_vs_ff_ksp(two_route_topo):
     state = SpectrumState.for_topology(topo)
     cands = candidates_of(topo)
     p0, p1 = cands[0], cands[1]
-    assert p0.node_seq == ("A", "B", "D")
+    assert node_seq(topo, "A", p0) == ("A", "B", "D")
     # occupy path0 slots 0-6 and path1 slots 0-1
     state.allocate(p0.fiber_ids, SlotBlock(0, 7))
     state.allocate(p1.fiber_ids, SlotBlock(0, 2))

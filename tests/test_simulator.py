@@ -209,6 +209,28 @@ def test_conservation_invariant_fuzz(diamond):
     assert blocked > 0  # the fuzz load actually stresses the grid
 
 
+def test_conservation_holds_with_tuple_fiber_ids(wide_ring):
+    """The ring's 260 fibers need tuples of fiber ids, not bytes."""
+    from eonsim.traffic import generate_stream
+
+    cfg = small_config(
+        wide_ring, k=2, traffic=fixed_slot_traffic(400.0, fixed_slot_choices=(1, 2, 3)),
+        measured_requests=400, modulation=None,
+    )
+    checked = 0
+
+    def check(state, active):
+        nonlocal checked
+        assert occupied_slot_count(state) == active_slot_links(active)
+        assert all(type(fibers) is tuple for fibers, _block, _entry in active.records.values())
+        checked += 1
+
+    stream = generate_stream(cfg.traffic, 400, wide_ring.nodes, seed=5)
+    blocked = run_stream(cfg, stream, on_event=check)
+    assert checked == 400
+    assert blocked > 0  # the load fills the grid
+
+
 def test_all_slots_free_after_all_expiries(diamond):
     from eonsim.traffic import generate_stream
 

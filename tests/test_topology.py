@@ -17,7 +17,12 @@ from eonsim.topology import (
     load_topology,
     ordering_overlap,
 )
-from reference import ksp_oracle, random_connected_graph, reference_k_shortest_paths
+from reference import (
+    ksp_oracle,
+    node_seq,
+    random_connected_graph,
+    reference_k_shortest_paths,
+)
 
 
 BUNDLED_COUNTS = {
@@ -30,10 +35,10 @@ BUNDLED_COUNTS = {
 }
 
 
-def hop_lengths(topo, node_seq):
-    """The km length of each link along ``node_seq``, found by its end nodes."""
+def hop_lengths(topo, nodes):
+    """The km length of each link along the node sequence ``nodes``, found by its end nodes."""
     lengths = {frozenset((link.src, link.dst)): link.length_km for link in topo.links}
-    return [lengths[frozenset(hop)] for hop in zip(node_seq, node_seq[1:])]
+    return [lengths[frozenset(hop)] for hop in zip(nodes, nodes[1:])]
 
 
 @pytest.mark.parametrize("name,expected", sorted(BUNDLED_COUNTS.items()))
@@ -107,7 +112,7 @@ def test_parse_failure(tmp_path):
 
 def test_diamond_km_ordering(diamond):
     paths = k_shortest_paths(diamond, "A", "D", 3, PathOrdering.KM_THEN_HOPS)
-    assert [(p.node_seq, p.length_km) for p in paths] == [
+    assert [(node_seq(diamond, "A", p), p.length_km) for p in paths] == [
         (("A", "B", "D"), 200.0),
         (("A", "D"), 500.0),
         (("A", "C", "D"), 600.0),
@@ -116,7 +121,7 @@ def test_diamond_km_ordering(diamond):
 
 def test_diamond_hops_ordering(diamond):
     paths = k_shortest_paths(diamond, "A", "D", 3, PathOrdering.HOPS_THEN_KM)
-    assert [(p.node_seq, p.hop_count, p.length_km) for p in paths] == [
+    assert [(node_seq(diamond, "A", p), p.hop_count, p.length_km) for p in paths] == [
         (("A", "D"), 1, 500.0),
         (("A", "B", "D"), 2, 200.0),
         (("A", "C", "D"), 2, 600.0),
@@ -126,7 +131,7 @@ def test_diamond_hops_ordering(diamond):
 def test_single_path_pair(single_link):
     paths = k_shortest_paths(single_link, "A", "B", 5, PathOrdering.KM_THEN_HOPS)
     assert len(paths) == 1
-    assert paths[0].node_seq == ("A", "B")
+    assert node_seq(single_link, "A", paths[0]) == ("A", "B")
 
 
 def test_disconnected_pair_returns_empty():
@@ -144,10 +149,12 @@ def test_same_node_pair_rejected(single_link):
 def test_candidate_path_invariants(diamond):
     for ordering in PathOrdering:
         for p in diamond.candidate_paths("A", "D", 3, ordering):
-            assert len(set(p.node_seq)) == len(p.node_seq)  # loopless
-            assert p.hop_count == len(p.node_seq) - 1 >= 1
-            assert p.length_km == pytest.approx(sum(hop_lengths(diamond, p.node_seq)))
-            assert len(p.fiber_ids) == p.hop_count
+            nodes = node_seq(diamond, "A", p)
+            assert nodes[-1] == "D"
+            assert len(set(nodes)) == len(nodes)  # loopless
+            assert p.hop_count == len(nodes) - 1 >= 1
+            assert p.length_km == pytest.approx(sum(hop_lengths(diamond, nodes)))
+            assert isinstance(p.fiber_ids, bytes)  # 10 fibers, one byte each
 
 
 def test_fiber_ids_direction_aware():
@@ -168,10 +175,12 @@ def test_cache_returns_same_object(diamond):
     assert a is b
 
 
-def test_path_cache_retains_under_350_bytes_per_path():
-    """A cached record holds its node sequence, hop count, km length and fiber
-    ids, and nothing derivable from them: nsfnet's k=50 hop-ordered cache of
-    9,100 paths fits in about 306 bytes a path (418 with link ids and ranks)."""
+def test_path_cache_retains_under_150_bytes_per_path():
+    """A cached record holds its km length and its fiber ids, one byte each on
+    nsfnet's 44 fibers, and nothing derivable from them: nsfnet's k=50
+    hop-ordered cache of 9,100 paths fits in about 133 bytes a path (306 with
+    node sequences, hop counts and tuples of fiber ids; 418 with link ids and
+    ranks as well)."""
     topo = load_topology("nsfnet")
     tracemalloc.start()
     try:
@@ -184,7 +193,25 @@ def test_path_cache_retains_under_350_bytes_per_path():
         for src in topo.nodes for dst in topo.nodes if src != dst
     )
     assert paths == 9100
-    assert retained / paths < 350
+    assert retained / paths < 150
+    assert all(
+        type(p.fiber_ids) is bytes for cached in topo._path_cache.values() for p in cached
+    )
+
+
+def test_fiber_ids_fall_back_to_a_tuple_past_256_fibers(wide_ring):
+    assert wide_ring.num_fibers == 260
+    ids = set()
+    for src, dst in [("0", "64"), ("0", "129"), ("129", "0"), ("127", "128"), ("100", "30")]:
+        paths = wide_ring.candidate_paths(src, dst, 2, PathOrdering.HOPS_THEN_KM)
+        assert len(paths) == 2
+        for p in paths:
+            assert type(p.fiber_ids) is tuple
+            nodes = node_seq(wide_ring, src, p)
+            assert nodes[-1] == dst
+            assert list(p.fiber_ids) == [wide_ring._hops[hop] for hop in zip(nodes, nodes[1:])]
+            ids.update(p.fiber_ids)
+    assert max(ids) >= 256
 
 
 @pytest.mark.parametrize("ordering", ["km", "hops"])
@@ -200,7 +227,7 @@ def test_ksp_matches_exhaustive_enumeration(ordering):
         if src == dst:
             continue
         k = int(rng.integers(1, 8))
-        got = [p.node_seq for p in k_shortest_paths(topo, src, dst, k, enum_ordering)]
+        got = [node_seq(topo, src, p) for p in k_shortest_paths(topo, src, dst, k, enum_ordering)]
         want = ksp_oracle(links, src, dst, k, ordering)
         assert got == want, f"trial {trial}: {got} != {want}"
 
@@ -212,8 +239,8 @@ def test_prefix_stability(ordering):
         nodes, links = random_connected_graph(rng)
         topo = Topology(f"rand{trial}", nodes, links, 8)
         src, dst = nodes[0], nodes[-1]
-        shorter = [p.node_seq for p in k_shortest_paths(topo, src, dst, 3, ordering)]
-        longer = [p.node_seq for p in k_shortest_paths(topo, src, dst, 4, ordering)]
+        shorter = k_shortest_paths(topo, src, dst, 3, ordering)
+        longer = k_shortest_paths(topo, src, dst, 4, ordering)
         assert longer[: len(shorter)] == shorter
 
 
@@ -276,7 +303,7 @@ def test_candidate_table_is_pinned(name, k, ordering):
     for src in topo.nodes:
         for dst in topo.nodes:
             if src != dst:
-                seqs = [p.node_seq for p in topo.candidate_paths(src, dst, k, ordering)]
+                seqs = [node_seq(topo, src, p) for p in topo.candidate_paths(src, dst, k, ordering)]
                 digest.update(json.dumps([src, dst, seqs]).encode())
     assert digest.hexdigest() == CANDIDATE_TABLE_SHA256[name, k, ordering]
 
@@ -313,11 +340,12 @@ def test_tied_routes_report_one_length_in_both_directions():
     topo = Topology("six", list("BDEFG"), links, 8)
     forward = k_shortest_paths(topo, "B", "E", 3, PathOrdering.KM_THEN_HOPS)
     backward = k_shortest_paths(topo, "E", "B", 3, PathOrdering.KM_THEN_HOPS)
-    three_hop = {p.node_seq: p.length_km for p in forward if p.hop_count == 3}
+    lengths = {node_seq(topo, "B", p): p.length_km for p in forward}
+    three_hop = {nodes: km for nodes, km in lengths.items() if len(nodes) == 4}
     assert set(three_hop) == {("B", "F", "G", "E"), ("B", "G", "D", "E")}
     assert set(three_hop.values()) == {float(Fraction(0.7) + Fraction(0.3) + Fraction(0.3))}
     for p in backward:
-        assert p.length_km == {q.node_seq: q.length_km for q in forward}[p.node_seq[::-1]]
+        assert p.length_km == lengths[node_seq(topo, "E", p)[::-1]]
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 10))
@@ -332,8 +360,9 @@ def test_km_lengths_are_exact_and_ordered_with_fractional_lengths(seed, k):
                 kms = [p.length_km for p in paths]
                 assert kms == sorted(kms), (src, dst)
                 for p in paths:
-                    exact = sum(map(Fraction, hop_lengths(topo, p.node_seq)))
-                    assert p.length_km == float(exact), (src, dst, p.node_seq)
+                    nodes = node_seq(topo, src, p)
+                    exact = sum(map(Fraction, hop_lengths(topo, nodes)))
+                    assert p.length_km == float(exact), (src, dst, nodes)
 
 
 def integral_graph(rng):
@@ -440,6 +469,20 @@ def test_ordering_overlap_diagnostic(diamond):
     assert ordering_overlap(diamond, "A", "D", 3) == 0.0
     # at k=1 the orderings disagree: A-D (hops) vs A-B-D (km)
     assert ordering_overlap(diamond, "A", "D", 1) == 1.0
+
+
+@pytest.mark.parametrize("name", ["nsfnet", "usnet-ptrnet"])  # dual and single fibers
+def test_ordering_overlap_equals_the_overlap_of_node_sequences(name):
+    topo = load_topology(name)
+    for src in topo.nodes:
+        for dst in topo.nodes:
+            if src != dst:
+                km, hops = (
+                    {node_seq(topo, src, p) for p in topo.candidate_paths(src, dst, 5, ordering)}
+                    for ordering in (PathOrdering.KM_THEN_HOPS, PathOrdering.HOPS_THEN_KM)
+                )
+                want = len(km ^ hops) / len(km | hops)
+                assert ordering_overlap(topo, src, dst, 5) == want, (src, dst)
 
 
 def test_constructor_validation():
