@@ -31,10 +31,8 @@ active-lightpath records, entry included, for the trial to adopt.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 from typing import Sequence
 
@@ -56,10 +54,6 @@ from .traffic import ServiceRequest, generate_stream
 
 INNER_HEURISTICS = (HeuristicKind.KSP_FF, HeuristicKind.FF_KSP)
 
-OUTCOME_DIRECT = "direct"
-OUTCOME_DEFRAG = "defrag"
-OUTCOME_BLOCKED = "blocked"
-
 
 class CrossingNotBracketedError(RuntimeError):
     """The swept loads do not bracket the target SBP for a curve."""
@@ -68,7 +62,6 @@ class CrossingNotBracketedError(RuntimeError):
 @dataclass(frozen=True)
 class DefragTrialResult(TrialResult):
     defrag_count: int = 0
-    outcomes: tuple[str, ...] | None = None
 
     @property
     def direct_count(self) -> int:
@@ -84,9 +77,7 @@ def require_inner_heuristic(config: SimConfig) -> None:
         )
 
 
-def defrag_bound_trial(
-    config: SimConfig, seed: int, *, record_outcomes: bool = False
-) -> DefragTrialResult:
+def defrag_bound_trial(config: SimConfig, seed: int) -> DefragTrialResult:
     """One seeded bound trial: the plain event loop plus a rebuild on every block."""
     require_inner_heuristic(config)
     stream = generate_stream(
@@ -94,7 +85,6 @@ def defrag_bound_trial(
     )
     table, guard = config.modulation, config.guard_slots
     empty = SpectrumState.for_topology(config.topology)  # never written
-    outcomes = [OUTCOME_DIRECT] * len(stream) if record_outcomes else None
     defrag = 0  # rebuild admissions in the measured window
 
     def rebuild_entry(request: ServiceRequest, candidates) -> tuple:
@@ -127,11 +117,7 @@ def defrag_bound_trial(
             if rebuilt is not None:
                 active.adopt_rebuild(*rebuilt, request)
                 defrag += i >= config.warmup_requests
-                if outcomes is not None:
-                    outcomes[i] = OUTCOME_DEFRAG
                 return True
-        if outcomes is not None:
-            outcomes[i] = OUTCOME_BLOCKED
         return False
 
     blocked = run_stream(config, stream, on_block=on_block, rebuild_entry=rebuild_entry)
@@ -140,7 +126,6 @@ def defrag_bound_trial(
         blocked_count=blocked,
         total_measured=len(stream) - config.warmup_requests,
         defrag_count=defrag,
-        outcomes=None if outcomes is None else tuple(outcomes),
     )
 
 
@@ -253,44 +238,23 @@ def capacity_gain(
 
 
 def bound_sweep(
-    config: SimConfig,
-    loads: Sequence[float],
-    *,
-    jobs: int = 1,
-    record_outcomes: bool = False,
+    config: SimConfig, loads: Sequence[float], *, jobs: int = 1
 ) -> tuple[LoadSweepResult, LoadSweepResult]:
     """Paired-seed sweeps of the inner heuristic and the bound estimator.
 
     Returns the ``(heuristic, bound)`` curves, for :func:`capacity_gain`.
-    With ``record_outcomes`` every bound trial also keeps its
-    per-request outcomes.  A heuristic the bound cannot use is rejected
-    before any trial runs.
+    A heuristic the bound cannot use is rejected before any trial runs.
     """
     require_inner_heuristic(config)
-    bound_trial = partial(defrag_bound_trial, record_outcomes=record_outcomes)
     return (
         sweep(config, loads, jobs=jobs, curve="heuristic"),
-        sweep(config, loads, jobs=jobs, trial_runner=bound_trial, curve="bound"),
+        sweep(config, loads, jobs=jobs, trial_runner=defrag_bound_trial, curve="bound"),
     )
 
 
 def write_bound_trials_csv(result: LoadSweepResult, path) -> None:
     """Sweep schema plus per-trial direct/defrag counts."""
     _write_trials(result, path, {"direct": "direct_count", "defrag": "defrag_count"})
-
-
-def write_outcomes_csv(result: LoadSweepResult, path) -> None:
-    """Row-per-request outcome dump of every bound trial: direct, defrag or blocked."""
-    if any(r.outcomes is None for point in result.points for r in point.results):
-        raise ValueError("bound trials were run without record_outcomes=True")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["load_erlangs", "trial", "seed", "request", "outcome"])
-        for point in result.points:
-            load = f"{point.load_erlangs:.12g}"
-            for trial, r in enumerate(point.results):
-                for req_idx, outcome in enumerate(r.outcomes):
-                    writer.writerow([load, trial, r.seed, req_idx, outcome])
 
 
 def write_gain_report(report: CapacityGainReport, path) -> None:

@@ -43,7 +43,6 @@ from .bounds import (
     require_inner_heuristic,
     write_bound_trials_csv,
     write_gain_report,
-    write_outcomes_csv,
 )
 from .heuristics import HeuristicKind
 from .presets import PRESETS, PresetError, get_preset
@@ -243,9 +242,7 @@ def cmd_bound(args) -> int:
     out = _out_dir(args)
     paths_s = _warm_paths(config.topology, config.k, config.ordering)
     try:
-        heuristic, bound = bound_sweep(
-            config, loads, jobs=args.jobs, record_outcomes=args.record_outcomes
-        )
+        heuristic, bound = bound_sweep(config, loads, jobs=args.jobs)
     except TrafficConfigError as exc:  # only drawing arrivals shows that they overflow
         raise _bad_loads(args.loads, exc) from None
     out.mkdir(parents=True, exist_ok=True)
@@ -253,8 +250,6 @@ def cmd_bound(args) -> int:
     write_summary_csv(heuristic, out / "heuristic_summary.csv")
     write_bound_trials_csv(bound, out / "bound_trials.csv")
     write_summary_csv(bound, out / "bound_summary.csv")
-    if args.record_outcomes:
-        write_outcomes_csv(bound, out / "outcomes.csv")
     _write_records(out, args, started, paths_s)
     for hp, bp in zip(heuristic.points, bound.points):
         print(
@@ -512,8 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("bound", help="defragmentation blocking bound and capacity gain")
     _add_common_run_flags(s)
     s.add_argument("--target-sbp", type=sbp, default=1e-3)
-    s.add_argument("--record-outcomes", action="store_true",
-                   help="also write a per-request outcome CSV")
     s.set_defaults(func=cmd_bound)
 
     s = subs.add_parser("warmup", help="MSER-5 warm-up length distribution")

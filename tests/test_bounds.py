@@ -1,6 +1,5 @@
 import math
 import warnings
-from functools import partial
 from unittest import mock
 
 import pytest
@@ -8,17 +7,12 @@ import pytest
 from eonsim import bounds
 from eonsim.bounds import (
     CrossingNotBracketedError,
-    DefragTrialResult,
-    OUTCOME_BLOCKED,
-    OUTCOME_DEFRAG,
-    OUTCOME_DIRECT,
     bound_sweep,
     capacity_gain,
     crossing_load,
     defrag_bound_trial,
     write_bound_trials_csv,
     write_gain_report,
-    write_outcomes_csv,
 )
 from eonsim.heuristics import HeuristicKind
 from eonsim.presets import get_preset
@@ -35,6 +29,7 @@ from eonsim.simulator import (
 from eonsim.spectrum import run_shifts
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import ServiceRequest, TrafficConfig, generate_stream
+from observe import observe_bound_trial
 from reference import dominance_gap, pack_bits, reference_rebuild
 
 ORDER = PathOrdering.HOPS_THEN_KM
@@ -71,8 +66,7 @@ def active_counts(trial, cfg, stream):
     """A trial's outcome on ``stream`` and the lightpath count after each arrival.
 
     ``trial`` is ``run_stream``, whose outcome is its measured block
-    count, or ``defrag_bound_trial``, whose outcome is its result; the
-    bound's event loop is wrapped to record the same counts.
+    count, or ``defrag_bound_trial``, whose outcome is its result.
     """
     counts = []
 
@@ -81,15 +75,7 @@ def active_counts(trial, cfg, stream):
 
     if trial is run_stream:
         return run_stream(cfg, stream, on_event=record), counts
-    real_run_stream = bounds.run_stream
-
-    def run_recorded(config, requests, **hooks):
-        return real_run_stream(config, requests, on_event=record, **hooks)
-
-    with mock.patch("eonsim.bounds.generate_stream", return_value=stream), mock.patch(
-        "eonsim.bounds.run_stream", run_recorded
-    ):
-        return defrag_bound_trial(cfg, seed=0), counts
+    return observe_bound_trial(cfg, stream, on_event=record)[0], counts
 
 
 # --- rebuild order -----------------------------------------------------------
@@ -134,9 +120,8 @@ def test_hand_traced_defrag_on_four_slots():
         req(1, arrival=2.0, holding=50.0, slots=1),  # takes slot 1, long lived
         req(2, arrival=3.0, holding=50.0, slots=3),  # needs 3 contiguous
     ]
-    with mock.patch("eonsim.bounds.generate_stream", return_value=stream):
-        result = defrag_bound_trial(cfg, seed=0, record_outcomes=True)
-    assert result.outcomes == (OUTCOME_DIRECT, OUTCOME_DIRECT, OUTCOME_DEFRAG)
+    result, outcomes = observe_bound_trial(cfg, stream)
+    assert outcomes == ("direct", "direct", "defrag")
     assert result.blocked_count == 0
     assert result.defrag_count == 1
 
@@ -167,16 +152,15 @@ def test_pigeonhole_block_survives_defrag():
         req(1, arrival=2.0, holding=50.0, slots=2),
         req(2, arrival=3.0, holding=50.0, slots=2),  # 6 slots total > 4
     ]
-    with mock.patch("eonsim.bounds.generate_stream", return_value=stream):
-        result = defrag_bound_trial(cfg, seed=0, record_outcomes=True)
-    assert result.outcomes == (OUTCOME_DIRECT, OUTCOME_DIRECT, OUTCOME_BLOCKED)
+    result, outcomes = observe_bound_trial(cfg, stream)
+    assert outcomes == ("direct", "direct", "blocked")
     assert result.blocked_count == 1
 
 
 def rebuilds_checked_against_reference(cfg, stream, formats):
     """Run a bound trial on ``stream``, checking every rebuild against the reference.
 
-    Returns the trial result and each rebuild's placements as
+    Returns each arrival's outcome and each rebuild's placements as
     {id: (fiber_ids, start, size)}.
     """
     topo = cfg.topology
@@ -205,11 +189,9 @@ def rebuilds_checked_against_reference(cfg, stream, formats):
             rebuilds.append(got)
         return rebuilt
 
-    with mock.patch("eonsim.bounds.generate_stream", return_value=stream), mock.patch(
-        "eonsim.bounds._rebuild", checked_rebuild
-    ):
-        result = defrag_bound_trial(cfg, seed=0, record_outcomes=True)
-    return result, rebuilds
+    with mock.patch("eonsim.bounds._rebuild", checked_rebuild):
+        _result, outcomes = observe_bound_trial(cfg, stream)
+    return outcomes, rebuilds
 
 
 def test_rebuild_skips_rank0_beyond_every_reach():
@@ -235,8 +217,8 @@ def test_rebuild_skips_rank0_beyond_every_reach():
         rate_req(2, 3.0, 50.0, 50.0),  # A-B-D [4, 6)
         rate_req(3, 5.0, 50.0, 100.0),  # 4 slots: free {0, 1, 6, 7} is fragmented
     ]
-    result, rebuilds = rebuilds_checked_against_reference(cfg, stream, formats)
-    assert result.outcomes == (OUTCOME_DIRECT,) * 3 + (OUTCOME_DEFRAG,)
+    outcomes, rebuilds = rebuilds_checked_against_reference(cfg, stream, formats)
+    assert outcomes == ("direct",) * 3 + ("defrag",)
     a_b_d = topo.candidate_paths("A", "D", 2, ORDER)[1].fiber_ids
     b_d = topo.candidate_paths("B", "D", 2, ORDER)[0].fiber_ids
     # stand-in footprints 8 and 4 put requests 3 and 2 ahead of request 1's 2
@@ -257,8 +239,8 @@ def test_ff_ksp_rebuild_prefers_a_later_rank_at_slot_zero():
         req(5, 3.3, holding=50.0, dst="D"),  # A-B-D slot 2
         req(6, 4.0, holding=50.0, slots=2, dst="D"),  # both paths free only {1, 3}
     ]
-    result, rebuilds = rebuilds_checked_against_reference(cfg, stream, [])
-    assert result.outcomes == (OUTCOME_DIRECT,) * 6 + (OUTCOME_DEFRAG,)
+    outcomes, rebuilds = rebuilds_checked_against_reference(cfg, stream, [])
+    assert outcomes == ("direct",) * 6 + ("defrag",)
     a_d, a_b_d = (p.fiber_ids for p in topo.candidate_paths("A", "D", 2, ORDER))
     # request 6 takes A-D [0, 2); request 0 then fits A-D only at slot 2
     assert rebuilds == [
@@ -269,18 +251,15 @@ def test_ff_ksp_rebuild_prefers_a_later_rank_at_slot_zero():
 def test_first_request_on_empty_network_is_direct():
     topo = wire(4)
     cfg = wire_config(topo, n_measured=1)
-    with mock.patch("eonsim.bounds.generate_stream", return_value=[req(0, 1.0)]):
-        result = defrag_bound_trial(cfg, seed=0, record_outcomes=True)
-    assert result.outcomes == (OUTCOME_DIRECT,)
+    result, outcomes = observe_bound_trial(cfg, [req(0, 1.0)])
+    assert outcomes == ("direct",)
     assert result.defrag_count == 0
 
 
-def trial_without_rebuild(cfg, stream):
-    """A bound trial on ``stream`` that fails if it calls ``_rebuild``."""
-    with mock.patch("eonsim.bounds.generate_stream", return_value=stream), mock.patch(
-        "eonsim.bounds._rebuild", side_effect=AssertionError("a rebuild ran")
-    ):
-        return defrag_bound_trial(cfg, seed=0, record_outcomes=True)
+def outcomes_without_rebuild(cfg, stream):
+    """Each arrival's outcome in a bound trial on ``stream``, failing if it calls ``_rebuild``."""
+    with mock.patch("eonsim.bounds._rebuild", side_effect=AssertionError("a rebuild ran")):
+        return observe_bound_trial(cfg, stream)[1]
 
 
 def test_oversized_request_blocks_without_rebuild():
@@ -288,8 +267,7 @@ def test_oversized_request_blocks_without_rebuild():
     topo = wire(4)
     cfg = wire_config(topo, n_measured=2)
     stream = [req(0, 1.0, slots=1), req(1, 2.0, slots=5)]
-    result = trial_without_rebuild(cfg, stream)
-    assert result.outcomes == (OUTCOME_DIRECT, OUTCOME_BLOCKED)
+    assert outcomes_without_rebuild(cfg, stream) == ("direct", "blocked")
 
 
 @pytest.mark.parametrize("heuristic", bounds.INNER_HEURISTICS)
@@ -306,8 +284,7 @@ def test_request_beyond_every_reach_blocks_without_rebuild(heuristic):
         ServiceRequest(id=1, src="A", dst="D", arrival_time=2.0, holding_time=50.0,
                        rate_gbps=50.0),  # A-D and A-B-D are both beyond 1000 km
     ]
-    result = trial_without_rebuild(cfg, stream)
-    assert result.outcomes == (OUTCOME_DIRECT, OUTCOME_BLOCKED)
+    assert outcomes_without_rebuild(cfg, stream) == ("direct", "blocked")
 
 
 def test_inner_heuristic_restricted():
@@ -323,16 +300,17 @@ def test_defrag_counts_partition_measured_window():
         topo, HeuristicKind.KSP_FF, 5, ORDER, 380.0,
         warmup_requests=500, measured_requests=2000,
     )
-    result = defrag_bound_trial(cfg, seed=3, record_outcomes=True)
+    stream = generate_stream(cfg.traffic, cfg.total_requests, topo.nodes, 3)
+    result, outcomes = observe_bound_trial(cfg, stream, seed=3)
     assert result.direct_count + result.defrag_count + result.blocked_count == 2000
-    assert len(result.outcomes) == 2500
+    assert len(outcomes) == 2500
     assert result.defrag_count > 0
 
 
 @pytest.mark.parametrize("load", [300.0, 380.0])
 def test_counted_outcomes_match_recorded_ones(load):
-    """Without ``record_outcomes`` the trial counts its measured outcomes
-    itself; the counts must equal those read off the recorded outcomes.
+    """The trial counts its measured outcomes itself; the counts must
+    equal those read off every arrival through the event loop's hooks.
 
     The warm-up is long enough to see rebuilds, which must not count.
     """
@@ -345,19 +323,16 @@ def test_counted_outcomes_match_recorded_ones(load):
     warmup_defrags = 0
     for seed in (0, 1, 2):
         counted = defrag_bound_trial(cfg, seed)
-        recorded = defrag_bound_trial(cfg, seed, record_outcomes=True)
-        measured = recorded.outcomes[cfg.warmup_requests :]
-        assert counted.outcomes is None
+        stream = generate_stream(cfg.traffic, cfg.total_requests, topo.nodes, seed)
+        observed, outcomes = observe_bound_trial(cfg, stream, seed=seed)
+        assert observed == counted  # observing the trial does not change it
+        measured = outcomes[cfg.warmup_requests :]
         assert (counted.blocked_count, counted.direct_count, counted.defrag_count) == (
-            measured.count(OUTCOME_BLOCKED),
-            measured.count(OUTCOME_DIRECT),
-            measured.count(OUTCOME_DEFRAG),
+            measured.count("blocked"),
+            measured.count("direct"),
+            measured.count("defrag"),
         )
-        assert recorded == DefragTrialResult(
-            counted.seed, counted.blocked_count, counted.total_measured,
-            counted.defrag_count, recorded.outcomes,
-        )
-        warmup_defrags += recorded.outcomes[: cfg.warmup_requests].count(OUTCOME_DEFRAG)
+        warmup_defrags += outcomes[: cfg.warmup_requests].count("defrag")
     assert warmup_defrags > 0
 
 
@@ -499,9 +474,7 @@ def test_bound_csv_writers(tmp_path):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = sweep(
-            cfg, [4.0], trial_runner=partial(defrag_bound_trial, record_outcomes=True)
-        )
+        result = sweep(cfg, [4.0], trial_runner=defrag_bound_trial)
     path = tmp_path / "bound_trials.csv"
     write_bound_trials_csv(result, path)
     lines = path.read_text().strip().splitlines()
@@ -512,25 +485,6 @@ def test_bound_csv_writers(tmp_path):
     plain = sweep(cfg, [4.0])
     with pytest.raises(AttributeError, match="direct_count"):
         write_bound_trials_csv(plain, tmp_path / "plain.csv")
-
-    opath = tmp_path / "outcomes.csv"
-    write_outcomes_csv(result, opath)
-    olines = opath.read_text().strip().splitlines()
-    assert olines[0] == "load_erlangs,trial,seed,request,outcome"
-    assert len(olines) == 1 + 2 * 200
-    assert olines[1] == "4,0,0,0,direct"
-    assert olines[-1].startswith("4,1,1,199,")
-    outcomes = {line.split(",")[-1] for line in olines[1:]}
-    assert outcomes <= {OUTCOME_DIRECT, OUTCOME_DEFRAG, OUTCOME_BLOCKED}
-
-
-def test_outcomes_csv_needs_recorded_outcomes(tmp_path):
-    cfg = wire_config(wire(8), n_measured=20, trials=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = sweep(cfg, [1.0], trial_runner=defrag_bound_trial)
-    with pytest.raises(ValueError, match="record_outcomes"):
-        write_outcomes_csv(result, tmp_path / "outcomes.csv")
 
 
 def test_bound_sweep_end_to_end_tiny():

@@ -540,12 +540,17 @@ def test_warmup_subcommand(tmp_path, capsys):
 BOUND_ARGS = (
     "bound --preset ptrnet-40 --topology nsfnet --heuristic ksp-ff --k 3 "
     "--ordering hops --loads 220,260,300 --trials 2 --seed 1 "
-    "--warmup 200 --measured 900 --jobs 1 --target-sbp 0.01 --record-outcomes"
+    "--warmup 200 --measured 900 --jobs 1 --target-sbp 0.01"
 )
-BOUND_OUTPUTS = (
-    "heuristic_trials.csv", "heuristic_summary.csv", "bound_trials.csv",
-    "bound_summary.csv", "gain_report.json", "outcomes.csv",
-)
+#: pinned, so a change to the trial records, the gain or the writers cannot alter a byte
+BOUND_SHA256 = {
+    "heuristic_trials.csv": "387469802314485144b2aec30f4aa5fa11177dfa2227d4fc3d06a01af30b8b29",
+    "heuristic_summary.csv": "692f0a073b60ce24c328c629902c37d10d4c982994935570aeb4706bcd82c2db",
+    "bound_trials.csv": "0a09a5a379ac776f1bcfe719e6d21357ea6fe1104184f74803a573562c3232be",
+    "bound_summary.csv": "0c0b31f2a366e875ec0ba909181f57ac4f37accadbf94a46ba8d8cec0c4a8b47",
+    "gain_report.json": "e0d49e060f14d9d7e082d55a70be079f9dec461be14adb4059133f855bffb53c",
+}
+BOUND_OUTPUTS = tuple(BOUND_SHA256)
 
 
 def test_bound_subcommand_writes_gain(tmp_path, capsys, monkeypatch):
@@ -564,11 +569,8 @@ def test_bound_subcommand_writes_gain(tmp_path, capsys, monkeypatch):
         assert (out / name).is_file(), name
     gain = json.loads((out / "gain_report.json").read_text())
     assert gain["bound_load_erlangs"] >= gain["heuristic_load_erlangs"]
-    outcomes = (out / "outcomes.csv").read_text().strip().splitlines()
-    assert outcomes[0] == "load_erlangs,trial,seed,request,outcome"
-    assert len(outcomes) == 1 + 3 * 2 * 1100  # loads x trials x requests
-    # the outcomes come from the bound sweep itself: one run per (load, trial)
-    assert calls == [{"record_outcomes": True}] * (3 * 2)
+    # one bound run per (load, trial)
+    assert calls == [{}] * (3 * 2)
 
 
 def test_bound_manifest_rerun_reproduces_outputs_byte_for_byte(tmp_path, capsys):
@@ -578,15 +580,31 @@ def test_bound_manifest_rerun_reproduces_outputs_byte_for_byte(tmp_path, capsys)
     assert run(["rerun", "--manifest", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
     for name in BOUND_OUTPUTS:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-    # pinned, so a change to the trial records, the gain or the writers cannot alter a byte
-    assert {name: sha256(out1 / name) for name in BOUND_OUTPUTS} == {
-        "heuristic_trials.csv": "387469802314485144b2aec30f4aa5fa11177dfa2227d4fc3d06a01af30b8b29",
-        "heuristic_summary.csv": "692f0a073b60ce24c328c629902c37d10d4c982994935570aeb4706bcd82c2db",
-        "bound_trials.csv": "0a09a5a379ac776f1bcfe719e6d21357ea6fe1104184f74803a573562c3232be",
-        "bound_summary.csv": "0c0b31f2a366e875ec0ba909181f57ac4f37accadbf94a46ba8d8cec0c4a8b47",
-        "gain_report.json": "e0d49e060f14d9d7e082d55a70be079f9dec461be14adb4059133f855bffb53c",
-        "outcomes.csv": "4b5ef1699f5ed444177aa0cbb7c53506a6819c2b378cd5b73bed9757f099867a",
-    }
+    assert {name: sha256(out1 / name) for name in BOUND_OUTPUTS} == BOUND_SHA256
+
+
+def test_rerun_of_an_old_bound_manifest_with_record_outcomes(tmp_path, capsys):
+    """Bound manifests once stored ``record_outcomes`` for a per-request outcome dump.
+
+    One storing ``false``, as every bound run without the dump did, reruns
+    to the pinned outputs; one storing ``true`` asks for a dump that is no
+    longer written, and exits 2 before writing anything.
+    """
+    out = tmp_path / "run"
+    assert run(f"{BOUND_ARGS} --out {out}".split()) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    for recorded in (False, True):
+        doc["args"]["record_outcomes"] = recorded
+        (tmp_path / f"{recorded}.json").write_text(json.dumps(doc))
+    rerun = tmp_path / "rerun"
+    assert run(["rerun", "--manifest", str(tmp_path / "False.json"), "--out", str(rerun)]) == 0
+    assert {name: sha256(rerun / name) for name in BOUND_OUTPUTS} == BOUND_SHA256
+    capsys.readouterr()
+    refused = tmp_path / "refused"
+    argv = ["rerun", "--manifest", str(tmp_path / "True.json"), "--out", str(refused)]
+    assert exit_code(argv) == 2
+    assert "--record-outcomes" in capsys.readouterr().err
+    assert not refused.exists()
 
 
 def test_bound_subcommand_unbracketed_exits_3(tmp_path, capsys):

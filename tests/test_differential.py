@@ -5,19 +5,16 @@ naive reference in ``reference.py`` on small random networks, and must
 agree after every arrival: the outcome, every active placement and the
 occupancy of every fiber.
 """
-from unittest import mock
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eonsim import bounds
-from eonsim.bounds import defrag_bound_trial
 from eonsim.heuristics import HeuristicKind
 from eonsim.service import ModulationFormat, ModulationTable
 from eonsim.simulator import SimConfig, run_stream
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import TrafficConfig, generate_stream
+from observe import observe_bound_trial
 from reference import pack_bits, random_connected_graph, reference_trial
 
 #: (bits per symbol, reach in km) of the default table, scaled per example
@@ -82,20 +79,12 @@ def package_events(config, stream, bound):
         assert blocked == outcomes[config.warmup_requests :].count("blocked")
         return outcomes, occupancies, placements
 
-    real_run_stream = bounds.run_stream
-
-    def run_recorded(cfg, requests, **hooks):
-        return real_run_stream(cfg, requests, on_event=record, **hooks)
-
-    with mock.patch("eonsim.bounds.generate_stream", return_value=stream), mock.patch(
-        "eonsim.bounds.run_stream", run_recorded
-    ):
-        result = defrag_bound_trial(config, seed=0, record_outcomes=True)
-    measured = result.outcomes[config.warmup_requests :]
+    result, outcomes = observe_bound_trial(config, stream, on_event=record)
+    measured = outcomes[config.warmup_requests :]
     assert result.direct_count == measured.count("direct")
     assert result.defrag_count == measured.count("defrag")
     assert result.blocked_count == measured.count("blocked")
-    return list(result.outcomes), occupancies, placements
+    return outcomes, occupancies, placements
 
 
 def assert_matches_reference(config, formats, stream, bound):

@@ -297,7 +297,10 @@ def test_adopt_rebuild_needs_the_active_set_plus_the_request(diamond):
 
 def test_sbp_increases_with_load():
     cfg = nsfnet_config(250)
-    result = sweep(cfg, [250, 300, 350])
+    with pytest.warns(UserWarning, match="load 250: only") as caught:
+        result = sweep(cfg, [250, 300, 350])
+    # 300 E and 350 E pool enough blocking events not to warn
+    assert [str(w.message).split(":")[0] for w in caught] == ["load 250"]
     means = [p.mean_sbp for p in result.points]
     assert means[0] < means[1] < means[2]
 
