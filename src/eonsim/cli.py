@@ -428,8 +428,11 @@ def cmd_rerun(args) -> int:
             argv.append(flag)
         else:
             argv.extend([flag, str(value)])
+    parsed, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        raise CliError(f"manifest {args.manifest} stores {' '.join(unknown)}, unknown to this eonsim")
     print(f"rerunning: eonsim {' '.join(argv)}")
-    return main(argv)
+    return parsed.func(parsed)
 
 
 def _available_cpus() -> int:

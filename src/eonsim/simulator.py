@@ -22,7 +22,6 @@ import threading
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
@@ -228,10 +227,6 @@ class LoadSweepResult:
     points: tuple[LoadPoint, ...]
 
 
-#: ``(config, runner, counter, tasks)`` of this pool worker's sweep
-_WORKER_SHARE: tuple | None = None
-
-
 def _exit_with_parent() -> None:
     """Wait until the parent process has ended, then end this worker."""
     from multiprocessing import parent_process
@@ -239,13 +234,6 @@ def _exit_with_parent() -> None:
 
     wait([parent_process().sentinel])
     os._exit(1)
-
-
-def _init_worker(config: SimConfig, runner, counter, tasks) -> None:
-    global _WORKER_SHARE
-    _WORKER_SHARE = (config, runner, counter, tasks)
-    # a worker whose sweeping process was killed would otherwise run on
-    threading.Thread(target=_exit_with_parent, daemon=True).start()
 
 
 def _drain(
@@ -271,19 +259,38 @@ def _drain(
             load, seed = tasks[index]
             done.append((index, runner(config.with_load(load), seed)))
     except BaseException:
-        with counter.get_lock():
-            counter.value = len(tasks)
+        counter.value = len(tasks)  # a shared Value's setter takes its lock
         raise
 
 
-def _drain_worker_share() -> list[tuple[int, TrialResult]]:
-    return _drain(*_WORKER_SHARE)
+def _work(config: SimConfig, runner, counter, tasks, sender) -> None:
+    """A worker process: send back ``_drain``'s list, or its error (its repr if unpicklable)."""
+    threading.Thread(target=_exit_with_parent, daemon=True).start()  # or outlive a killed parent
+    try:
+        reply = _drain(config, runner, counter, tasks)
+    except BaseException as exc:  # the sweeping process raises it
+        reply = exc
+    try:
+        sender.send(reply)
+    except Exception:
+        sender.send(RuntimeError(repr(reply)))
 
 
-def _stop_if_failed(counter, end: int, share) -> None:
-    # a worker that died without raising could not move the counter itself
-    if share.exception() is not None:
-        counter.value = end
+def _collect(receivers, counter, end: int, replies: dict) -> None:
+    """Map each receiver to its worker's reply; any but a list moves ``counter`` to ``end``."""
+    from multiprocessing.connection import wait
+
+    while len(replies) < len(receivers):
+        for receiver in wait([r for r in receivers if r not in replies]):
+            try:
+                replies[receiver] = receiver.recv()
+            except EOFError:  # the worker died
+                from concurrent.futures.process import BrokenProcessPool
+                replies[receiver] = BrokenProcessPool("a sweep worker terminated abruptly")
+            except Exception as exc:  # a reply that does not unpickle here
+                replies[receiver] = exc
+            if not isinstance(replies[receiver], list):
+                counter.value = end
 
 
 def check_loads(loads: Sequence[float]) -> None:
@@ -316,34 +323,44 @@ def sweep(
     one of them: ``jobs > 1`` forks up to ``jobs - 1`` worker processes,
     never more than there are trials beyond the first, so a one-trial
     sweep forks none.  ``trial_runner`` must then pickle: a module-level
-    function, or a ``functools.partial`` of one.  A sweep that forks no
-    worker loads no pool code: ``multiprocessing`` and
-    ``concurrent.futures`` are imported only to fork.  Results are placed by
-    trial, so they do not depend on ``jobs`` or on which process ran a
-    trial.  A trial that raises, or a worker that dies, stops every other
-    process after its current trial, and the error propagates.
+    function, or a ``functools.partial`` of one.  Only a forking sweep
+    imports ``multiprocessing``, and ``numpy.random`` before it forks, so
+    workers inherit it (5.5 MB of a first sweep's worker RSS).  Results
+    are placed by trial, so they do not depend on ``jobs`` or on which
+    process ran a trial.  A trial that raises, or a worker that dies, stops
+    every other process after its current trial, and the error propagates.
     """
     check_loads(loads)
     seeds = [config.base_seed + t for t in range(config.trials)]
     tasks = [(load, seed) for load in loads for seed in seeds]
     workers = min(jobs, len(tasks)) - 1
     if workers > 0:
-        import multiprocessing  # about 1.5 MB of RSS, so only a forking sweep pays it
-        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import Pipe, Process, Value  # 1.5 MB of RSS, only when forking
+        import numpy.random  # noqa: F401  forked workers inherit it, as they do the path cache
 
         config.topology.warm_path_cache(config.k, config.ordering)
-        counter = multiprocessing.Value("q", 0)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(config, trial_runner, counter, tasks),
-        ) as pool:
-            shares = [pool.submit(_drain_worker_share) for _ in range(workers)]
-            for share in shares:
-                share.add_done_callback(partial(_stop_if_failed, counter, len(tasks)))
+        counter = Value("q", 0)
+        procs, receivers, replies = [], [], {}
+        collector = threading.Thread(target=_collect, args=(receivers, counter, len(tasks), replies))
+        try:
+            for _ in range(workers):
+                receiver, sender = Pipe(duplex=False)
+                procs.append(Process(target=_work, args=(config, trial_runner, counter, tasks, sender)))
+                procs[-1].start()
+                sender.close()  # a later fork must not inherit it, or this worker's EOF never comes
+                receivers.append(receiver)
+            collector.start()  # only after the last fork: forking a threaded process is unsafe
             done = _drain(config, trial_runner, counter, tasks)
-            for share in shares:
-                done += share.result()
+        finally:
+            counter.value = len(tasks)  # should a start fail, started workers stop
+            if collector.ident is not None:
+                collector.join()
+            for proc in procs:
+                proc.join()
+        for reply in replies.values():
+            if not isinstance(reply, list):
+                raise reply
+            done += reply
     else:  # one process: a plain counter, no shared memory and no lock
         done = _drain(config, trial_runner, SimpleNamespace(value=0, get_lock=nullcontext), tasks)
     results = [result for _index, result in sorted(done, key=lambda pair: pair[0])]

@@ -588,7 +588,8 @@ def test_rerun_of_an_old_bound_manifest_with_record_outcomes(tmp_path, capsys):
 
     One storing ``false``, as every bound run without the dump did, reruns
     to the pinned outputs; one storing ``true`` asks for a dump that is no
-    longer written, and exits 2 before writing anything.
+    longer written, and exits 2 before writing anything, with one error line
+    naming the manifest and the option and no usage text.
     """
     out = tmp_path / "run"
     assert run(f"{BOUND_ARGS} --out {out}".split()) == 0
@@ -603,7 +604,11 @@ def test_rerun_of_an_old_bound_manifest_with_record_outcomes(tmp_path, capsys):
     refused = tmp_path / "refused"
     argv = ["rerun", "--manifest", str(tmp_path / "True.json"), "--out", str(refused)]
     assert exit_code(argv) == 2
-    assert "--record-outcomes" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: manifest {tmp_path / 'True.json'} stores --record-outcomes, "
+        "unknown to this eonsim"
+    ]
     assert not refused.exists()
 
 

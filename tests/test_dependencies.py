@@ -78,5 +78,48 @@ def test_only_a_forking_sweep_loads_the_pool():
     assert proc.stdout.splitlines() == [
         "imported",
         "unforked",
-        "forked multiprocessing concurrent.futures",
+        "forked multiprocessing",
     ]
+
+
+# Before anything loads numpy.random, sweeps two trials at jobs=2 under fork.  Each
+# trial records whether numpy.random is loaded as it starts; the sweeping process's
+# trial waits for the worker's record, so the worker runs the other trial.
+NUMPY_RANDOM_PROBE = """
+import functools, multiprocessing, os, sys, time, warnings
+sys.path.insert(0, sys.argv[1])
+from pathlib import Path
+from eonsim.heuristics import HeuristicKind
+from eonsim.presets import get_preset
+from eonsim.simulator import TrialResult, sweep
+from eonsim.topology import PathOrdering
+
+def run(records, parent_pid, config, seed):
+    Path(records, str(os.getpid())).write_text(str("numpy.random" in sys.modules))
+    deadline = time.monotonic() + 60
+    while os.getpid() == parent_pid and len(os.listdir(records)) < 2:
+        assert time.monotonic() < deadline, "the worker ran no trial"
+        time.sleep(0.01)
+    return TrialResult(seed, 0, 1)
+
+multiprocessing.set_start_method("fork")
+preset = get_preset("deeprmsa")
+config = preset.sim_config(
+    preset.load_topology("nsfnet", slots_per_fiber=8), HeuristicKind.KSP_FF, 2,
+    PathOrdering("hops"), 300, warmup_requests=10, measured_requests=50, trials=2,
+)
+print("before", "numpy.random" in sys.modules)
+warnings.simplefilter("ignore")
+sweep(config, [300], jobs=2, trial_runner=functools.partial(run, sys.argv[2], os.getpid()))
+print("worker", *(p.read_text() for p in Path(sys.argv[2]).iterdir() if p.name != str(os.getpid())))
+"""
+
+
+def test_a_forked_worker_inherits_numpy_random(tmp_path):
+    """The sweeping process loads numpy.random before it forks, so no worker imports it."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", NUMPY_RANDOM_PROBE, str(ROOT / "src"), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["before False", "worker True"]

@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import functools
 import importlib
@@ -413,6 +412,45 @@ def test_parallel_sweep_matches_serial():
     assert sum(r.defrag_count for p in bound_serial.points for r in p.results) > 0
 
 
+# Sweeps a 2-load x 2-trial ksp-ff curve and its bound at jobs=1 and jobs=2 under
+# the start method named in argv[2], and prints whether each pair is equal.
+START_METHOD_PROBE = """
+import multiprocessing, sys, warnings
+sys.path.insert(0, sys.argv[1])
+from eonsim.bounds import defrag_bound_trial
+from eonsim.heuristics import HeuristicKind
+from eonsim.presets import get_preset
+from eonsim.simulator import run_trial, sweep
+from eonsim.topology import PathOrdering
+
+multiprocessing.set_start_method(sys.argv[2])
+preset = get_preset("deeprmsa")
+config = preset.sim_config(
+    preset.load_topology("nsfnet", slots_per_fiber=8), HeuristicKind.KSP_FF, 2,
+    PathOrdering("hops"), 300, warmup_requests=10, measured_requests=50, trials=2,
+)
+warnings.simplefilter("ignore")
+for runner in (run_trial, defrag_bound_trial):
+    serial = sweep(config, [300, 330], jobs=1, trial_runner=runner)
+    print(runner.__name__, sweep(config, [300, 330], jobs=2, trial_runner=runner) == serial)
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pooled_sweep_matches_serial_under_other_start_methods(method):
+    """Workers that do not fork from the sweeping process get everything they need
+    from their arguments."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", START_METHOD_PROBE, src, method],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["run_trial True", "defrag_bound_trial True"]
+
+
 def test_one_trial_sweep_starts_no_pool(monkeypatch):
     """With a single trial ``jobs=2`` runs it in the calling process."""
     cfg = nsfnet_config(320, trials=1, measured_requests=500, warmup_requests=100)
@@ -423,7 +461,7 @@ def test_one_trial_sweep_starts_no_pool(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         serial = sweep(cfg, [320], jobs=1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(multiprocessing, "Process", refuse)
         monkeypatch.setattr(multiprocessing, "Value", refuse)
         assert sweep(cfg, [320], jobs=2) == serial
 
@@ -431,19 +469,22 @@ def test_one_trial_sweep_starts_no_pool(monkeypatch):
 # Trial runners for pooled sweeps, written to a file so that workers import
 # them by name.  Each trial creates a marker file named "load-seed" in
 # ``started_dir`` as it starts, and fails if that file exists already.
-# The trial of ``failing_seed`` raises, or with ``exits`` ends its worker
-# process as a kill would; in the sweeping process it always raises.
+# The trial of ``failing_seed`` fails as ``how`` says: "raise" raises, "exit"
+# ends its worker process as a kill would, and "unpicklable" raises an error
+# that cannot be pickled; in the sweeping process it always raises.
 _MARKED_TRIALS = textwrap.dedent("""
-    import multiprocessing, os, time
+    import multiprocessing, os, threading, time
     from pathlib import Path
 
     from eonsim.simulator import TrialResult
 
-    def run(started_dir, failing_seed, exits, sleep_s, config, seed):
+    def run(started_dir, failing_seed, how, sleep_s, config, seed):
         Path(started_dir, f"{config.traffic.load_erlangs:g}-{seed}").open("x").close()
         if seed == failing_seed:
-            if exits and multiprocessing.parent_process() is not None:
+            if how == "exit" and multiprocessing.parent_process() is not None:
                 os._exit(1)
+            if how == "unpicklable":
+                raise RuntimeError(f"trial {seed} failed", threading.Lock())
             raise RuntimeError(f"trial {seed} failed")
         time.sleep(sleep_s)
         return TrialResult(seed, seed % 3, 3)
@@ -457,15 +498,15 @@ def _marked_trials(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "failing,exits,error,match",
+    "failing,how,error,match",
     [
-        (0, False, RuntimeError, "trial 5 failed"),
-        (1, False, RuntimeError, "trial 6 failed"),
-        (1, True, BrokenProcessPool, "terminated abruptly"),
+        (0, "raise", RuntimeError, "trial 5 failed"),
+        (1, "raise", RuntimeError, "trial 6 failed"),
+        (1, "exit", BrokenProcessPool, "terminated abruptly"),
     ],
     ids=["sweeping-process", "worker", "worker-exits"],
 )
-def test_a_failing_trial_stops_a_pooled_sweep(tmp_path, monkeypatch, failing, exits, error, match):
+def test_a_failing_trial_stops_a_pooled_sweep(tmp_path, monkeypatch, failing, how, error, match):
     """The error propagates, and no process starts a trial after it.
 
     The sweeping process takes the first trial and the worker, started
@@ -477,12 +518,54 @@ def test_a_failing_trial_stops_a_pooled_sweep(tmp_path, monkeypatch, failing, ex
     started = tmp_path / "started"
     started.mkdir()
     cfg = nsfnet_config(100, trials=20, base_seed=5)
-    runner = functools.partial(marked.run, str(started), 5 + failing, exits, 0.5)
+    runner = functools.partial(marked.run, str(started), 5 + failing, how, 0.5)
     with pytest.raises(error, match=match):
         sweep(cfg, [100.0], jobs=2, trial_runner=runner)
     names = sorted(p.name for p in started.iterdir())
     assert f"100-{5 + failing}" in names
     assert len(names) <= 2, names  # the failing trial and the other process's current one
+
+
+def test_an_unpicklable_worker_error_stops_a_pooled_sweep(tmp_path):
+    """A worker's error that cannot be pickled reaches the sweep as its repr.
+
+    The sweep runs in its own process, so a sweep that never returns fails
+    the test by its timeout.  The worker runs the second trial, as in
+    ``test_a_failing_trial_stops_a_pooled_sweep``.
+    """
+    (tmp_path / "marked_trials.py").write_text(_MARKED_TRIALS)
+    started = tmp_path / "started"
+    started.mkdir()
+    script = textwrap.dedent("""
+        import functools, sys
+        import marked_trials
+        from eonsim.heuristics import HeuristicKind
+        from eonsim.presets import get_preset
+        from eonsim.simulator import sweep
+        from eonsim.topology import PathOrdering
+
+        preset = get_preset("deeprmsa")
+        config = preset.sim_config(
+            preset.load_topology("nsfnet"), HeuristicKind.KSP_FF, 2,
+            PathOrdering.HOPS_THEN_KM, 100.0, trials=20, base_seed=5,
+        )
+        runner = functools.partial(marked_trials.run, sys.argv[1], 6, "unpicklable", 0.5)
+        try:
+            sweep(config, [100.0], jobs=2, trial_runner=runner)
+        except RuntimeError as exc:
+            print(exc)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), src])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(started)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("RuntimeError('trial 6 failed', <unlocked _thread.lock"), proc.stdout
+    names = sorted(p.name for p in started.iterdir())
+    assert "100-6" in names
+    assert len(names) <= 2, names
 
 
 def test_pooled_sweep_runs_every_trial_once(tmp_path, monkeypatch):
