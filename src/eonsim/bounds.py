@@ -99,14 +99,14 @@ def defrag_bound_trial(config: SimConfig, seed: int) -> DefragTrialResult:
         demand and ``run_shifts(demand)``, for ``_rebuild``'s rank-0
         first fit.
         """
-        path0 = candidates[0]
-        slots = demand_for_path(request, path0, table, guard)
+        fiber_ids = candidates.fiber_ids[0]
+        slots = demand_for_path(request, candidates.lengths_km[0], table, guard)
         if slots is None:
             slots = table._slots[request.rate_gbps, table.formats[-1].bits_per_symbol, guard]
             rank0 = None
         else:
-            rank0 = (path0.fiber_ids, slots, run_shifts(slots))
-        return (-slots * len(path0.fiber_ids), request, candidates, rank0)
+            rank0 = (fiber_ids, slots, run_shifts(slots))
+        return (-slots * len(fiber_ids), request, candidates, rank0)
 
     def on_block(i: int, request: ServiceRequest, candidates, active: ActiveLightpaths) -> bool:
         nonlocal defrag

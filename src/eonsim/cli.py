@@ -331,12 +331,12 @@ def cmd_paths(args) -> int:
     hops, kms = [], []
     for src, dst in itertools.permutations(topology.nodes, 2):
         paths = topology.candidate_paths(src, dst, args.k, ordering)
-        hops.extend(p.hop_count for p in paths)
-        kms.extend(p.length_km for p in paths)
+        hops.extend(map(len, paths.fiber_ids))
+        kms.extend(paths.lengths_km)
         if args.diagnose_orderings:
             overlaps.append(ordering_overlap(topology, src, dst, args.k))
-        rows.append((src, dst, len(paths), paths[0].hop_count if paths else 0,
-                     paths[0].length_km if paths else 0.0))
+        rows.append((src, dst, len(paths), len(paths.fiber_ids[0]) if paths else 0,
+                     paths.lengths_km[0] if paths else 0.0))
     counts = [n for _src, _dst, n, _hops, _km in rows]
     n_pairs = len(rows)
     full = sum(1 for c in counts if c >= args.k)

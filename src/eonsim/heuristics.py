@@ -42,7 +42,7 @@ from .spectrum import (
     run_shifts,
     slot_block,
 )
-from .topology import CandidatePath
+from .topology import CandidatePaths
 
 
 class HeuristicKind(enum.Enum):
@@ -72,7 +72,7 @@ _KSP_FF, _FF_KSP, _KSP_BF, _BF_KSP, _KME_FF, _KCA_FF = HeuristicKind
 def decide(
     kind: HeuristicKind,
     request,
-    candidates: Sequence[CandidatePath],
+    candidates: CandidatePaths,
     state: SpectrumState,
     table: ModulationTable | None = None,
     guard_slots: int = 0,
@@ -92,35 +92,37 @@ def decide(
     occ, full, n_slots = state.occ, state.full_mask, state.n_slots
     best_key = best = None
     scored = []  # kme-ff: (estimate, fiber_ids, start, demand) in rank order
-    for path in candidates:
+    lengths_km, rank = candidates.lengths_km, -1
+    for fiber_ids in candidates.fiber_ids:
+        rank += 1  # counted by hand: a zip costs more than most decides' first candidate
         # exactly one call per evaluated candidate: CI gates perfbench's candidates_per_decide
-        demand = demand_for_path(request, path, table, guard_slots)
+        demand = demand_for_path(request, lengths_km[rank], table, guard_slots)
         if demand is None:
             continue
         if best_fit:
-            fit = best_fit_run(state.path_free(path.fiber_ids), n_slots, demand)
+            fit = best_fit_run(state.path_free(fiber_ids), n_slots, demand)
             if fit is None:
                 continue
             start, run_len = fit
         else:
-            start = first_fit(occ, path.fiber_ids, full, run_shifts(demand))
+            start = first_fit(occ, fiber_ids, full, run_shifts(demand))
             if start < 0:
                 continue
         if kind is _KSP_FF or kind is _KSP_BF:
-            return path.fiber_ids, slot_block(start, demand)
+            return fiber_ids, slot_block(start, demand)
         if kind is _FF_KSP:
             key = start
         elif kind is _BF_KSP:
             key = (run_len, start)
         elif kind is _KME_FF:
-            key = entropy_estimate(state, path.fiber_ids, start, demand)
-            scored.append((key, path.fiber_ids, start, demand))
+            key = entropy_estimate(state, fiber_ids, start, demand)
+            scored.append((key, fiber_ids, start, demand))
         elif kind is _KCA_FF:
-            key = path_congestion(state, path.fiber_ids)
+            key = path_congestion(state, fiber_ids)
         else:
             raise ValueError(f"unhandled heuristic kind {kind}")
         if best_key is None or key < best_key:
-            best_key, best = key, (path.fiber_ids, start, demand)
+            best_key, best = key, (fiber_ids, start, demand)
             if start == 0 and kind is _FF_KSP:  # no later candidate starts lower
                 break
     if best is None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .topology import CandidatePath, _Lookup, _is_number
+from .topology import _Lookup, _is_number
 
 SLOT_WIDTH_GHZ = 12.5
 
@@ -118,11 +118,11 @@ def slots_required(rate_gbps: float, bits_per_symbol: int) -> int:
 
 def demand_for_path(
     request,
-    path: CandidatePath,
+    length_km: float,
     table: ModulationTable | None,
     guard_slots: int = 0,
 ) -> int | None:
-    """Slots ``request`` occupies on ``path``, or None when infeasible.
+    """Slots ``request`` occupies on a path of ``length_km``, or None when infeasible.
 
     Fixed-width requests (``request.slots`` set) skip the table.  For
     rate requests the path length selects the modulation; paths beyond
@@ -133,7 +133,7 @@ def demand_for_path(
         return request.slots + guard_slots
     if table is None:
         raise ValueError("rate-based request requires a modulation table")
-    fmt = table._by_length[path.length_km]
+    fmt = table._by_length[length_km]
     if fmt is None:
         return None
     return table._slots[request.rate_gbps, fmt.bits_per_symbol, guard_slots]

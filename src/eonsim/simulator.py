@@ -30,7 +30,7 @@ import numpy as np
 from .heuristics import HeuristicKind, decide
 from .service import ModulationTable
 from .spectrum import SlotBlock, SpectrumState
-from .topology import CandidatePath, PathOrdering, Topology
+from .topology import CandidatePaths, PathOrdering, Topology
 from .traffic import HOLDING_TIME_MEAN, RequestStream, ServiceRequest, TrafficConfig, generate_stream
 
 #: ``sweep`` warns when a load pools fewer blocking events than this
@@ -145,9 +145,9 @@ def run_stream(
     stream: RequestStream | Sequence[ServiceRequest],
     *,
     on_event: Callable[[SpectrumState, ActiveLightpaths], None] | None = None,
-    on_block: Callable[[int, ServiceRequest, Sequence[CandidatePath], ActiveLightpaths], bool]
+    on_block: Callable[[int, ServiceRequest, CandidatePaths, ActiveLightpaths], bool]
     | None = None,
-    rebuild_entry: Callable[[ServiceRequest, Sequence[CandidatePath]], tuple] | None = None,
+    rebuild_entry: Callable[[ServiceRequest, CandidatePaths], tuple] | None = None,
 ) -> int:
     """Run the event loop over an explicit request stream.
 
@@ -264,16 +264,17 @@ def _drain(
 
 
 def _work(config: SimConfig, runner, counter, tasks, sender) -> None:
-    """A worker process: send back ``_drain``'s list, or its error (its repr if unpicklable)."""
+    """A worker process: send back ``_drain``'s list, or its error (its repr if unpicklable) and trace."""
     threading.Thread(target=_exit_with_parent, daemon=True).start()  # or outlive a killed parent
     try:
-        reply = _drain(config, runner, counter, tasks)
+        sender.send(_drain(config, runner, counter, tasks))
     except BaseException as exc:  # the sweeping process raises it
-        reply = exc
-    try:
-        sender.send(reply)
-    except Exception:
-        sender.send(RuntimeError(repr(reply)))
+        from traceback import format_exception
+        trace = "".join(format_exception(exc))
+        try:
+            sender.send((exc, trace))
+        except Exception:
+            sender.send((RuntimeError(repr(exc)), trace))
 
 
 def _collect(receivers, counter, end: int, replies: dict) -> None:
@@ -283,7 +284,11 @@ def _collect(receivers, counter, end: int, replies: dict) -> None:
     while len(replies) < len(receivers):
         for receiver in wait([r for r in receivers if r not in replies]):
             try:
-                replies[receiver] = receiver.recv()
+                reply = replies[receiver] = receiver.recv()
+                if isinstance(reply, tuple):  # an error: its cause is its traceback in the worker,
+                    from concurrent.futures.process import _RemoteTraceback  # as a pool's is
+                    replies[receiver], trace = reply
+                    replies[receiver].__cause__ = _RemoteTraceback(trace)
             except EOFError:  # the worker died
                 from concurrent.futures.process import BrokenProcessPool
                 replies[receiver] = BrokenProcessPool("a sweep worker terminated abruptly")
@@ -328,7 +333,8 @@ def sweep(
     workers inherit it (5.5 MB of a first sweep's worker RSS).  Results
     are placed by trial, so they do not depend on ``jobs`` or on which
     process ran a trial.  A trial that raises, or a worker that dies, stops
-    every other process after its current trial, and the error propagates.
+    every other process after its current trial, and the error propagates;
+    a worker's has its traceback in the worker as its cause.
     """
     check_loads(loads)
     seeds = [config.base_seed + t for t in range(config.trials)]

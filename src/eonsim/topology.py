@@ -31,10 +31,11 @@ included.  The list is the best k of them under the full key.  A path
 and its reverse have the same hop count and km length, so one
 enumeration serves both directions of a node pair.
 
-A cached path keeps only its km length and the fiber id of each hop,
-as one byte an id when the topology has at most 256 fibers.  Its hop
-count is the number of fiber ids.  The node sequence is built for the
-sort and then dropped: from the source, the fibers' links give it back.
+A node pair's list is one record of two rank-ordered tuples: each
+path's km length, and the fiber id of each of its hops, as one byte an
+id when the topology has at most 256 fibers.  A path's hop count is the
+number of its fiber ids.  The node sequence is built for the sort and
+then dropped: from the source, the fibers' links give it back.
 """
 from __future__ import annotations
 
@@ -78,23 +79,23 @@ class Link:
 
 
 @dataclass(frozen=True, slots=True)
-class CandidatePath:
-    """A loopless route: its km length and the fiber of each hop.
+class CandidatePaths:
+    """A node pair's loopless routes in rank order, with no object per route.
 
-    ``fiber_ids`` index into the owning topology's fiber grids, one per
-    hop in the direction of travel.  They are a ``bytes`` when the
-    topology has at most 256 fibers (every bundled one) and a tuple of
-    ints otherwise; either iterates as ints.  A path's rank is its index
-    in its candidate list.  From a known source, the fiber ids fix the
-    node sequence, so it is not stored.
+    Route ``i`` has km length ``lengths_km[i]`` and the fibers
+    ``fiber_ids[i]``, which index into the owning topology's fiber
+    grids, one per hop in the direction of travel.  Each is a ``bytes``
+    when the topology has at most 256 fibers (every bundled one) and a
+    tuple of ints otherwise; either iterates as ints.  From a known
+    source, the fiber ids fix the node sequence, so it is not stored.
+    ``len()`` is the number of routes.
     """
 
-    length_km: float
-    fiber_ids: bytes | tuple[int, ...]
+    lengths_km: tuple[float, ...]
+    fiber_ids: tuple[bytes | tuple[int, ...], ...]
 
-    @property
-    def hop_count(self) -> int:
-        return len(self.fiber_ids)
+    def __len__(self) -> int:
+        return len(self.lengths_km)
 
 
 class _Lookup(dict):
@@ -185,7 +186,7 @@ class Topology:
             lst.sort()
         self._adjacency = adjacency
         self._hops = hops
-        self._path_cache: dict[tuple[str, str, int, PathOrdering], tuple[CandidatePath, ...]] = {}
+        self._path_cache: dict[tuple[str, str, int, PathOrdering], CandidatePaths] = {}
         self._successors: dict[tuple[str, bool], dict[str, list[tuple]]] = {}
 
     @property
@@ -201,18 +202,17 @@ class Topology:
 
     def candidate_paths(
         self, src: str, dst: str, k: int, ordering: PathOrdering
-    ) -> tuple[CandidatePath, ...]:
+    ) -> CandidatePaths:
         """Cached K-shortest loopless paths from ``src`` to ``dst``."""
         key = (src, dst, k, ordering)
         cached = self._path_cache.get(key)
         if cached is None:
-            cached = tuple(k_shortest_paths(self, src, dst, k, ordering))
-            self._path_cache[key] = cached
+            cached = self._path_cache[key] = k_shortest_paths(self, src, dst, k, ordering)
         return cached
 
     def route_table(
         self, k: int, ordering: PathOrdering
-    ) -> dict[tuple[str, str], tuple[CandidatePath, ...]]:
+    ) -> dict[tuple[str, str], CandidatePaths]:
         """A ``(src, dst) -> candidate_paths(src, dst, k, ordering)`` table.
 
         An event loop indexes it once per request instead of calling
@@ -405,16 +405,18 @@ def _budgeted_paths(
 
 def k_shortest_paths(
     topology: Topology, src: str, dst: str, k: int, ordering: PathOrdering
-) -> list[CandidatePath]:
+) -> CandidatePaths:
     """Globally best ``min(k, available)`` loopless paths under the ordering.
 
     Enumeration continues past k while primary-cost ties remain, so the
     returned list is optimal under the full lexicographic key (primary
     criterion, secondary criterion, node sequence).  A disconnected
-    pair yields an empty list.
+    pair yields an empty record.
 
     The same enumeration also gives the ``(dst, src)`` list, which is
     stored in the topology's path cache unless one is cached already.
+    A path and its reverse have the same hops and km, so both lists rank
+    the same lengths in the same order, and share one tuple of them.
     """
     if src == dst:
         raise TopologyError("src and dst must differ")
@@ -425,37 +427,27 @@ def k_shortest_paths(
 
     hop_weighted = ordering is PathOrdering.HOPS_THEN_KM
     enumerated = _budgeted_paths(topology, src, dst, k, hop_weighted)
+    key = _sort_key(ordering)
+    forward = sorted(enumerated, key=key)[:k]
     # every (dst, src) path up to the same k-th primary cost
-    reverse = [(hops, km, node_path[::-1]) for hops, km, node_path in enumerated]
+    backward = sorted(((hops, km, seq[::-1]) for hops, km, seq in enumerated), key=key)[:k]
+    km_of = {km: km / topology._scale for _hops, km, _seq in forward}  # int / int rounds once
+    lengths_km = tuple(km_of[km] for _hops, km, _seq in forward)
     topology._path_cache.setdefault(
-        (dst, src, k, ordering), tuple(_ranked(topology, reverse, k, ordering))
+        (dst, src, k, ordering), CandidatePaths(lengths_km, _fiber_ids(topology, backward))
     )
-    return _ranked(topology, enumerated, k, ordering)
+    return CandidatePaths(lengths_km, _fiber_ids(topology, forward))
 
 
-def _ranked(
-    topology: Topology,
-    enumerated: list[tuple[int, int, tuple[str, ...]]],
-    k: int,
-    ordering: PathOrdering,
-) -> list[CandidatePath]:
-    """The best k of ``(hops, km units, node_seq)`` entries under the full key.
-
-    Each becomes a record of its km length and fiber ids; the node
-    sequence serves only as the last tie-break.
-    """
-    enumerated.sort(key=_sort_key(ordering))
+def _fiber_ids(topology: Topology, ranked: list[tuple[int, int, tuple[str, ...]]]) -> tuple:
+    """The fiber ids of each ``(hops, km units, node_seq)`` entry's path."""
     hop_table = topology._hops
-    scale = topology._scale
     # one byte a fiber id when every id fits in one, as a stream narrows its columns
     fiber_seq = bytes if topology.num_fibers <= 256 else tuple
-    return [
-        CandidatePath(
-            length_km=km / scale,  # int / int rounds once, correctly
-            fiber_ids=fiber_seq(map(hop_table.get, zip(node_seq, node_seq[1:]))),
-        )
-        for _hops, km, node_seq in enumerated[:k]
-    ]
+    return tuple(
+        fiber_seq(map(hop_table.get, zip(node_seq, node_seq[1:])))
+        for _hops, _km, node_seq in ranked
+    )
 
 
 def ordering_overlap(topology: Topology, src: str, dst: str, k: int) -> float:
@@ -466,8 +458,8 @@ def ordering_overlap(topology: Topology, src: str, dst: str, k: int) -> float:
     their fiber ids: from one source, a loopless path's fiber sequence
     fixes its node sequence in either fiber mode.
     """
-    km = {p.fiber_ids for p in topology.candidate_paths(src, dst, k, PathOrdering.KM_THEN_HOPS)}
-    hops = {p.fiber_ids for p in topology.candidate_paths(src, dst, k, PathOrdering.HOPS_THEN_KM)}
+    km = set(topology.candidate_paths(src, dst, k, PathOrdering.KM_THEN_HOPS).fiber_ids)
+    hops = set(topology.candidate_paths(src, dst, k, PathOrdering.HOPS_THEN_KM).fiber_ids)
     if not km and not hops:
         return 0.0
     union = km | hops

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from eonsim.topology import CandidatePath, PathOrdering, TopologyError
+from eonsim.topology import CandidatePaths, PathOrdering, TopologyError
 from eonsim.traffic import ServiceRequest
 
 
@@ -178,11 +178,8 @@ def reference_k_shortest_paths(topology, src, dst, k, ordering):
         enumerated.append((len(node_path) - 1, km, tuple(node_path)))
         if len(enumerated) == k:
             kth_primary = primary
-    if not enumerated:
-        return []
-
     enumerated.sort(key=_reference_sort_key(ordering))
-    out = []
+    lengths_km, paths = [], []
     for _hops, km, node_seq in enumerated[:k]:
         fiber_ids = tuple(
             topology.fiber_id(_reference_edge(adjacency, a, b)[0], a)
@@ -190,19 +187,20 @@ def reference_k_shortest_paths(topology, src, dst, k, ordering):
         )
         if topology.num_fibers <= 256:  # the record's one-byte form
             fiber_ids = bytes(fiber_ids)
-        out.append(CandidatePath(length_km=float(km), fiber_ids=fiber_ids))
-    return out
+        lengths_km.append(float(km))
+        paths.append(fiber_ids)
+    return CandidatePaths(tuple(lengths_km), tuple(paths))
 
 
-def node_seq(topology, src, path):
-    """The nodes ``path`` visits from ``src``, rebuilt by walking its fibers' links.
+def node_seq(topology, src, fiber_ids):
+    """The nodes a path of ``fiber_ids`` visits from ``src``, rebuilt by walking their links.
 
     Each fiber id must be the one ``topology.fiber_id`` gives for its
     link in the direction of travel.
     """
     per_link = 2 if topology.fiber_mode == "dual" else 1
     nodes = [src]
-    for f in path.fiber_ids:
+    for f in fiber_ids:
         link = topology.links[f // per_link]
         here = nodes[-1]
         assert here in (link.src, link.dst) and topology.fiber_id(link.index, here) == f, (
@@ -439,8 +437,8 @@ def random_connected_graph(rng, max_nodes=6):
 # layer, which has its own oracle above.
 
 
-def reference_slots(request, path, formats, slot_width_ghz, guard_slots, bits=None):
-    """Slots ``request`` needs on ``path``, or None when beyond every reach.
+def reference_slots(request, length_km, formats, slot_width_ghz, guard_slots, bits=None):
+    """Slots ``request`` needs on a path of ``length_km``, or None when beyond every reach.
 
     ``bits`` forces a format instead of the highest one whose reach covers
     the path.
@@ -448,7 +446,7 @@ def reference_slots(request, path, formats, slot_width_ghz, guard_slots, bits=No
     if request.slots is not None:
         return request.slots + guard_slots
     if bits is None:
-        reachable = [b for b, reach in formats if reach >= path.length_km]
+        reachable = [b for b, reach in formats if reach >= length_km]
         if not reachable:
             return None
         bits = max(reachable)
@@ -457,7 +455,7 @@ def reference_slots(request, path, formats, slot_width_ghz, guard_slots, bits=No
 
 
 def reference_decision(kind, request, candidates, grids, formats, width, guard):
-    """(path, start, size) chosen by policy ``kind``, or None, per heuristics.py.
+    """(fiber_ids, start, size) chosen by policy ``kind``, or None, per heuristics.py.
 
     * ksp-ff / ksp-bf: the first candidate with any fit, placed first-fit
       or best-fit;
@@ -473,17 +471,17 @@ def reference_decision(kind, request, candidates, grids, formats, width, guard):
     """
     n_slots = len(grids[0])
     scored = []
-    for rank, path in enumerate(candidates):
-        size = reference_slots(request, path, formats, width, guard)
+    for rank, (length_km, fiber_ids) in enumerate(zip(candidates.lengths_km, candidates.fiber_ids)):
+        size = reference_slots(request, length_km, formats, width, guard)
         if size is None:
             continue
-        occupied = [any(grids[f][i] for f in path.fiber_ids) for i in range(n_slots)]
+        occupied = [any(grids[f][i] for f in fiber_ids) for i in range(n_slots)]
         best_fit = kind in ("ksp-bf", "bf-ksp")
         start = (best_fit_oracle if best_fit else first_fit_oracle)(occupied, size)
         if start is None:
             continue
         if kind in ("ksp-ff", "ksp-bf"):
-            return path, start, size
+            return fiber_ids, start, size
         if kind == "ff-ksp":
             score = start
         elif kind == "bf-ksp":
@@ -492,17 +490,17 @@ def reference_decision(kind, request, candidates, grids, formats, width, guard):
             placed = range(start, start + size)
             score = sum(
                 entropy_oracle([grids[f][i] or i in placed for i in range(n_slots)])
-                for f in path.fiber_ids
+                for f in fiber_ids
             )
         elif kind == "kca-ff":
-            score = max(sum(grids[f]) / n_slots for f in path.fiber_ids)
+            score = max(sum(grids[f]) / n_slots for f in fiber_ids)
         else:
             raise ValueError(kind)
-        scored.append((score, rank, path, start, size))
+        scored.append((score, rank, fiber_ids, start, size))
     if not scored:
         return None
-    _score, _rank, path, start, size = min(scored, key=lambda s: s[:2])
-    return path, start, size
+    _score, _rank, fiber_ids, start, size = min(scored, key=lambda s: s[:2])
+    return fiber_ids, start, size
 
 
 def reference_rebuild(kind, requests, candidates_of, n_fibers, n_slots, formats, width, guard):
@@ -515,13 +513,14 @@ def reference_rebuild(kind, requests, candidates_of, n_fibers, n_slots, formats,
     """
 
     def footprint(request):
-        path0 = candidates_of(request)[0]
-        slots = reference_slots(request, path0, formats, width, guard)
+        candidates = candidates_of(request)
+        km0 = candidates.lengths_km[0]
+        slots = reference_slots(request, km0, formats, width, guard)
         if slots is None:
             slots = reference_slots(
-                request, path0, formats, width, guard, bits=min(b for b, _ in formats)
+                request, km0, formats, width, guard, bits=min(b for b, _ in formats)
             )
-        return slots * path0.hop_count
+        return slots * len(candidates.fiber_ids[0])
 
     order = sorted(requests, key=lambda r: (-footprint(r), r.arrival_time, r.id))
     grids = [[False] * n_slots for _ in range(n_fibers)]
@@ -532,11 +531,11 @@ def reference_rebuild(kind, requests, candidates_of, n_fibers, n_slots, formats,
         )
         if choice is None:
             return None
-        path, start, size = choice
-        for f in path.fiber_ids:
+        fiber_ids, start, size = choice
+        for f in fiber_ids:
             for i in range(start, start + size):
                 grids[f][i] = True
-        placed[request.id] = (path.fiber_ids, start, size)
+        placed[request.id] = choice
     return grids, placed
 
 
@@ -561,15 +560,17 @@ def reference_trial(kind, stream, candidates_of, n_fibers, n_slots, formats, wid
         candidates = candidates_of(request)
         choice = reference_decision(kind, request, candidates, grids, formats, width, guard)
         if choice is not None:
-            path, start, size = choice
-            for f in path.fiber_ids:
+            fiber_ids, start, size = choice
+            for f in fiber_ids:
                 for i in range(start, start + size):
                     grids[f][i] = True
-            active[request.id] = (request, path.fiber_ids, start, size)
+            active[request.id] = (request, *choice)
             outcome = "direct"
         else:
             outcome = "blocked"
-            hostable = [reference_slots(request, p, formats, width, guard) for p in candidates]
+            hostable = [
+                reference_slots(request, km, formats, width, guard) for km in candidates.lengths_km
+            ]
             if bound and any(s is not None and s <= n_slots for s in hostable):
                 requests = [held for held, *_ in active.values()] + [request]
                 rebuilt = reference_rebuild(
@@ -627,8 +628,7 @@ def markov_sbp(kind, topology, k, slot_choices, load):
             if choice is None:
                 blocked += 1
             else:
-                path, start, size = choice
-                moves.append((state | {(path.fiber_ids, start, size)}, class_rate))
+                moves.append((state | {choice}, class_rate))
         blocked_share.append(blocked / len(classes))
         for target, rate in moves:
             if target not in index:

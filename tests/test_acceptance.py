@@ -216,7 +216,8 @@ def test_criterion_7a_ksp_oracle_thousand_instances():
         k = int(rng.integers(1, 9))
         name = "hops" if trial % 2 == 0 else "km"
         ordering = HOPS if name == "hops" else KM
-        got = [node_seq(topo, src, p) for p in k_shortest_paths(topo, src, dst, k, ordering)]
+        paths = k_shortest_paths(topo, src, dst, k, ordering)
+        got = [node_seq(topo, src, f) for f in paths.fiber_ids]
         assert got == ksp_oracle(links, src, dst, k, name), f"instance {trial}"
     report(7, "KSP equals exhaustive enumeration on 1000 random instances")
 

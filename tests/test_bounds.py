@@ -83,9 +83,9 @@ def active_counts(trial, cfg, stream):
 def rebuild_entry(topology, request):
     """The rebuild entry ``defrag_bound_trial`` makes for a fixed-slot request, with k=1."""
     candidates = topology.candidate_paths(request.src, request.dst, 1, ORDER)
-    path0, slots = candidates[0], request.slots
-    rank0 = (path0.fiber_ids, slots, run_shifts(slots))
-    return (-slots * path0.hop_count, request, candidates, rank0)
+    fiber_ids, slots = candidates.fiber_ids[0], request.slots
+    rank0 = (fiber_ids, slots, run_shifts(slots))
+    return (-slots * len(fiber_ids), request, candidates, rank0)
 
 
 def placed_blocks(cfg, requests):
@@ -219,8 +219,8 @@ def test_rebuild_skips_rank0_beyond_every_reach():
     ]
     outcomes, rebuilds = rebuilds_checked_against_reference(cfg, stream, formats)
     assert outcomes == ("direct",) * 3 + ("defrag",)
-    a_b_d = topo.candidate_paths("A", "D", 2, ORDER)[1].fiber_ids
-    b_d = topo.candidate_paths("B", "D", 2, ORDER)[0].fiber_ids
+    a_b_d = topo.candidate_paths("A", "D", 2, ORDER).fiber_ids[1]
+    b_d = topo.candidate_paths("B", "D", 2, ORDER).fiber_ids[0]
     # stand-in footprints 8 and 4 put requests 3 and 2 ahead of request 1's 2
     assert rebuilds == [{3: (a_b_d, 0, 4), 2: (a_b_d, 4, 2), 1: (b_d, 6, 2)}]
 
@@ -241,7 +241,7 @@ def test_ff_ksp_rebuild_prefers_a_later_rank_at_slot_zero():
     ]
     outcomes, rebuilds = rebuilds_checked_against_reference(cfg, stream, [])
     assert outcomes == ("direct",) * 6 + ("defrag",)
-    a_d, a_b_d = (p.fiber_ids for p in topo.candidate_paths("A", "D", 2, ORDER))
+    a_d, a_b_d = topo.candidate_paths("A", "D", 2, ORDER).fiber_ids
     # request 6 takes A-D [0, 2); request 0 then fits A-D only at slot 2
     assert rebuilds == [
         {6: (a_d, 0, 2), 0: (a_b_d, 0, 1), 1: (a_b_d, 1, 1), 4: (a_d, 2, 1), 5: (a_b_d, 2, 1)}

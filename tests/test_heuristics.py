@@ -10,7 +10,7 @@ from eonsim.presets import get_preset
 from eonsim.service import ModulationTable
 from eonsim.simulator import ActiveLightpaths, run_trial
 from eonsim.spectrum import SlotBlock, SpectrumState
-from eonsim.topology import PathOrdering, Topology
+from eonsim.topology import CandidatePaths, PathOrdering, Topology
 from eonsim.traffic import ServiceRequest
 from reference import node_seq, reference_decision
 
@@ -41,7 +41,7 @@ def candidates_of(topo, k=4, ordering=PathOrdering.HOPS_THEN_KM):
 
 def rank(cands, fiber_ids):
     """The rank of the candidate whose fibers a placement names."""
-    return [path.fiber_ids for path in cands].index(fiber_ids)
+    return cands.fiber_ids.index(fiber_ids)
 
 
 def test_empty_network_all_kinds_pick_rank0(diamond):
@@ -73,11 +73,11 @@ def test_ksp_ff_vs_ff_ksp(two_route_topo):
     topo = two_route_topo
     state = SpectrumState.for_topology(topo)
     cands = candidates_of(topo)
-    p0, p1 = cands[0], cands[1]
+    p0, p1 = cands.fiber_ids[:2]
     assert node_seq(topo, "A", p0) == ("A", "B", "D")
     # occupy path0 slots 0-6 and path1 slots 0-1
-    state.allocate(p0.fiber_ids, SlotBlock(0, 7))
-    state.allocate(p1.fiber_ids, SlotBlock(0, 2))
+    state.allocate(p0, SlotBlock(0, 7))
+    state.allocate(p1, SlotBlock(0, 2))
 
     fiber_ids, block = decide(HeuristicKind.KSP_FF, request(slots=2), cands, state)
     assert rank(cands, fiber_ids) == 0 and block.start == 7
@@ -90,24 +90,25 @@ def test_all_paths_occupied_blocks(two_route_topo):
     topo = two_route_topo
     state = SpectrumState.for_topology(topo)
     cands = candidates_of(topo)
-    for p in cands:
-        state.allocate(p.fiber_ids, SlotBlock(0, 10))
+    for fiber_ids in cands.fiber_ids:
+        state.allocate(fiber_ids, SlotBlock(0, 10))
     for kind in HeuristicKind:
         assert decide(kind, request(slots=1), cands, state) is None, kind
 
 
 def test_empty_candidate_list_blocks():
     state = SpectrumState(2, 10)
-    assert decide(HeuristicKind.KSP_FF, request(slots=1), [], state) is None
+    for kind in HeuristicKind:
+        assert decide(kind, request(slots=1), CandidatePaths((), ()), state) is None, kind
 
 
 def test_ksp_bf_takes_first_path_best_fit(two_route_topo):
     topo = two_route_topo
     state = SpectrumState.for_topology(topo)
     cands = candidates_of(topo)
-    p0 = cands[0]
+    p0 = cands.fiber_ids[0]
     # path0 runs: 3 free at 0, 2 free at 8; best fit for 2 is at 8
-    state.allocate(p0.fiber_ids, SlotBlock(3, 5))
+    state.allocate(p0, SlotBlock(3, 5))
     fiber_ids, block = decide(HeuristicKind.KSP_BF, request(slots=2), cands, state)
     assert rank(cands, fiber_ids) == 0
     assert block == SlotBlock(8, 2)
@@ -117,11 +118,11 @@ def test_bf_ksp_prefers_tightest_run_across_paths(two_route_topo):
     topo = two_route_topo
     state = SpectrumState.for_topology(topo)
     cands = candidates_of(topo)
-    p0, p1 = cands[0], cands[1]
+    p0, p1 = cands.fiber_ids[:2]
     # path0 tightest run for 2 slots has size 3; path1 has an exact-2 run
-    state.allocate(p0.fiber_ids, SlotBlock(3, 7))   # run size 3 at 0
-    state.allocate(p1.fiber_ids, SlotBlock(0, 4))   # runs: 6 at 4
-    state.allocate(p1.fiber_ids, SlotBlock(6, 2))   # runs: 2 at 4, 2 at 8
+    state.allocate(p0, SlotBlock(3, 7))   # run size 3 at 0
+    state.allocate(p1, SlotBlock(0, 4))   # runs: 6 at 4
+    state.allocate(p1, SlotBlock(6, 2))   # runs: 2 at 4, 2 at 8
     fiber_ids, block = decide(HeuristicKind.BF_KSP, request(slots=2), cands, state)
     assert rank(cands, fiber_ids) == 1
     assert block == SlotBlock(4, 2)  # size-2 run, lowest start, over rank
@@ -131,12 +132,12 @@ def test_bf_ksp_tie_ladder_prefers_lower_start_then_rank(two_route_topo):
     topo = two_route_topo
     state = SpectrumState.for_topology(topo)
     cands = candidates_of(topo)
-    p0, p1 = cands[0], cands[1]
+    p0, p1 = cands.fiber_ids[:2]
     # both paths expose an exact-size-2 run; path1's starts lower
-    state.allocate(p0.fiber_ids, SlotBlock(0, 6))   # p0 run: 4 at 6 -> not exact
-    state.allocate(p0.fiber_ids, SlotBlock(8, 2))   # p0 runs: 2 at 6
-    state.allocate(p1.fiber_ids, SlotBlock(0, 2))   # p1 runs: ...
-    state.allocate(p1.fiber_ids, SlotBlock(4, 6))   # p1 run: 2 at 2
+    state.allocate(p0, SlotBlock(0, 6))   # p0 run: 4 at 6 -> not exact
+    state.allocate(p0, SlotBlock(8, 2))   # p0 runs: 2 at 6
+    state.allocate(p1, SlotBlock(0, 2))   # p1 runs: ...
+    state.allocate(p1, SlotBlock(4, 6))   # p1 run: 2 at 2
     fiber_ids, block = decide(HeuristicKind.BF_KSP, request(slots=2), cands, state)
     assert (rank(cands, fiber_ids), block.start) == (1, 2)
 
@@ -145,10 +146,10 @@ def test_kme_ff_minimizes_post_allocation_entropy(two_route_topo):
     topo = two_route_topo
     state = SpectrumState.for_topology(topo)
     cands = candidates_of(topo)
-    p0, p1 = cands[0], cands[1]
+    p0, p1 = cands.fiber_ids[:2]
     # placing on p0 would split its free space; p1 placement stays flush
-    state.allocate(p0.fiber_ids, SlotBlock(4, 2))
-    state.allocate(p1.fiber_ids, SlotBlock(0, 4))
+    state.allocate(p0, SlotBlock(4, 2))
+    state.allocate(p1, SlotBlock(0, 4))
     fiber_ids, block = decide(HeuristicKind.KME_FF, request(slots=2), cands, state)
     # p0 first-fit at 0 leaves runs {2 at 2, 4 at 6} per link (entropy high);
     # p1 first-fit at 4 leaves one run {4 at 6} per link (entropy low)
@@ -159,9 +160,9 @@ def test_kme_ff_minimizes_post_allocation_entropy(two_route_topo):
 def kme_ff_against_reference(topo, cands, state, req):
     """decide's kme-ff choice and reference_decision's, as (rank, block)."""
     grids = [[bool(occ >> i & 1) for i in range(state.n_slots)] for occ in state.occ]
-    path, start, size = reference_decision("kme-ff", req, cands, grids, [], 12.5, 0)
+    ref_fiber_ids, start, size = reference_decision("kme-ff", req, cands, grids, [], 12.5, 0)
     fiber_ids, block = decide(HeuristicKind.KME_FF, req, cands, state)
-    return (rank(cands, fiber_ids), block), (rank(cands, path.fiber_ids), SlotBlock(start, size))
+    return (rank(cands, fiber_ids), block), (rank(cands, ref_fiber_ids), SlotBlock(start, size))
 
 
 def test_kme_ff_exact_tie_goes_to_the_earlier_rank(two_route_topo):
@@ -169,9 +170,9 @@ def test_kme_ff_exact_tie_goes_to_the_earlier_rank(two_route_topo):
     topo = two_route_topo
     state = SpectrumState.for_topology(topo)
     cands = candidates_of(topo)
-    for path in cands:
-        state.allocate(path.fiber_ids, SlotBlock(2, 1))
-        state.allocate(path.fiber_ids, SlotBlock(6, 2))
+    for fiber_ids in cands.fiber_ids:
+        state.allocate(fiber_ids, SlotBlock(2, 1))
+        state.allocate(fiber_ids, SlotBlock(6, 2))
     with mock.patch(
         "eonsim.heuristics.entropy_after_placement", wraps=heuristics.entropy_after_placement
     ) as exact:
@@ -199,14 +200,14 @@ def test_kme_ff_settles_float_near_ties_as_the_reference_does():
             used += runs[-1] + 1
         shuffled = [runs[0]] + [int(r) for r in rng.permutation(runs[1:])]
         state = SpectrumState.for_topology(topo)
-        for path, layout in zip(cands, (runs, shuffled)):
+        for fiber_ids, layout in zip(cands.fiber_ids, (runs, shuffled)):
             occ, pos = 0, 0
             for length in layout:  # each run followed by one occupied slot
                 pos += length
                 occ |= 1 << pos
                 pos += 1
             occ |= state.full_mask & ~((1 << pos) - 1)  # the rest occupied
-            for f in path.fiber_ids:
+            for f in fiber_ids:
                 state.occ[f] = occ
         got, expected = kme_ff_against_reference(
             topo, cands, state, request(slots=int(rng.integers(1, runs[0] + 1)))
@@ -220,9 +221,9 @@ def test_kca_ff_picks_least_congested_path(two_route_topo):
     topo = two_route_topo
     state = SpectrumState.for_topology(topo)
     cands = candidates_of(topo)
-    p0, p1 = cands[0], cands[1]
-    state.allocate(p0.fiber_ids, SlotBlock(0, 6))  # 60% occupied
-    state.allocate(p1.fiber_ids, SlotBlock(0, 2))  # 20% occupied
+    p0, p1 = cands.fiber_ids[:2]
+    state.allocate(p0, SlotBlock(0, 6))  # 60% occupied
+    state.allocate(p1, SlotBlock(0, 2))  # 20% occupied
     fiber_ids, block = decide(HeuristicKind.KCA_FF, request(slots=2), cands, state)
     assert rank(cands, fiber_ids) == 1
     assert block == SlotBlock(2, 2)  # first fit on the chosen path
@@ -237,7 +238,7 @@ def test_modulation_infeasible_paths_skipped():
         slots_per_fiber=10,
     )
     cands = topo.candidate_paths("A", "D", 2, PathOrdering.HOPS_THEN_KM)
-    assert cands[0].hop_count == 1  # the infeasible one ranks first
+    assert len(cands.fiber_ids[0]) == 1  # the infeasible one ranks first
     state = SpectrumState.for_topology(topo)
     fiber_ids, _block = decide(HeuristicKind.KSP_FF, request(rate=50), cands, state, TABLE)
     assert rank(cands, fiber_ids) == 1
@@ -254,18 +255,18 @@ def test_ksp_ff_k1_equals_shortest_path_first_fit(diamond):
 
     rng = np.random.default_rng(31)
     cands1 = diamond.candidate_paths("A", "D", 1, PathOrdering.HOPS_THEN_KM)
-    shortest = cands1[0]
+    shortest = cands1.fiber_ids[0]
     for _ in range(200):
         state = SpectrumState.for_topology(diamond)
         for f in range(state.n_fibers):
             state.occ[f] = int(rng.integers(0, 2**8))
         size = int(rng.integers(1, 4))
         got = decide(HeuristicKind.KSP_FF, request(slots=size), cands1, state)
-        start = first_fit(state.occ, shortest.fiber_ids, state.full_mask, run_shifts(size))
+        start = first_fit(state.occ, shortest, state.full_mask, run_shifts(size))
         if start < 0:
             assert got is None
         else:
-            assert got == (shortest.fiber_ids, SlotBlock(start, size))
+            assert got == (shortest, SlotBlock(start, size))
 
 
 def test_determinism_and_purity(two_route_topo):

@@ -133,7 +133,7 @@ def test_ring_with_one_slot_per_fiber_blocks_as_its_product_form(fiber_mode, exp
         slots_per_fiber=1, fiber_mode=fiber_mode,
     )
     routes = [
-        reference_k_shortest_paths(topology, src, dst, 1, PathOrdering.HOPS_THEN_KM)[0].fiber_ids
+        reference_k_shortest_paths(topology, src, dst, 1, PathOrdering.HOPS_THEN_KM).fiber_ids[0]
         for src in topology.nodes
         for dst in topology.nodes
         if src != dst

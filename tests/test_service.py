@@ -136,27 +136,28 @@ def paths_for(topology):
 
 
 def test_demand_uses_path_modulation(diamond):
-    short = paths_for(diamond)[0]  # 200 km -> 16QAM
-    assert short.length_km == 200
+    short = paths_for(diamond).lengths_km[0]  # 200 km -> 16QAM
+    assert short == 200
     # only 16QAM carries 100 Gbps in 2 slots: 8QAM needs 3, QPSK 4, BPSK 8
     assert demand_for_path(request(rate=100), short, TABLE) == 2
     assert demand_for_path(request(rate=100), short, TABLE, guard_slots=1) == 3
 
 
 def test_demand_fixed_width_skips_table(diamond):
-    assert demand_for_path(request(slots=3), paths_for(diamond)[0], None) == 3
+    assert demand_for_path(request(slots=3), paths_for(diamond).lengths_km[0], None) == 3
 
 
 def test_demand_guard_slots(diamond):
-    assert demand_for_path(request(slots=3), paths_for(diamond)[0], None, guard_slots=1) == 4
+    km = paths_for(diamond).lengths_km[0]
+    assert demand_for_path(request(slots=3), km, None, guard_slots=1) == 4
 
 
 def test_demand_infeasible_beyond_reach():
     from eonsim.topology import Topology
 
     topo = Topology("long", ["A", "D"], [("A", "D", 11_000)], 8)
-    path = topo.candidate_paths("A", "D", 1, PathOrdering.KM_THEN_HOPS)[0]
-    assert demand_for_path(request(rate=50), path, TABLE) is None
+    km = topo.candidate_paths("A", "D", 1, PathOrdering.KM_THEN_HOPS).lengths_km[0]
+    assert demand_for_path(request(rate=50), km, TABLE) is None
 
 
 # --- candidate evaluation -------------------------------------------------------
@@ -166,13 +167,14 @@ def test_demand_infeasible_beyond_reach():
 
 def test_evaluate_empty_network(diamond):
     state = SpectrumState.for_topology(diamond)
-    path = paths_for(diamond)[0]
-    slots = demand_for_path(request(rate=100), path, TABLE)
-    free = state.path_free(path.fiber_ids)
-    assert first_fit(state.occ, path.fiber_ids, state.full_mask, run_shifts(slots)) == 0
+    paths = paths_for(diamond)
+    fiber_ids = paths.fiber_ids[0]
+    slots = demand_for_path(request(rate=100), paths.lengths_km[0], TABLE)
+    free = state.path_free(fiber_ids)
+    assert first_fit(state.occ, fiber_ids, state.full_mask, run_shifts(slots)) == 0
     assert best_fit_run(free, state.n_slots, slots) == (0, state.n_slots)
-    assert path_congestion(state, path.fiber_ids) == 0.0
-    assert entropy_after_placement(state, path.fiber_ids, 0, slots) > 0.0
+    assert path_congestion(state, fiber_ids) == 0.0
+    assert entropy_after_placement(state, fiber_ids, 0, slots) > 0.0
 
 
 def test_evaluate_infeasible_path_is_marked():
@@ -188,22 +190,22 @@ def test_evaluate_infeasible_path_is_marked():
 def test_evaluate_fixed_width_demand_exceeds_free_run(single_link):
     state = SpectrumState.for_topology(single_link)
     cands = single_link.candidate_paths("A", "B", 1, PathOrdering.KM_THEN_HOPS)
-    path = cands[0]
+    fiber_ids = cands.fiber_ids[0]
     # leave only a 2-slot free run
-    state.allocate(path.fiber_ids, SlotBlock(0, 4))
-    state.allocate(path.fiber_ids, SlotBlock(6, 4))
-    assert demand_for_path(request(slots=3), path, None) == 3
-    assert first_fit(state.occ, path.fiber_ids, state.full_mask, run_shifts(3)) == -1
+    state.allocate(fiber_ids, SlotBlock(0, 4))
+    state.allocate(fiber_ids, SlotBlock(6, 4))
+    assert demand_for_path(request(slots=3), cands.lengths_km[0], None) == 3
+    assert first_fit(state.occ, fiber_ids, state.full_mask, run_shifts(3)) == -1
     for kind in HeuristicKind:
         assert decide(kind, request(slots=3), cands, state) is None, kind
 
 
 def test_evaluate_is_pure(diamond):
     state = SpectrumState.for_topology(diamond)
-    state.allocate(paths_for(diamond)[1].fiber_ids, SlotBlock(2, 3))
+    state.allocate(paths_for(diamond).fiber_ids[1], SlotBlock(2, 3))
     before = list(state.occ)
-    for path in paths_for(diamond):
-        state.path_free(path.fiber_ids)
-        path_congestion(state, path.fiber_ids)
-        entropy_after_placement(state, path.fiber_ids, 0, 2)
+    for fiber_ids in paths_for(diamond).fiber_ids:
+        state.path_free(fiber_ids)
+        path_congestion(state, fiber_ids)
+        entropy_after_placement(state, fiber_ids, 0, 2)
     assert state.occ == before

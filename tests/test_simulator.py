@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import traceback
 import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
@@ -266,17 +267,17 @@ def test_adopt_rebuild_needs_the_active_set_plus_the_request(diamond):
     from eonsim.simulator import ActiveLightpaths
     from eonsim.spectrum import SpectrumState, slot_block
 
-    path = diamond.candidate_paths("A", "D", 1, ORDER)[0]
+    fiber_ids = diamond.candidate_paths("A", "D", 1, ORDER).fiber_ids[0]
     first, second, new = (ServiceRequest(i, "A", "D", float(i), 10.0, slots=1) for i in range(3))
     state = SpectrumState.for_topology(diamond)
     active = ActiveLightpaths(state)
-    active.add(first, (path.fiber_ids, slot_block(0, 1)), "k0")
-    active.add(second, (path.fiber_ids, slot_block(1, 1)), "k1")
+    active.add(first, (fiber_ids, slot_block(0, 1)), "k0")
+    active.add(second, (fiber_ids, slot_block(1, 1)), "k1")
     rebuilt = SpectrumState.for_topology(diamond)
-    for f in path.fiber_ids:
+    for f in fiber_ids:
         rebuilt.occ[f] = 0b111
     # in the rebuild's placement order, not in admission order
-    records = {i: (path.fiber_ids, slot_block(2 - i, 1), f"k{i}") for i in (1, 2, 0)}
+    records = {i: (fiber_ids, slot_block(2 - i, 1), f"k{i}") for i in (1, 2, 0)}
     for missing in (new.id, first.id):
         with pytest.raises(ValueError, match="do not cover"):
             short = {i: r for i, r in records.items() if i != missing}
@@ -285,7 +286,7 @@ def test_adopt_rebuild_needs_the_active_set_plus_the_request(diamond):
         active.adopt_rebuild(rebuilt, {i: records[i] for i in (0, 1)}, second)
     active.adopt_rebuild(rebuilt, records, new)
     assert list(active.records.items()) == [
-        (i, (path.fiber_ids, slot_block(2 - i, 1), f"k{i}")) for i in range(3)
+        (i, (fiber_ids, slot_block(2 - i, 1), f"k{i}")) for i in range(3)
     ]
     assert sorted(active.expiries) == [(10.0 + i, i) for i in range(3)]
     active.release_due(math.inf)
@@ -469,23 +470,29 @@ def test_one_trial_sweep_starts_no_pool(monkeypatch):
 # Trial runners for pooled sweeps, written to a file so that workers import
 # them by name.  Each trial creates a marker file named "load-seed" in
 # ``started_dir`` as it starts, and fails if that file exists already.
-# The trial of ``failing_seed`` fails as ``how`` says: "raise" raises, "exit"
-# ends its worker process as a kill would, and "unpicklable" raises an error
-# that cannot be pickled; in the sweeping process it always raises.
+# A trial run by a process of role ``failing`` ("sweeping process" or
+# "worker"; None for neither) writes its marker's name to the file "failing"
+# beside ``started_dir`` and fails as ``how`` says: "raise" raises, "exit"
+# ends the process as a kill would, and "unpicklable" raises an error that
+# cannot be pickled.  Either process can take the first trial, so a failing
+# trial is picked by the role of the process that runs it, not by its seed.
 _MARKED_TRIALS = textwrap.dedent("""
     import multiprocessing, os, threading, time
     from pathlib import Path
 
     from eonsim.simulator import TrialResult
 
-    def run(started_dir, failing_seed, how, sleep_s, config, seed):
-        Path(started_dir, f"{config.traffic.load_erlangs:g}-{seed}").open("x").close()
-        if seed == failing_seed:
-            if how == "exit" and multiprocessing.parent_process() is not None:
+    def run(started_dir, failing, how, sleep_s, config, seed):
+        marker = f"{config.traffic.load_erlangs:g}-{seed}"
+        Path(started_dir, marker).open("x").close()
+        role = "sweeping process" if multiprocessing.parent_process() is None else "worker"
+        if role == failing:
+            Path(started_dir).with_name("failing").write_text(marker)
+            if how == "exit":
                 os._exit(1)
             if how == "unpicklable":
-                raise RuntimeError(f"trial {seed} failed", threading.Lock())
-            raise RuntimeError(f"trial {seed} failed")
+                raise RuntimeError(f"trial {seed} failed in the {role}", threading.Lock())
+            raise RuntimeError(f"trial {seed} failed in the {role}")
         time.sleep(sleep_s)
         return TrialResult(seed, seed % 3, 3)
 """)
@@ -500,37 +507,54 @@ def _marked_trials(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "failing,how,error,match",
     [
-        (0, "raise", RuntimeError, "trial 5 failed"),
-        (1, "raise", RuntimeError, "trial 6 failed"),
-        (1, "exit", BrokenProcessPool, "terminated abruptly"),
+        ("sweeping process", "raise", RuntimeError, r"trial \d+ failed in the sweeping process"),
+        ("worker", "raise", RuntimeError, r"trial \d+ failed in the worker"),
+        ("worker", "exit", BrokenProcessPool, "terminated abruptly"),
     ],
     ids=["sweeping-process", "worker", "worker-exits"],
 )
 def test_a_failing_trial_stops_a_pooled_sweep(tmp_path, monkeypatch, failing, how, error, match):
     """The error propagates, and no process starts a trial after it.
 
-    The sweeping process takes the first trial and the worker, started
-    while that trial runs, the second; ``failing`` picks which fails.
-    Every other trial takes long enough that the other process is still
-    in its current one when the failure stops the sweep.
+    The first trial that a process of role ``failing`` runs fails.  Every
+    other trial takes long enough that the other process is still in its
+    current one when the failure stops the sweep.
     """
     marked = _marked_trials(tmp_path, monkeypatch)
     started = tmp_path / "started"
     started.mkdir()
     cfg = nsfnet_config(100, trials=20, base_seed=5)
-    runner = functools.partial(marked.run, str(started), 5 + failing, how, 0.5)
-    with pytest.raises(error, match=match):
+    runner = functools.partial(marked.run, str(started), failing, how, 0.5)
+    with pytest.raises(error, match=match) as raised:
         sweep(cfg, [100.0], jobs=2, trial_runner=runner)
+    failed = (tmp_path / "failing").read_text()
+    if error is RuntimeError:
+        assert str(raised.value) == f"trial {failed.split('-')[1]} failed in the {failing}"
     names = sorted(p.name for p in started.iterdir())
-    assert f"100-{5 + failing}" in names
+    assert failed in names
     assert len(names) <= 2, names  # the failing trial and the other process's current one
+
+
+def test_a_worker_error_carries_the_worker_traceback(tmp_path, monkeypatch):
+    """A worker's error reaches the sweep with the worker's traceback as its
+    cause, so the formatted error names the trial function that raised."""
+    marked = _marked_trials(tmp_path, monkeypatch)
+    started = tmp_path / "started"
+    started.mkdir()
+    cfg = nsfnet_config(100, trials=20, base_seed=5)
+    runner = functools.partial(marked.run, str(started), "worker", "raise", 0.5)
+    with pytest.raises(RuntimeError, match="failed in the worker") as raised:
+        sweep(cfg, [100.0], jobs=2, trial_runner=runner)
+    formatted = "".join(traceback.format_exception(raised.value))
+    assert 'marked_trials.py", line' in formatted and ", in run\n" in formatted, formatted
+    assert "raise RuntimeError(f\"trial {seed} failed in the {role}\")" in formatted
 
 
 def test_an_unpicklable_worker_error_stops_a_pooled_sweep(tmp_path):
     """A worker's error that cannot be pickled reaches the sweep as its repr.
 
     The sweep runs in its own process, so a sweep that never returns fails
-    the test by its timeout.  The worker runs the second trial, as in
+    the test by its timeout.  The worker's first trial fails, as in
     ``test_a_failing_trial_stops_a_pooled_sweep``.
     """
     (tmp_path / "marked_trials.py").write_text(_MARKED_TRIALS)
@@ -549,7 +573,7 @@ def test_an_unpicklable_worker_error_stops_a_pooled_sweep(tmp_path):
             preset.load_topology("nsfnet"), HeuristicKind.KSP_FF, 2,
             PathOrdering.HOPS_THEN_KM, 100.0, trials=20, base_seed=5,
         )
-        runner = functools.partial(marked_trials.run, sys.argv[1], 6, "unpicklable", 0.5)
+        runner = functools.partial(marked_trials.run, sys.argv[1], "worker", "unpicklable", 0.5)
         try:
             sweep(config, [100.0], jobs=2, trial_runner=runner)
         except RuntimeError as exc:
@@ -562,9 +586,12 @@ def test_an_unpicklable_worker_error_stops_a_pooled_sweep(tmp_path):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("RuntimeError('trial 6 failed', <unlocked _thread.lock"), proc.stdout
+    failed = (tmp_path / "failing").read_text()
+    seed = failed.split("-")[1]
+    expected = f"RuntimeError('trial {seed} failed in the worker', <unlocked _thread.lock"
+    assert proc.stdout.startswith(expected), proc.stdout
     names = sorted(p.name for p in started.iterdir())
-    assert "100-6" in names
+    assert failed in names
     assert len(names) <= 2, names
 
 
@@ -581,7 +608,7 @@ def test_pooled_sweep_runs_every_trial_once(tmp_path, monkeypatch):
     for jobs in (1, 6):
         started = tmp_path / f"jobs{jobs}"
         started.mkdir()
-        runner = functools.partial(marked.run, str(started), -1, False, 0.0)
+        runner = functools.partial(marked.run, str(started), None, None, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             results.append(sweep(cfg, loads, jobs=jobs, trial_runner=runner))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from eonsim import topology as topology_module
 from eonsim.topology import (
+    CandidatePaths,
     PathOrdering,
     Topology,
     TopologyError,
@@ -112,7 +113,9 @@ def test_parse_failure(tmp_path):
 
 def test_diamond_km_ordering(diamond):
     paths = k_shortest_paths(diamond, "A", "D", 3, PathOrdering.KM_THEN_HOPS)
-    assert [(node_seq(diamond, "A", p), p.length_km) for p in paths] == [
+    assert [
+        (node_seq(diamond, "A", f), km) for km, f in zip(paths.lengths_km, paths.fiber_ids)
+    ] == [
         (("A", "B", "D"), 200.0),
         (("A", "D"), 500.0),
         (("A", "C", "D"), 600.0),
@@ -121,7 +124,9 @@ def test_diamond_km_ordering(diamond):
 
 def test_diamond_hops_ordering(diamond):
     paths = k_shortest_paths(diamond, "A", "D", 3, PathOrdering.HOPS_THEN_KM)
-    assert [(node_seq(diamond, "A", p), p.hop_count, p.length_km) for p in paths] == [
+    assert [
+        (node_seq(diamond, "A", f), len(f), km) for km, f in zip(paths.lengths_km, paths.fiber_ids)
+    ] == [
         (("A", "D"), 1, 500.0),
         (("A", "B", "D"), 2, 200.0),
         (("A", "C", "D"), 2, 600.0),
@@ -131,14 +136,15 @@ def test_diamond_hops_ordering(diamond):
 def test_single_path_pair(single_link):
     paths = k_shortest_paths(single_link, "A", "B", 5, PathOrdering.KM_THEN_HOPS)
     assert len(paths) == 1
-    assert node_seq(single_link, "A", paths[0]) == ("A", "B")
+    assert node_seq(single_link, "A", paths.fiber_ids[0]) == ("A", "B")
 
 
 def test_disconnected_pair_returns_empty():
     topo = Topology(
         "split", ["A", "B", "C", "D"], [("A", "B", 10), ("C", "D", 10)], 8
     )
-    assert k_shortest_paths(topo, "A", "C", 3, PathOrdering.KM_THEN_HOPS) == []
+    paths = k_shortest_paths(topo, "A", "C", 3, PathOrdering.KM_THEN_HOPS)
+    assert len(paths) == 0 and paths == CandidatePaths((), ())
 
 
 def test_same_node_pair_rejected(single_link):
@@ -148,24 +154,25 @@ def test_same_node_pair_rejected(single_link):
 
 def test_candidate_path_invariants(diamond):
     for ordering in PathOrdering:
-        for p in diamond.candidate_paths("A", "D", 3, ordering):
-            nodes = node_seq(diamond, "A", p)
+        paths = diamond.candidate_paths("A", "D", 3, ordering)
+        for km, fiber_ids in zip(paths.lengths_km, paths.fiber_ids):
+            nodes = node_seq(diamond, "A", fiber_ids)
             assert nodes[-1] == "D"
             assert len(set(nodes)) == len(nodes)  # loopless
-            assert p.hop_count == len(nodes) - 1 >= 1
-            assert p.length_km == pytest.approx(sum(hop_lengths(diamond, nodes)))
-            assert isinstance(p.fiber_ids, bytes)  # 10 fibers, one byte each
+            assert len(fiber_ids) == len(nodes) - 1 >= 1
+            assert km == pytest.approx(sum(hop_lengths(diamond, nodes)))
+            assert isinstance(fiber_ids, bytes)  # 10 fibers, one byte each
 
 
 def test_fiber_ids_direction_aware():
     topo = Topology("pair", ["A", "B"], [("A", "B", 100)], 8, fiber_mode="dual")
-    fwd = k_shortest_paths(topo, "A", "B", 1, PathOrdering.KM_THEN_HOPS)[0]
-    rev = k_shortest_paths(topo, "B", "A", 1, PathOrdering.KM_THEN_HOPS)[0]
+    fwd = k_shortest_paths(topo, "A", "B", 1, PathOrdering.KM_THEN_HOPS)
+    rev = k_shortest_paths(topo, "B", "A", 1, PathOrdering.KM_THEN_HOPS)
     assert fwd.fiber_ids != rev.fiber_ids
 
     shared = Topology("pair", ["A", "B"], [("A", "B", 100)], 8, fiber_mode="single")
-    fwd = k_shortest_paths(shared, "A", "B", 1, PathOrdering.KM_THEN_HOPS)[0]
-    rev = k_shortest_paths(shared, "B", "A", 1, PathOrdering.KM_THEN_HOPS)[0]
+    fwd = k_shortest_paths(shared, "A", "B", 1, PathOrdering.KM_THEN_HOPS)
+    rev = k_shortest_paths(shared, "B", "A", 1, PathOrdering.KM_THEN_HOPS)
     assert fwd.fiber_ids == rev.fiber_ids
 
 
@@ -175,12 +182,13 @@ def test_cache_returns_same_object(diamond):
     assert a is b
 
 
-def test_path_cache_retains_under_150_bytes_per_path():
-    """A cached record holds its km length and its fiber ids, one byte each on
-    nsfnet's 44 fibers, and nothing derivable from them: nsfnet's k=50
-    hop-ordered cache of 9,100 paths fits in about 133 bytes a path (306 with
-    node sequences, hop counts and tuples of fiber ids; 418 with link ids and
-    ranks as well)."""
+def test_path_cache_retains_under_90_bytes_per_path():
+    """A pair's record holds a tuple of km lengths, shared by both directions,
+    and a tuple of each path's fiber ids, one byte each on nsfnet's 44 fibers,
+    and nothing derivable from them: nsfnet's k=50 hop-ordered cache of 9,100
+    paths fits in about 73 bytes a path (133 with a record per path and a km
+    float per direction; 306 with node sequences, hop counts and tuples of
+    fiber ids; 418 with link ids and ranks as well)."""
     topo = load_topology("nsfnet")
     tracemalloc.start()
     try:
@@ -193,9 +201,9 @@ def test_path_cache_retains_under_150_bytes_per_path():
         for src in topo.nodes for dst in topo.nodes if src != dst
     )
     assert paths == 9100
-    assert retained / paths < 150
+    assert retained / paths < 90
     assert all(
-        type(p.fiber_ids) is bytes for cached in topo._path_cache.values() for p in cached
+        type(f) is bytes for cached in topo._path_cache.values() for f in cached.fiber_ids
     )
 
 
@@ -205,12 +213,12 @@ def test_fiber_ids_fall_back_to_a_tuple_past_256_fibers(wide_ring):
     for src, dst in [("0", "64"), ("0", "129"), ("129", "0"), ("127", "128"), ("100", "30")]:
         paths = wide_ring.candidate_paths(src, dst, 2, PathOrdering.HOPS_THEN_KM)
         assert len(paths) == 2
-        for p in paths:
-            assert type(p.fiber_ids) is tuple
-            nodes = node_seq(wide_ring, src, p)
+        for fiber_ids in paths.fiber_ids:
+            assert type(fiber_ids) is tuple
+            nodes = node_seq(wide_ring, src, fiber_ids)
             assert nodes[-1] == dst
-            assert list(p.fiber_ids) == [wide_ring._hops[hop] for hop in zip(nodes, nodes[1:])]
-            ids.update(p.fiber_ids)
+            assert list(fiber_ids) == [wide_ring._hops[hop] for hop in zip(nodes, nodes[1:])]
+            ids.update(fiber_ids)
     assert max(ids) >= 256
 
 
@@ -227,7 +235,8 @@ def test_ksp_matches_exhaustive_enumeration(ordering):
         if src == dst:
             continue
         k = int(rng.integers(1, 8))
-        got = [node_seq(topo, src, p) for p in k_shortest_paths(topo, src, dst, k, enum_ordering)]
+        paths = k_shortest_paths(topo, src, dst, k, enum_ordering)
+        got = [node_seq(topo, src, f) for f in paths.fiber_ids]
         want = ksp_oracle(links, src, dst, k, ordering)
         assert got == want, f"trial {trial}: {got} != {want}"
 
@@ -241,7 +250,9 @@ def test_prefix_stability(ordering):
         src, dst = nodes[0], nodes[-1]
         shorter = k_shortest_paths(topo, src, dst, 3, ordering)
         longer = k_shortest_paths(topo, src, dst, 4, ordering)
-        assert longer[: len(shorter)] == shorter
+        n = len(shorter)
+        assert longer.lengths_km[:n] == shorter.lengths_km
+        assert longer.fiber_ids[:n] == shorter.fiber_ids
 
 
 def _all_pairs_equal_reference(topo, k, ordering):
@@ -258,7 +269,7 @@ def _warm_cache_equals_reference(topo, k, ordering):
     for src in topo.nodes:
         for dst in topo.nodes:
             if src != dst:
-                got = list(topo.candidate_paths(src, dst, k, ordering))
+                got = topo.candidate_paths(src, dst, k, ordering)
                 assert got == reference_k_shortest_paths(topo, src, dst, k, ordering), (src, dst)
 
 
@@ -303,7 +314,8 @@ def test_candidate_table_is_pinned(name, k, ordering):
     for src in topo.nodes:
         for dst in topo.nodes:
             if src != dst:
-                seqs = [node_seq(topo, src, p) for p in topo.candidate_paths(src, dst, k, ordering)]
+                paths = topo.candidate_paths(src, dst, k, ordering)
+                seqs = [node_seq(topo, src, f) for f in paths.fiber_ids]
                 digest.update(json.dumps([src, dst, seqs]).encode())
     assert digest.hexdigest() == CANDIDATE_TABLE_SHA256[name, k, ordering]
 
@@ -340,12 +352,14 @@ def test_tied_routes_report_one_length_in_both_directions():
     topo = Topology("six", list("BDEFG"), links, 8)
     forward = k_shortest_paths(topo, "B", "E", 3, PathOrdering.KM_THEN_HOPS)
     backward = k_shortest_paths(topo, "E", "B", 3, PathOrdering.KM_THEN_HOPS)
-    lengths = {node_seq(topo, "B", p): p.length_km for p in forward}
+    lengths = {
+        node_seq(topo, "B", f): km for km, f in zip(forward.lengths_km, forward.fiber_ids)
+    }
     three_hop = {nodes: km for nodes, km in lengths.items() if len(nodes) == 4}
     assert set(three_hop) == {("B", "F", "G", "E"), ("B", "G", "D", "E")}
     assert set(three_hop.values()) == {float(Fraction(0.7) + Fraction(0.3) + Fraction(0.3))}
-    for p in backward:
-        assert p.length_km == lengths[node_seq(topo, "E", p)[::-1]]
+    for km, f in zip(backward.lengths_km, backward.fiber_ids):
+        assert km == lengths[node_seq(topo, "E", f)[::-1]]
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 10))
@@ -357,12 +371,12 @@ def test_km_lengths_are_exact_and_ordered_with_fractional_lengths(seed, k):
         for dst in topo.nodes:
             if src != dst:
                 paths = topo.candidate_paths(src, dst, k, PathOrdering.KM_THEN_HOPS)
-                kms = [p.length_km for p in paths]
+                kms = list(paths.lengths_km)
                 assert kms == sorted(kms), (src, dst)
-                for p in paths:
-                    nodes = node_seq(topo, src, p)
+                for km, f in zip(kms, paths.fiber_ids):
+                    nodes = node_seq(topo, src, f)
                     exact = sum(map(Fraction, hop_lengths(topo, nodes)))
-                    assert p.length_km == float(exact), (src, dst, nodes)
+                    assert km == float(exact), (src, dst, nodes)
 
 
 def integral_graph(rng):
@@ -460,8 +474,9 @@ def test_primary_criterion_nondecreasing(seed):
     src, dst = nodes[0], nodes[-1]
     hops = k_shortest_paths(topo, src, dst, 6, PathOrdering.HOPS_THEN_KM)
     kms = k_shortest_paths(topo, src, dst, 6, PathOrdering.KM_THEN_HOPS)
-    assert all(a.hop_count <= b.hop_count for a, b in zip(hops, hops[1:]))
-    assert all(a.length_km <= b.length_km for a, b in zip(kms, kms[1:]))
+    hop_counts = list(map(len, hops.fiber_ids))
+    assert hop_counts == sorted(hop_counts)
+    assert list(kms.lengths_km) == sorted(kms.lengths_km)
 
 
 def test_ordering_overlap_diagnostic(diamond):
@@ -478,11 +493,40 @@ def test_ordering_overlap_equals_the_overlap_of_node_sequences(name):
         for dst in topo.nodes:
             if src != dst:
                 km, hops = (
-                    {node_seq(topo, src, p) for p in topo.candidate_paths(src, dst, 5, ordering)}
+                    {node_seq(topo, src, f)
+                     for f in topo.candidate_paths(src, dst, 5, ordering).fiber_ids}
                     for ordering in (PathOrdering.KM_THEN_HOPS, PathOrdering.HOPS_THEN_KM)
                 )
                 want = len(km ^ hops) / len(km | hops)
                 assert ordering_overlap(topo, src, dst, 5) == want, (src, dst)
+
+
+@pytest.mark.parametrize("name", ["nsfnet", "usnet-ptrnet"])  # dual and single fibers
+def test_a_pair_record_shares_its_lengths_with_the_reverse_pair(name):
+    """A record's ``len()`` is its number of paths, and each path's km float
+    is one object, held by the forward and the reverse pair's record alike.
+    A tie in (hops, km) at the k-th cut can keep a route in one direction's
+    list only; every other route is checked."""
+    topo = load_topology(name)
+    for ordering in PathOrdering:
+        topo.warm_path_cache(5, ordering)
+        for src in topo.nodes:
+            for dst in topo.nodes:
+                if src == dst:
+                    continue
+                fwd = topo.candidate_paths(src, dst, 5, ordering)
+                rev = topo.candidate_paths(dst, src, 5, ordering)
+                assert len(fwd) == len(fwd.lengths_km) == len(fwd.fiber_ids) == 5
+                km_of = {
+                    node_seq(topo, src, f): km for km, f in zip(fwd.lengths_km, fwd.fiber_ids)
+                }
+                shared = 0
+                for km, f in zip(rev.lengths_km, rev.fiber_ids):
+                    route = node_seq(topo, dst, f)[::-1]
+                    if route in km_of:
+                        assert km is km_of[route], (src, dst, route)
+                        shared += 1
+                assert shared, (src, dst)
 
 
 def test_constructor_validation():
