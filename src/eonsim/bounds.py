@@ -49,7 +49,7 @@ from .simulator import (
     run_stream,
     sweep,
 )
-from .spectrum import SlotBlock, SpectrumState, first_fit, run_shifts, slot_block
+from .spectrum import SpectrumState, first_fit, run_shifts
 from .traffic import ServiceRequest, generate_stream
 
 INNER_HEURISTICS = (HeuristicKind.KSP_FF, HeuristicKind.FF_KSP)
@@ -131,7 +131,7 @@ def defrag_bound_trial(config: SimConfig, seed: int) -> DefragTrialResult:
 
 def _rebuild(
     config: SimConfig, entries: list[tuple]
-) -> tuple[SpectrumState, dict[int, tuple[Sequence[int], SlotBlock, tuple]]] | None:
+) -> tuple[SpectrumState, dict[int, tuple[Sequence[int], int, tuple]]] | None:
     """Re-place every request on an empty network, largest footprint first.
 
     ``entries`` are the requests' rebuild entries from
@@ -139,14 +139,14 @@ def _rebuild(
     last.  Requests are admitted in arrival order, so a stable sort on
     the footprint alone breaks its ties to the earlier arrival.
     Returns the rebuilt state and the active-lightpath records keyed by
-    request id, each ``(fiber_ids, block, entry)`` in placement order,
+    request id, each ``(fiber_ids, slot mask, entry)`` in placement order,
     or None as soon as any request cannot be hosted.
 
     Each request first runs ``first_fit`` on its rank-0 candidate with
     the entry's precompiled fibers and shifts.  Under ksp-ff any fit
     there is ``decide``'s placement; under ff-ksp only a fit at slot 0
     is, since a later candidate may start lower.  Every other request
-    takes the (fiber ids, slot block) pair the inner heuristic's
+    takes the (fiber ids, slot mask) pair the inner heuristic's
     ``decide`` returns, and one loop places either.
     """
     temp = SpectrumState.for_topology(config.topology)
@@ -154,7 +154,7 @@ def _rebuild(
     kind, table, guard = config.heuristic, config.modulation, config.guard_slots
     # a rank-0 fit is decide's choice when it starts below this: under ff-ksp, only at 0
     rank0_limit = 1 if kind is HeuristicKind.FF_KSP else temp.n_slots
-    records: dict[int, tuple[Sequence[int], SlotBlock, tuple]] = {}
+    records: dict[int, tuple[Sequence[int], int, tuple]] = {}
     entries.sort(key=itemgetter(0))
     for entry in entries:
         _footprint, request, candidates, rank0 = entry
@@ -163,16 +163,15 @@ def _rebuild(
             fiber_ids, demand, shifts = rank0
             start = first_fit(occ, fiber_ids, full, shifts)
         if 0 <= start < rank0_limit:
-            block = slot_block(start, demand)
+            mask = ((1 << demand) - 1) << start
         else:
             placement = decide(kind, request, candidates, temp, table, guard)
             if placement is None:
                 return None
-            fiber_ids, block = placement
-        mask = block.mask
+            fiber_ids, mask = placement
         for f in fiber_ids:  # the block is free on every fiber
             occ[f] |= mask
-        records[request.id] = (fiber_ids, block, entry)
+        records[request.id] = (fiber_ids, mask, entry)
     return temp, records
 
 

@@ -1,7 +1,7 @@
 """The six benchmark allocation policies over a candidate-path list.
 
 Every policy consumes the same pre-computed, pre-ordered candidate
-list and returns the (fiber ids, slot block) placement that active
+list and returns the (fiber ids, slot mask) placement that active
 lightpaths record, or None when no candidate can host the request.
 Policies differ in how they compose path order with spectrum search:
 
@@ -31,7 +31,6 @@ from typing import Sequence
 
 from .service import ModulationTable, demand_for_path
 from .spectrum import (
-    SlotBlock,
     SpectrumState,
     best_fit_run,
     entropy_after_placement,
@@ -40,7 +39,6 @@ from .spectrum import (
     first_fit,
     path_congestion,
     run_shifts,
-    slot_block,
 )
 from .topology import CandidatePaths
 
@@ -76,8 +74,8 @@ def decide(
     state: SpectrumState,
     table: ModulationTable | None = None,
     guard_slots: int = 0,
-) -> tuple[Sequence[int], SlotBlock] | None:
-    """One policy's (fiber ids, slot block) placement of a request; None means blocked.
+) -> tuple[Sequence[int], int] | None:
+    """One policy's (fiber ids, slot mask) placement of a request; None means blocked.
 
     One pass in rank order: ksp-ff and ksp-bf return the first candidate
     that fits; the others keep the smallest policy key, so ties go to
@@ -109,7 +107,7 @@ def decide(
             if start < 0:
                 continue
         if kind is _KSP_FF or kind is _KSP_BF:
-            return fiber_ids, slot_block(start, demand)
+            return fiber_ids, ((1 << demand) - 1) << start
         if kind is _FF_KSP:
             key = start
         elif kind is _BF_KSP:
@@ -137,4 +135,4 @@ def decide(
                 if best_key is None or key < best_key:
                     best_key, best = key, (fiber_ids, start, demand)
     fiber_ids, start, demand = best
-    return fiber_ids, slot_block(start, demand)
+    return fiber_ids, ((1 << demand) - 1) << start

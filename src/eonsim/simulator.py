@@ -29,7 +29,7 @@ import numpy as np
 
 from .heuristics import HeuristicKind, decide
 from .service import ModulationTable
-from .spectrum import SlotBlock, SpectrumState
+from .spectrum import SpectrumState
 from .topology import CandidatePaths, PathOrdering, Topology
 from .traffic import HOLDING_TIME_MEAN, RequestStream, ServiceRequest, TrafficConfig, generate_stream
 
@@ -105,14 +105,14 @@ class ActiveLightpaths:
         self._state = state
         # heap of (expiry time, request id)
         self.expiries: list[tuple[float, int]] = []
-        # request id -> (fiber_ids, block, rebuild entry or None), in admission order
-        self.records: dict[int, tuple[Sequence[int], SlotBlock, tuple | None]] = {}
+        # request id -> (fiber_ids, slot mask, rebuild entry or None), in admission order
+        self.records: dict[int, tuple[Sequence[int], int, tuple | None]] = {}
 
     def add(self, request: ServiceRequest, placement: tuple, entry: tuple | None = None) -> None:
-        """Allocate ``decide``'s (fiber ids, slot block) placement and record it."""
-        fiber_ids, block = placement
-        self._state.allocate(fiber_ids, block)
-        self.records[request.id] = (fiber_ids, block, entry)
+        """Allocate ``decide``'s (fiber ids, slot mask) placement and record it."""
+        fiber_ids, mask = placement
+        self._state.allocate(fiber_ids, mask)
+        self.records[request.id] = (fiber_ids, mask, entry)
         heapq.heappush(self.expiries, (request.expiry_time, request.id))
 
     def release_due(self, now: float) -> None:
@@ -120,8 +120,8 @@ class ActiveLightpaths:
         heap, records, release = self.expiries, self.records, self._state.release
         while heap and heap[0][0] < now:
             _expiry, req_id = heapq.heappop(heap)
-            fiber_ids, block, _entry = records.pop(req_id)
-            release(fiber_ids, block)
+            fiber_ids, mask, _entry = records.pop(req_id)
+            release(fiber_ids, mask)
 
     def adopt_rebuild(
         self, state: SpectrumState, records: dict[int, tuple], request: ServiceRequest

@@ -5,6 +5,9 @@ bit ``i`` set meaning slot ``i`` is occupied.  All operations are
 defined purely in terms of the equivalent boolean vectors; the packed
 form only buys speed.
 
+A placement's slot block is held as its mask, with bit ``i`` set for
+each slot ``i`` of the block.
+
 Each fiber's fragmentation entropy is cached with the occupancy it was
 folded at, so a candidate placement is scored from the split run's
 bounds alone; the exact rescan settles only near-ties (see
@@ -13,38 +16,12 @@ bounds alone; the exact rescan settles only near-ties (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 
 class SpectrumAssignmentError(ValueError):
-    """Allocation over occupied slots, or release of slots not held."""
-
-
-@dataclass(frozen=True, slots=True)
-class SlotBlock:
-    """A contiguous run of slots starting at a 0-based index.
-
-    ``mask`` has bit ``i`` set for each slot ``i`` of the block; it is
-    computed once, at construction.  Placements share blocks through
-    :func:`slot_block`.
-    """
-
-    start: int
-    size: int
-    mask: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.start < 0 or self.size < 1:
-            raise ValueError(f"invalid slot block ({self.start}, {self.size})")
-        object.__setattr__(self, "mask", ((1 << self.size) - 1) << self.start)
-
-
-#: The shared block for ``(start, size)``.  Blocks are immutable, so one
-#: per pair serves every trial; there are at most slots x sizes of them,
-#: and a bad pair raises on every call, since exceptions are not cached.
-slot_block = lru_cache(maxsize=None)(SlotBlock)
+    """Allocation of a malformed block or over occupied slots, or release of slots not held."""
 
 
 @lru_cache(maxsize=None)
@@ -166,29 +143,32 @@ class SpectrumState:
             occ |= self.occ[f]
         return ~occ & self.full_mask
 
-    def allocate(self, fiber_ids: Sequence[int], block: SlotBlock) -> None:
-        """Occupy ``block`` on every fiber of the path (continuity)."""
-        mask = block.mask
-        if block.start + block.size > self.n_slots:
+    def allocate(self, fiber_ids: Sequence[int], mask: int) -> None:
+        """Occupy the slot block ``mask``, one run of set bits, on every fiber of the path."""
+        low = mask & -mask
+        if mask <= 0 or (mask + low) & mask:
+            raise SpectrumAssignmentError(f"slot mask {mask:#b} is not one non-empty block")
+        start = low.bit_length() - 1
+        size = mask.bit_length() - start
+        if mask > self.full_mask:
             raise SpectrumAssignmentError(
-                f"block {block} exceeds grid of {self.n_slots} slots"
+                f"block ({start}, {size}) exceeds grid of {self.n_slots} slots"
             )
         occ = self.occ
         for f in fiber_ids:
             if occ[f] & mask:
                 raise SpectrumAssignmentError(
-                    f"allocate over occupied slots on fiber {f}: {block}"
+                    f"allocate over occupied slots on fiber {f}: block ({start}, {size})"
                 )
         for f in fiber_ids:
             occ[f] |= mask
 
-    def release(self, fiber_ids: Sequence[int], block: SlotBlock) -> None:
-        mask = block.mask
+    def release(self, fiber_ids: Sequence[int], mask: int) -> None:
         occ = self.occ
         for f in fiber_ids:
             if occ[f] & mask != mask:
                 raise SpectrumAssignmentError(
-                    f"release of slots not occupied on fiber {f}: {block}"
+                    f"release of slots not occupied on fiber {f}: mask {mask:#b}"
                 )
         for f in fiber_ids:
             occ[f] &= ~mask

@@ -219,6 +219,11 @@ def pack_bits(bits):
     return mask
 
 
+def block_mask(start, size):
+    """The slot mask of a placement: bit i set for each slot i of the block."""
+    return sum(1 << i for i in range(start, start + size))
+
+
 def path_free_mask(occupancies, n_slots):
     """Mask of the slots free on every one of ``occupancies`` (bit set = free)."""
     occ = 0
@@ -278,7 +283,7 @@ def occupied_slot_count(state):
 
 def active_slot_links(active):
     """(fiber, slot) pairs the active lightpaths hold: fibers x block size each."""
-    return sum(len(fibers) * block.size for fibers, block, _key in active.records.values())
+    return sum(len(fibers) * mask.bit_count() for fibers, mask, _key in active.records.values())
 
 
 def erlang_b(n, load):

@@ -30,7 +30,7 @@ from eonsim.spectrum import run_shifts
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import ServiceRequest, TrafficConfig, generate_stream
 from observe import observe_bound_trial
-from reference import dominance_gap, pack_bits, reference_rebuild
+from reference import block_mask, dominance_gap, pack_bits, reference_rebuild
 
 ORDER = PathOrdering.HOPS_THEN_KM
 
@@ -89,9 +89,9 @@ def rebuild_entry(topology, request):
 
 
 def placed_blocks(cfg, requests):
-    """``_rebuild`` on the requests' entries in arrival order: [(id, start, size)] as placed."""
+    """``_rebuild`` on the requests' entries in arrival order: [(id, slot mask)] as placed."""
     rebuilt = bounds._rebuild(cfg, [rebuild_entry(cfg.topology, r) for r in requests])
-    return [(rid, block.start, block.size) for rid, (_f, block, _entry) in rebuilt[1].items()]
+    return [(rid, mask) for rid, (_f, mask, _entry) in rebuilt[1].items()]
 
 
 def test_sort_descending_by_product():
@@ -99,14 +99,18 @@ def test_sort_descending_by_product():
                     slots_per_fiber=8, fiber_mode="single")
     b = req(0, 1.0, slots=3)  # 3 slots x 1 hop = 3
     a = req(1, 2.0, slots=2, dst="C")  # 2 slots x 2 hops = 4
-    assert placed_blocks(wire_config(line, 1), [b, a]) == [(1, 0, 2), (0, 2, 3)]
+    assert placed_blocks(wire_config(line, 1), [b, a]) == [
+        (1, block_mask(0, 2)), (0, block_mask(2, 3))
+    ]
 
 
 def test_sort_tie_breaks_on_arrival():
     x = req(0, 1.0, slots=1)
     b = req(1, 2.0, slots=2)
     a = req(2, 5.0, slots=2)
-    assert placed_blocks(wire_config(wire(8), 1), [x, b, a]) == [(1, 0, 2), (2, 2, 2), (0, 4, 1)]
+    assert placed_blocks(wire_config(wire(8), 1), [x, b, a]) == [
+        (1, block_mask(0, 2)), (2, block_mask(2, 2)), (0, block_mask(4, 1))
+    ]
 
 
 # --- defrag trial semantics ------------------------------------------------------
@@ -181,8 +185,8 @@ def rebuilds_checked_against_reference(cfg, stream, formats):
         if rebuilt is not None:
             state, records = rebuilt
             grids, placed = expected
-            got = {rid: (f, b.start, b.size) for rid, (f, b, _entry) in records.items()}
-            assert got == placed
+            got = {rid: (f, mask) for rid, (f, mask, _entry) in records.items()}
+            assert got == {rid: (f, block_mask(s, n)) for rid, (f, s, n) in placed.items()}
             by_id = {entry[1].id: entry for entry in entries}  # each record keeps its entry
             assert all(entry is by_id[rid] for rid, (_f, _b, entry) in records.items())
             assert state.occ == [pack_bits(g) for g in grids]
@@ -222,7 +226,9 @@ def test_rebuild_skips_rank0_beyond_every_reach():
     a_b_d = topo.candidate_paths("A", "D", 2, ORDER).fiber_ids[1]
     b_d = topo.candidate_paths("B", "D", 2, ORDER).fiber_ids[0]
     # stand-in footprints 8 and 4 put requests 3 and 2 ahead of request 1's 2
-    assert rebuilds == [{3: (a_b_d, 0, 4), 2: (a_b_d, 4, 2), 1: (b_d, 6, 2)}]
+    assert rebuilds == [
+        {3: (a_b_d, block_mask(0, 4)), 2: (a_b_d, block_mask(4, 2)), 1: (b_d, block_mask(6, 2))}
+    ]
 
 
 def test_ff_ksp_rebuild_prefers_a_later_rank_at_slot_zero():
@@ -244,7 +250,10 @@ def test_ff_ksp_rebuild_prefers_a_later_rank_at_slot_zero():
     a_d, a_b_d = topo.candidate_paths("A", "D", 2, ORDER).fiber_ids
     # request 6 takes A-D [0, 2); request 0 then fits A-D only at slot 2
     assert rebuilds == [
-        {6: (a_d, 0, 2), 0: (a_b_d, 0, 1), 1: (a_b_d, 1, 1), 4: (a_d, 2, 1), 5: (a_b_d, 2, 1)}
+        {
+            6: (a_d, block_mask(0, 2)), 0: (a_b_d, block_mask(0, 1)), 1: (a_b_d, block_mask(1, 1)),
+            4: (a_d, block_mask(2, 1)), 5: (a_b_d, block_mask(2, 1)),
+        }
     ]
 
 

@@ -15,7 +15,7 @@ from eonsim.simulator import SimConfig, run_stream
 from eonsim.topology import PathOrdering, Topology
 from eonsim.traffic import TrafficConfig, generate_stream
 from observe import observe_bound_trial
-from reference import pack_bits, random_connected_graph, reference_trial
+from reference import block_mask, pack_bits, random_connected_graph, reference_trial
 
 #: (bits per symbol, reach in km) of the default table, scaled per example
 BASE_FORMATS = ((1, 10_000.0), (2, 2_500.0), (3, 1_250.0), (4, 625.0))
@@ -67,9 +67,7 @@ def package_events(config, stream, bound):
 
     def record(state, active):
         occupancies.append(list(state.occ))
-        placements.append(
-            {rid: (rec[0], rec[1].start, rec[1].size) for rid, rec in active.records.items()}
-        )
+        placements.append({rid: (rec[0], rec[1]) for rid, rec in active.records.items()})
 
     if not bound:
         blocked = run_stream(config, stream, on_event=record)
@@ -101,7 +99,7 @@ def assert_matches_reference(config, formats, stream, bound):
     assert len(outcomes) == len(expected) == len(stream)
     for i, (outcome, grids, placed) in enumerate(expected):
         assert outcomes[i] == outcome, i
-        assert placements[i] == placed, i
+        assert placements[i] == {rid: (f, block_mask(s, n)) for rid, (f, s, n) in placed.items()}, i
         assert occupancies[i] == [pack_bits(g) for g in grids], i
 
 

@@ -3,16 +3,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eonsim import heuristics
 from eonsim.heuristics import HeuristicKind, decide
 from eonsim.presets import get_preset
-from eonsim.service import ModulationTable
+from eonsim.service import ModulationTable, demand_for_path
 from eonsim.simulator import ActiveLightpaths, run_trial
-from eonsim.spectrum import SlotBlock, SpectrumState
+from eonsim.spectrum import SpectrumState
 from eonsim.topology import CandidatePaths, PathOrdering, Topology
 from eonsim.traffic import ServiceRequest
-from reference import node_seq, reference_decision
+from reference import block_mask, node_seq, reference_decision
 
 TABLE = ModulationTable.default()
 
@@ -50,9 +52,9 @@ def test_empty_network_all_kinds_pick_rank0(diamond):
     for kind in HeuristicKind:
         placement = decide(kind, request(slots=2), cands, state)
         assert placement is not None, kind
-        fiber_ids, block = placement
+        fiber_ids, mask = placement
         assert rank(cands, fiber_ids) == 0, kind
-        assert block == SlotBlock(0, 2), kind
+        assert mask == block_mask(0, 2), kind
 
 
 def test_active_lightpaths_record_and_release_the_pair_decide_returns(two_route_topo):
@@ -61,9 +63,9 @@ def test_active_lightpaths_record_and_release_the_pair_decide_returns(two_route_
     req = request(slots=2)
     placement = decide(HeuristicKind.KSP_FF, req, candidates_of(two_route_topo), state)
     active.add(req, placement)
-    fiber_ids, block = placement
-    assert active.records == {req.id: (fiber_ids, block, None)}
-    assert [state.occ[f] for f in fiber_ids] == [block.mask] * len(fiber_ids)
+    fiber_ids, mask = placement
+    assert active.records == {req.id: (fiber_ids, mask, None)}
+    assert [state.occ[f] for f in fiber_ids] == [mask] * len(fiber_ids)
     active.release_due(math.inf)
     assert active.records == {} and not any(state.occ)
 
@@ -76,14 +78,14 @@ def test_ksp_ff_vs_ff_ksp(two_route_topo):
     p0, p1 = cands.fiber_ids[:2]
     assert node_seq(topo, "A", p0) == ("A", "B", "D")
     # occupy path0 slots 0-6 and path1 slots 0-1
-    state.allocate(p0, SlotBlock(0, 7))
-    state.allocate(p1, SlotBlock(0, 2))
+    state.allocate(p0, block_mask(0, 7))
+    state.allocate(p1, block_mask(0, 2))
 
-    fiber_ids, block = decide(HeuristicKind.KSP_FF, request(slots=2), cands, state)
-    assert rank(cands, fiber_ids) == 0 and block.start == 7
+    fiber_ids, mask = decide(HeuristicKind.KSP_FF, request(slots=2), cands, state)
+    assert rank(cands, fiber_ids) == 0 and mask == block_mask(7, 2)
 
-    fiber_ids, block = decide(HeuristicKind.FF_KSP, request(slots=2), cands, state)
-    assert rank(cands, fiber_ids) == 1 and block.start == 2
+    fiber_ids, mask = decide(HeuristicKind.FF_KSP, request(slots=2), cands, state)
+    assert rank(cands, fiber_ids) == 1 and mask == block_mask(2, 2)
 
 
 def test_all_paths_occupied_blocks(two_route_topo):
@@ -91,7 +93,7 @@ def test_all_paths_occupied_blocks(two_route_topo):
     state = SpectrumState.for_topology(topo)
     cands = candidates_of(topo)
     for fiber_ids in cands.fiber_ids:
-        state.allocate(fiber_ids, SlotBlock(0, 10))
+        state.allocate(fiber_ids, block_mask(0, 10))
     for kind in HeuristicKind:
         assert decide(kind, request(slots=1), cands, state) is None, kind
 
@@ -108,10 +110,10 @@ def test_ksp_bf_takes_first_path_best_fit(two_route_topo):
     cands = candidates_of(topo)
     p0 = cands.fiber_ids[0]
     # path0 runs: 3 free at 0, 2 free at 8; best fit for 2 is at 8
-    state.allocate(p0, SlotBlock(3, 5))
-    fiber_ids, block = decide(HeuristicKind.KSP_BF, request(slots=2), cands, state)
+    state.allocate(p0, block_mask(3, 5))
+    fiber_ids, mask = decide(HeuristicKind.KSP_BF, request(slots=2), cands, state)
     assert rank(cands, fiber_ids) == 0
-    assert block == SlotBlock(8, 2)
+    assert mask == block_mask(8, 2)
 
 
 def test_bf_ksp_prefers_tightest_run_across_paths(two_route_topo):
@@ -120,12 +122,12 @@ def test_bf_ksp_prefers_tightest_run_across_paths(two_route_topo):
     cands = candidates_of(topo)
     p0, p1 = cands.fiber_ids[:2]
     # path0 tightest run for 2 slots has size 3; path1 has an exact-2 run
-    state.allocate(p0, SlotBlock(3, 7))   # run size 3 at 0
-    state.allocate(p1, SlotBlock(0, 4))   # runs: 6 at 4
-    state.allocate(p1, SlotBlock(6, 2))   # runs: 2 at 4, 2 at 8
-    fiber_ids, block = decide(HeuristicKind.BF_KSP, request(slots=2), cands, state)
+    state.allocate(p0, block_mask(3, 7))   # run size 3 at 0
+    state.allocate(p1, block_mask(0, 4))   # runs: 6 at 4
+    state.allocate(p1, block_mask(6, 2))   # runs: 2 at 4, 2 at 8
+    fiber_ids, mask = decide(HeuristicKind.BF_KSP, request(slots=2), cands, state)
     assert rank(cands, fiber_ids) == 1
-    assert block == SlotBlock(4, 2)  # size-2 run, lowest start, over rank
+    assert mask == block_mask(4, 2)  # size-2 run, lowest start, over rank
 
 
 def test_bf_ksp_tie_ladder_prefers_lower_start_then_rank(two_route_topo):
@@ -134,12 +136,12 @@ def test_bf_ksp_tie_ladder_prefers_lower_start_then_rank(two_route_topo):
     cands = candidates_of(topo)
     p0, p1 = cands.fiber_ids[:2]
     # both paths expose an exact-size-2 run; path1's starts lower
-    state.allocate(p0, SlotBlock(0, 6))   # p0 run: 4 at 6 -> not exact
-    state.allocate(p0, SlotBlock(8, 2))   # p0 runs: 2 at 6
-    state.allocate(p1, SlotBlock(0, 2))   # p1 runs: ...
-    state.allocate(p1, SlotBlock(4, 6))   # p1 run: 2 at 2
-    fiber_ids, block = decide(HeuristicKind.BF_KSP, request(slots=2), cands, state)
-    assert (rank(cands, fiber_ids), block.start) == (1, 2)
+    state.allocate(p0, block_mask(0, 6))   # p0 run: 4 at 6 -> not exact
+    state.allocate(p0, block_mask(8, 2))   # p0 runs: 2 at 6
+    state.allocate(p1, block_mask(0, 2))   # p1 runs: ...
+    state.allocate(p1, block_mask(4, 6))   # p1 run: 2 at 2
+    fiber_ids, mask = decide(HeuristicKind.BF_KSP, request(slots=2), cands, state)
+    assert (rank(cands, fiber_ids), mask) == (1, block_mask(2, 2))
 
 
 def test_kme_ff_minimizes_post_allocation_entropy(two_route_topo):
@@ -148,21 +150,21 @@ def test_kme_ff_minimizes_post_allocation_entropy(two_route_topo):
     cands = candidates_of(topo)
     p0, p1 = cands.fiber_ids[:2]
     # placing on p0 would split its free space; p1 placement stays flush
-    state.allocate(p0, SlotBlock(4, 2))
-    state.allocate(p1, SlotBlock(0, 4))
-    fiber_ids, block = decide(HeuristicKind.KME_FF, request(slots=2), cands, state)
+    state.allocate(p0, block_mask(4, 2))
+    state.allocate(p1, block_mask(0, 4))
+    fiber_ids, mask = decide(HeuristicKind.KME_FF, request(slots=2), cands, state)
     # p0 first-fit at 0 leaves runs {2 at 2, 4 at 6} per link (entropy high);
     # p1 first-fit at 4 leaves one run {4 at 6} per link (entropy low)
     assert rank(cands, fiber_ids) == 1
-    assert block == SlotBlock(4, 2)
+    assert mask == block_mask(4, 2)
 
 
 def kme_ff_against_reference(topo, cands, state, req):
-    """decide's kme-ff choice and reference_decision's, as (rank, block)."""
+    """decide's kme-ff choice and reference_decision's, as (rank, slot mask)."""
     grids = [[bool(occ >> i & 1) for i in range(state.n_slots)] for occ in state.occ]
     ref_fiber_ids, start, size = reference_decision("kme-ff", req, cands, grids, [], 12.5, 0)
-    fiber_ids, block = decide(HeuristicKind.KME_FF, req, cands, state)
-    return (rank(cands, fiber_ids), block), (rank(cands, ref_fiber_ids), SlotBlock(start, size))
+    fiber_ids, mask = decide(HeuristicKind.KME_FF, req, cands, state)
+    return (rank(cands, fiber_ids), mask), (rank(cands, ref_fiber_ids), block_mask(start, size))
 
 
 def test_kme_ff_exact_tie_goes_to_the_earlier_rank(two_route_topo):
@@ -171,13 +173,13 @@ def test_kme_ff_exact_tie_goes_to_the_earlier_rank(two_route_topo):
     state = SpectrumState.for_topology(topo)
     cands = candidates_of(topo)
     for fiber_ids in cands.fiber_ids:
-        state.allocate(fiber_ids, SlotBlock(2, 1))
-        state.allocate(fiber_ids, SlotBlock(6, 2))
+        state.allocate(fiber_ids, block_mask(2, 1))
+        state.allocate(fiber_ids, block_mask(6, 2))
     with mock.patch(
         "eonsim.heuristics.entropy_after_placement", wraps=heuristics.entropy_after_placement
     ) as exact:
         got, expected = kme_ff_against_reference(topo, cands, state, request(slots=2))
-    assert got == expected == (0, SlotBlock(0, 2))
+    assert got == expected == (0, block_mask(0, 2))
     assert exact.call_count == 2  # both candidates were inside the margin
 
 
@@ -222,11 +224,11 @@ def test_kca_ff_picks_least_congested_path(two_route_topo):
     state = SpectrumState.for_topology(topo)
     cands = candidates_of(topo)
     p0, p1 = cands.fiber_ids[:2]
-    state.allocate(p0, SlotBlock(0, 6))  # 60% occupied
-    state.allocate(p1, SlotBlock(0, 2))  # 20% occupied
-    fiber_ids, block = decide(HeuristicKind.KCA_FF, request(slots=2), cands, state)
+    state.allocate(p0, block_mask(0, 6))  # 60% occupied
+    state.allocate(p1, block_mask(0, 2))  # 20% occupied
+    fiber_ids, mask = decide(HeuristicKind.KCA_FF, request(slots=2), cands, state)
     assert rank(cands, fiber_ids) == 1
-    assert block == SlotBlock(2, 2)  # first fit on the chosen path
+    assert mask == block_mask(2, 2)  # first fit on the chosen path
 
 
 def test_modulation_infeasible_paths_skipped():
@@ -240,12 +242,12 @@ def test_modulation_infeasible_paths_skipped():
     cands = topo.candidate_paths("A", "D", 2, PathOrdering.HOPS_THEN_KM)
     assert len(cands.fiber_ids[0]) == 1  # the infeasible one ranks first
     state = SpectrumState.for_topology(topo)
-    fiber_ids, _block = decide(HeuristicKind.KSP_FF, request(rate=50), cands, state, TABLE)
+    fiber_ids, _mask = decide(HeuristicKind.KSP_FF, request(rate=50), cands, state, TABLE)
     assert rank(cands, fiber_ids) == 1
     # the 800 km detour runs at 8QAM: 75 Gbps takes 2 slots there, 3 at QPSK
-    fiber_ids, block = decide(HeuristicKind.KSP_FF, request(rate=75), cands, state, TABLE)
+    fiber_ids, mask = decide(HeuristicKind.KSP_FF, request(rate=75), cands, state, TABLE)
     assert rank(cands, fiber_ids) == 1
-    assert block.size == 2
+    assert mask == block_mask(0, 2)
 
 
 def test_ksp_ff_k1_equals_shortest_path_first_fit(diamond):
@@ -266,7 +268,7 @@ def test_ksp_ff_k1_equals_shortest_path_first_fit(diamond):
         if start < 0:
             assert got is None
         else:
-            assert got == (shortest, SlotBlock(start, size))
+            assert got == (shortest, block_mask(start, size))
 
 
 def test_determinism_and_purity(two_route_topo):
@@ -309,7 +311,8 @@ def test_ff_ksp_never_starts_above_ksp_ff():
         if ksp is None:
             assert ff is None
         else:
-            assert ff[1].start <= ksp[1].start
+            # the lowest set bit of a slot mask is 2 ** start
+            assert ff[1] & -ff[1] <= ksp[1] & -ksp[1]
 
 
 def test_decisions_always_allocatable():
@@ -333,6 +336,47 @@ def test_decisions_always_allocatable():
                 trial = SpectrumState.for_topology(topo)
                 trial.occ = list(state.occ)
                 trial.allocate(*placement)
+
+
+MULTI = Topology(
+    "multi",
+    ["A", "B", "C", "D"],
+    # rank 0 is beyond every reach; the others run 16QAM and 8QAM
+    [("A", "B", 100), ("B", "D", 100), ("A", "C", 600), ("C", "D", 600), ("A", "D", 11_000)],
+    slots_per_fiber=16,
+)
+MULTI_CANDIDATES = candidates_of(MULTI, k=3)
+
+
+@pytest.mark.parametrize("kind", list(HeuristicKind), ids=lambda k: k.value)
+@given(
+    occ=st.lists(st.integers(0, 2**16 - 1), min_size=MULTI.num_fibers, max_size=MULTI.num_fibers),
+    demand=st.one_of(
+        st.builds(lambda slots: (request(slots=slots), None), st.integers(1, 6)),
+        st.builds(lambda rate: (request(rate=rate), TABLE), st.sampled_from([25.0, 50.0, 100.0, 200.0])),
+    ),
+    guard=st.integers(0, 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_policy_places_one_free_block_of_the_paths_demand(kind, occ, demand, guard):
+    """A placement is a candidate's fibers and one contiguous run of exactly the
+    demand that candidate's length sets, inside the grid and free on every fiber."""
+    req, table = demand
+    state = SpectrumState.for_topology(MULTI)
+    state.occ = list(occ)
+    placement = decide(kind, req, MULTI_CANDIDATES, state, table, guard)
+    if placement is None:
+        return
+    fiber_ids, mask = placement
+    assert fiber_ids in MULTI_CANDIDATES.fiber_ids
+    r = rank(MULTI_CANDIDATES, fiber_ids)
+    size = demand_for_path(req, MULTI_CANDIDATES.lengths_km[r], table, guard)
+    start = (mask & -mask).bit_length() - 1
+    assert size is not None and start >= 0
+    assert mask == block_mask(start, size)
+    assert start + size <= state.n_slots
+    assert not any(occ[f] & mask for f in fiber_ids)
+    assert state.occ == occ  # decide only reads the state
 
 
 def test_heuristic_names_roundtrip():

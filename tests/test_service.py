@@ -10,7 +10,6 @@ from eonsim.service import (
     slots_required,
 )
 from eonsim.spectrum import (
-    SlotBlock,
     SpectrumState,
     best_fit_run,
     entropy_after_placement,
@@ -20,6 +19,7 @@ from eonsim.spectrum import (
 )
 from eonsim.topology import PathOrdering
 from eonsim.traffic import ServiceRequest
+from reference import block_mask
 
 TABLE = ModulationTable.default()
 
@@ -192,8 +192,8 @@ def test_evaluate_fixed_width_demand_exceeds_free_run(single_link):
     cands = single_link.candidate_paths("A", "B", 1, PathOrdering.KM_THEN_HOPS)
     fiber_ids = cands.fiber_ids[0]
     # leave only a 2-slot free run
-    state.allocate(fiber_ids, SlotBlock(0, 4))
-    state.allocate(fiber_ids, SlotBlock(6, 4))
+    state.allocate(fiber_ids, block_mask(0, 4))
+    state.allocate(fiber_ids, block_mask(6, 4))
     assert demand_for_path(request(slots=3), cands.lengths_km[0], None) == 3
     assert first_fit(state.occ, fiber_ids, state.full_mask, run_shifts(3)) == -1
     for kind in HeuristicKind:
@@ -202,7 +202,7 @@ def test_evaluate_fixed_width_demand_exceeds_free_run(single_link):
 
 def test_evaluate_is_pure(diamond):
     state = SpectrumState.for_topology(diamond)
-    state.allocate(paths_for(diamond).fiber_ids[1], SlotBlock(2, 3))
+    state.allocate(paths_for(diamond).fiber_ids[1], block_mask(2, 3))
     before = list(state.occ)
     for fiber_ids in paths_for(diamond).fiber_ids:
         state.path_free(fiber_ids)

@@ -38,7 +38,7 @@ from eonsim.simulator import (
 )
 from eonsim.topology import PathOrdering
 from eonsim.traffic import ServiceRequest, TrafficConfig
-from reference import active_slot_links, occupied_slot_count
+from reference import active_slot_links, block_mask, occupied_slot_count
 
 ORDER = PathOrdering.HOPS_THEN_KM
 
@@ -222,7 +222,7 @@ def test_conservation_holds_with_tuple_fiber_ids(wide_ring):
     def check(state, active):
         nonlocal checked
         assert occupied_slot_count(state) == active_slot_links(active)
-        assert all(type(fibers) is tuple for fibers, _block, _entry in active.records.values())
+        assert all(type(fibers) is tuple for fibers, _mask, _entry in active.records.values())
         checked += 1
 
     stream = generate_stream(cfg.traffic, 400, wide_ring.nodes, seed=5)
@@ -265,19 +265,19 @@ def test_adopt_rebuild_needs_the_active_set_plus_the_request(diamond):
     the blocked request, which must not be active; each record keeps its
     place, the request comes last."""
     from eonsim.simulator import ActiveLightpaths
-    from eonsim.spectrum import SpectrumState, slot_block
+    from eonsim.spectrum import SpectrumState
 
     fiber_ids = diamond.candidate_paths("A", "D", 1, ORDER).fiber_ids[0]
     first, second, new = (ServiceRequest(i, "A", "D", float(i), 10.0, slots=1) for i in range(3))
     state = SpectrumState.for_topology(diamond)
     active = ActiveLightpaths(state)
-    active.add(first, (fiber_ids, slot_block(0, 1)), "k0")
-    active.add(second, (fiber_ids, slot_block(1, 1)), "k1")
+    active.add(first, (fiber_ids, block_mask(0, 1)), "k0")
+    active.add(second, (fiber_ids, block_mask(1, 1)), "k1")
     rebuilt = SpectrumState.for_topology(diamond)
     for f in fiber_ids:
         rebuilt.occ[f] = 0b111
     # in the rebuild's placement order, not in admission order
-    records = {i: (fiber_ids, slot_block(2 - i, 1), f"k{i}") for i in (1, 2, 0)}
+    records = {i: (fiber_ids, block_mask(2 - i, 1), f"k{i}") for i in (1, 2, 0)}
     for missing in (new.id, first.id):
         with pytest.raises(ValueError, match="do not cover"):
             short = {i: r for i, r in records.items() if i != missing}
@@ -286,7 +286,7 @@ def test_adopt_rebuild_needs_the_active_set_plus_the_request(diamond):
         active.adopt_rebuild(rebuilt, {i: records[i] for i in (0, 1)}, second)
     active.adopt_rebuild(rebuilt, records, new)
     assert list(active.records.items()) == [
-        (i, (fiber_ids, slot_block(2 - i, 1), f"k{i}")) for i in range(3)
+        (i, (fiber_ids, block_mask(2 - i, 1), f"k{i}")) for i in range(3)
     ]
     assert sorted(active.expiries) == [(10.0 + i, i) for i in range(3)]
     active.release_due(math.inf)

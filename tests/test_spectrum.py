@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eonsim.spectrum import (
-    SlotBlock,
     SpectrumAssignmentError,
     SpectrumState,
     best_fit_run,
@@ -18,10 +17,10 @@ from eonsim.spectrum import (
     free_entropy,
     path_congestion,
     run_shifts,
-    slot_block,
 )
 from reference import (
     best_fit_oracle,
+    block_mask,
     entropy_oracle,
     first_fit_oracle,
     fragmentation_entropy,
@@ -216,45 +215,40 @@ def test_free_entropy_ignores_bits_past_the_grid():
         signal.signal(signal.SIGVTALRM, previous)
 
 
-# --- shared slot blocks -----------------------------------------------------
-
-def test_shared_block_equals_and_hashes_like_a_fresh_one():
-    shared = slot_block(2, 3)
-    assert slot_block(2, 3) is shared
-    assert shared == SlotBlock(2, 3) and hash(shared) == hash(SlotBlock(2, 3))
-    assert shared.mask == SlotBlock(2, 3).mask == 0b11100
-    assert shared != slot_block(3, 2)
-
-
-def test_shared_block_rejects_attribute_assignment():
-    with pytest.raises(AttributeError):
-        slot_block(0, 1).start = 5
-    assert slot_block(0, 1).start == 0
-
-
-@pytest.mark.parametrize("start,size", [(-1, 2), (0, 0)])
-def test_bad_shared_block_raises_on_every_call(start, size):
-    for _ in range(2):  # an exception is not cached
-        with pytest.raises(ValueError):
-            slot_block(start, size)
-
-
 # --- allocate / release -----------------------------------------------------
 
 def test_allocate_release_roundtrip():
     state = SpectrumState(2, 8)
-    block = SlotBlock(2, 3)
-    state.allocate([0, 1], block)
+    mask = block_mask(2, 3)
+    assert mask == 0b11100
+    state.allocate([0, 1], mask)
     assert occupied_slot_count(state) == 6
-    state.release([0, 1], block)
+    state.release([0, 1], mask)
+    assert state.occ == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "mask,message",
+    [
+        (0, "not one non-empty block"),
+        (-1, "not one non-empty block"),
+        (1 << 8, r"block \(8, 1\) exceeds grid of 8 slots"),
+        (0b101, "not one non-empty block"),
+    ],
+    ids=["empty", "negative", "past-grid", "two-runs"],
+)
+def test_allocate_rejects_a_mask_that_is_not_one_block_in_the_grid(mask, message):
+    state = SpectrumState(2, 8)
+    with pytest.raises(SpectrumAssignmentError, match=message):
+        state.allocate([0, 1], mask)
     assert state.occ == [0, 0]
 
 
 def test_allocate_over_occupied_rejected():
     state = SpectrumState(2, 8)
-    state.allocate([0], SlotBlock(0, 4))
-    with pytest.raises(SpectrumAssignmentError):
-        state.allocate([0, 1], SlotBlock(3, 2))
+    state.allocate([0], block_mask(0, 4))
+    with pytest.raises(SpectrumAssignmentError, match=r"fiber 0: block \(3, 2\)"):
+        state.allocate([0, 1], block_mask(3, 2))
     # failed allocation must not half-apply
     assert state.occ[1] == 0
 
@@ -262,19 +256,19 @@ def test_allocate_over_occupied_rejected():
 def test_release_unheld_rejected():
     state = SpectrumState(1, 8)
     with pytest.raises(SpectrumAssignmentError):
-        state.release([0], SlotBlock(0, 1))
+        state.release([0], block_mask(0, 1))
 
 
 def test_continuity_allocation_touches_every_link():
     state = SpectrumState(3, 8)
-    state.allocate([0, 1, 2], SlotBlock(0, 4))
+    state.allocate([0, 1, 2], block_mask(0, 4))
     assert state.occ == [pack_bits([True] * 4 + [False] * 4)] * 3
 
 
 def test_block_exceeding_grid_rejected():
     state = SpectrumState(1, 8)
     with pytest.raises(SpectrumAssignmentError, match="exceeds"):
-        state.allocate([0], SlotBlock(6, 4))
+        state.allocate([0], block_mask(6, 4))
 
 
 @given(
@@ -289,14 +283,14 @@ def test_allocate_release_identity(occ_mask, start, size):
         start = n - size
     state = SpectrumState(1, n)
     state.occ[0] = occ_mask
-    block = SlotBlock(start, size)
-    if occ_mask & block.mask:
+    mask = block_mask(start, size)
+    if occ_mask & mask:
         with pytest.raises(SpectrumAssignmentError):
-            state.allocate([0], block)
+            state.allocate([0], mask)
         assert state.occ[0] == occ_mask
     else:
-        state.allocate([0], block)
-        state.release([0], block)
+        state.allocate([0], mask)
+        state.release([0], mask)
         assert state.occ[0] == occ_mask
 
 
@@ -307,8 +301,9 @@ def grid_of(state, f):
 
 
 def placed_entropy_oracle(state, fiber_ids, block):
-    """Summed entropy_oracle of each fiber's grid with ``block`` occupied."""
-    placed = range(block.start, block.start + block.size)
+    """Summed entropy_oracle of each fiber's grid with ``block``, a (start, size), occupied."""
+    start, size = block
+    placed = range(start, start + size)
     total = 0.0
     for f in fiber_ids:
         total += entropy_oracle([b or i in placed for i, b in enumerate(grid_of(state, f))])
@@ -323,22 +318,22 @@ def occupancy_walk(state, data, fibers):
     rebuild installs.
     """
     n_fibers, n_slots = state.n_fibers, state.n_slots
-    held = []  # (fiber_ids, block) placed through allocate and not yet released
+    held = []  # (fiber_ids, slot mask) placed through allocate and not yet released
     for _step in range(data.draw(st.integers(1, 10))):
         op = data.draw(st.sampled_from(["allocate", "release", "write", "swap"]))
         if op == "allocate":
             size = data.draw(st.integers(1, n_slots))
-            block = SlotBlock(data.draw(st.integers(0, n_slots - size)), size)
+            mask = block_mask(data.draw(st.integers(0, n_slots - size)), size)
             path = data.draw(fibers)
-            if not any(state.occ[f] & block.mask for f in path):
-                state.allocate(path, block)
-                held.append((path, block))
+            if not any(state.occ[f] & mask for f in path):
+                state.allocate(path, mask)
+                held.append((path, mask))
         elif op == "release" and held:
             state.release(*held.pop(data.draw(st.integers(0, len(held) - 1))))
         elif op == "write":
             f = data.draw(st.integers(0, n_fibers - 1))
             state.occ[f] = data.draw(st.integers(0, state.full_mask))
-            held = [(path, block) for path, block in held if f not in path]
+            held = [(path, mask) for path, mask in held if f not in path]
         elif op == "swap":
             state.occ = [data.draw(st.integers(0, state.full_mask)) for _ in range(n_fibers)]
             held = []
@@ -346,7 +341,7 @@ def occupancy_walk(state, data, fibers):
 
 
 def draw_free_block(state, path, data):
-    """A block free on every fiber of ``path``, or None when no size-1 slot is."""
+    """A (start, size) block free on every fiber of ``path``, or None when no size-1 slot is."""
     size = data.draw(st.integers(1, state.n_slots))
     occupied = grid_of(state, path[0])
     for f in path[1:]:
@@ -358,7 +353,7 @@ def draw_free_block(state, path, data):
     ]
     if not starts:
         return None
-    return SlotBlock(data.draw(st.sampled_from(starts)), size)
+    return data.draw(st.sampled_from(starts)), size
 
 
 @given(st.sampled_from([1, 63, 64, 65, 320]), st.data())
@@ -372,7 +367,7 @@ def test_entropy_after_placement_tracks_every_occupancy_change(n_slots, data):
             block = draw_free_block(state, path, data)
             if block is not None:
                 expected = placed_entropy_oracle(state, path, block)
-                assert entropy_after_placement(state, path, block.start, block.size) == expected
+                assert entropy_after_placement(state, path, *block) == expected
 
 
 SLOT_COUNTS = [1, 63, 64, 65, 80, 320]
@@ -388,8 +383,8 @@ def test_entropy_estimate_is_within_half_its_error_bound(n_slots, data):
     block = draw_free_block(state, path, data)
     if block is None:
         return
-    exact = entropy_after_placement(state, path, block.start, block.size)
-    estimate = entropy_estimate(state, path, block.start, block.size)
+    exact = entropy_after_placement(state, path, *block)
+    estimate = entropy_estimate(state, path, *block)
     assert abs(estimate - exact) <= entropy_estimate_error(n_slots, len(path)) / 2
 
 
@@ -405,8 +400,8 @@ def test_entropy_estimate_cache_tracks_every_occupancy_change(n_slots, data):
             block = draw_free_block(state, path, data)
             if block is None:
                 continue
-            exact = entropy_after_placement(state, path, block.start, block.size)
-            estimate = entropy_estimate(state, path, block.start, block.size)
+            exact = entropy_after_placement(state, path, *block)
+            estimate = entropy_estimate(state, path, *block)
             assert abs(estimate - exact) <= entropy_estimate_error(n_slots, len(path)) / 2
             for f in path:
                 assert state._entropy_occ[f] == state.occ[f]
@@ -415,17 +410,17 @@ def test_entropy_estimate_cache_tracks_every_occupancy_change(n_slots, data):
 
 def test_entropy_after_placement_rejects_block_over_occupied_slots():
     state = SpectrumState(3, 8)
-    state.allocate([1], SlotBlock(3, 1))
+    state.allocate([1], block_mask(3, 1))
     state.occ[2] = state.full_mask
-    ok = SlotBlock(2, 3)
+    ok = (2, 3)
     assert entropy_after_placement(state, [0], 2, 3) == placed_entropy_oracle(state, [0], ok)
     for fiber_ids, block in [
         ([0, 1], ok),  # slot 3 held on fiber 1
-        ([0], SlotBlock(6, 3)),  # past the grid's end
-        ([2], SlotBlock(0, 1)),  # fully occupied fiber
+        ([0], (6, 3)),  # past the grid's end
+        ([2], (0, 1)),  # fully occupied fiber
     ]:
         with pytest.raises(SpectrumAssignmentError):
-            entropy_after_placement(state, fiber_ids, block.start, block.size)
+            entropy_after_placement(state, fiber_ids, *block)
     # a rejected block is rejected again after the rejecting fiber's record is cached
     with pytest.raises(SpectrumAssignmentError):
         entropy_after_placement(state, [1], 3, 1)
@@ -435,15 +430,15 @@ def test_entropy_after_placement_rejects_block_over_occupied_slots():
 
 def test_congestion_is_max_fraction():
     state = SpectrumState(2, 100)
-    state.allocate([0], SlotBlock(0, 10))
-    state.allocate([1], SlotBlock(0, 40))
+    state.allocate([0], block_mask(0, 10))
+    state.allocate([1], block_mask(0, 40))
     assert path_congestion(state, [0, 1]) == pytest.approx(0.40)
 
 
 def test_congestion_empty_and_full():
     state = SpectrumState(1, 10)
     assert path_congestion(state, [0]) == 0.0
-    state.allocate([0], SlotBlock(0, 10))
+    state.allocate([0], block_mask(0, 10))
     assert path_congestion(state, [0]) == 1.0
 
 
@@ -451,5 +446,5 @@ def test_pack_unpack_roundtrip():
     # pack_bits follows the package's convention: bit i is slot i
     bits = [True, False, True, True, False]
     mask = pack_bits(bits)
-    assert mask == SlotBlock(0, 1).mask | SlotBlock(2, 2).mask
+    assert mask == block_mask(0, 1) | block_mask(2, 2)
     assert [bool(mask >> i & 1) for i in range(5)] == bits
